@@ -28,7 +28,7 @@ prob = LQProblem(
 )
 
 flow0 = backward_nonautonomous(prob, steps=128)
-print(f"backward pass done: U(0) = {flow0.U[0,0]:.10f}, V(0) = {flow0.V[0,0]:.10f}")
+print(f"backward pass done: U(0) = {flow0.U[0,0]:.10f}, V(0) = {flow0.V[0][0, 0]:.10f}")
 
 print("\nterminal-defect decay per scheme (the defect ~ h^order):")
 print("steps   sp2          sp4          sp6")

@@ -1,11 +1,11 @@
 """splitlq: structure-preserving integrators for LQ control and differential games.
 
-Backward-then-forward pipeline for finite-horizon linear-quadratic optimal
-control and N-player games: the linearized Riccati flow is integrated
-backward (matrix exponential or commutator-free Magnus), then the coupled
-Riccati/state system is integrated forward with splitting methods that
-keep the gain symmetric and, for the order-two schemes, positive
-semidefinite.
+Backward-then-forward pipeline for finite-horizon linear-quadratic
+N-player games, with optimal control as the one-player case: the
+linearized Riccati flow is integrated backward (matrix exponential or
+commutator-free Magnus), then the coupled Riccati/state system is
+integrated forward with splitting methods that keep the gain symmetric
+and, for the order-two schemes, positive semidefinite.
 """
 
 from .bench import (PollutionConfig, SweepResult, TimeFunction,

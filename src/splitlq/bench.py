@@ -259,9 +259,9 @@ def _flat_diagnostics(prob, y):
     n = prob.n
     U = blocks[:n]
     gains = [np.linalg.solve(U.T, blocks[n * (1 + j): n * (2 + j)].T).T
-             for j in range(prob.nblocks)]
+             for j in range(prob.nplayers)]
     defect = max(float(np.max(np.abs(P - QT)))
-                 for P, QT in zip(gains, prob.terminal_gains()))
+                 for P, QT in zip(gains, prob.QT))
     sym = max(float(np.max(np.abs(P - P.T))) for P in gains)
     min_gain = min(float(np.linalg.eigvalsh(0.5 * (P + P.T))[0]) for P in gains)
     return x, defect, sym, min_gain

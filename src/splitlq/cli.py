@@ -3,8 +3,11 @@
 Three subcommands:
 
 * ``solve``  -- read a problem config file, run one method, write a CSV row.
-* ``game``   -- run a built-in benchmark preset with one method.
+* ``game``   -- the same for a built-in benchmark preset.
 * ``sweep``  -- run a method x step-size sweep on a preset, write the CSV.
+
+Every failure the library reports with a ``splitlq.errors`` type, and any
+OS error, prints one ``error:`` line and exits with status 2.
 
 The config file is INI-style key/value text with nested sections; time
 functions are picked from the named catalog (constant, tanh-ramp):
@@ -40,11 +43,13 @@ import sys
 from .bench import (PollutionConfig, TimeFunction, build_pollution, emit_csv,
                     preset, run_single, run_sweep, backward_pass,
                     reference_endpoint)
-from .errors import ConfigError
+from .errors import (ConfigError, DimensionError, InputError, MisuseError,
+                     SingularityError)
 from .games import GameProblem, solve_zero_sum
 from .problem import TimeMatrix
 
 METHODS = ("sp2", "sp4", "sp6", "s2c4", "ni42", "ni84", "rk4", "dopri")
+PRESETS = ("fig1", "fig2", "fig3a", "fig3b")
 
 
 def _time_function_from_section(section):
@@ -157,32 +162,23 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve a problem from a config file")
-    p_solve.add_argument("--problem", required=True, help="config file path")
-    p_solve.add_argument("--method", required=True, choices=METHODS)
-    p_solve.add_argument("--steps", type=int, default=64)
-    p_solve.add_argument("--output", help="CSV output path")
-    p_solve.add_argument("--time", action="store_true", help="measure wall clock")
-    p_solve.add_argument("--zero-sum", dest="zero_sum", action="store_true",
+    one_run = argparse.ArgumentParser(add_help=False)
+    one_run.add_argument("--method", required=True, choices=METHODS)
+    one_run.add_argument("--steps", type=int, default=64)
+    one_run.add_argument("--output", help="CSV output path")
+    one_run.add_argument("--time", action="store_true", help="measure wall clock")
+    one_run.add_argument("--zero-sum", dest="zero_sum", action="store_true",
                          help="two-player zero-sum mode (coupled Riccati)")
-    p_solve.add_argument("--cross-weight", dest="cross_weight", type=float,
+    one_run.add_argument("--cross-weight", dest="cross_weight", type=float,
                          default=10.0, help="constant cross weights R_12 = R_21")
-
-    p_game = sub.add_parser("game", help="run a benchmark preset")
-    p_game.add_argument("--preset", required=True,
-                        choices=("fig1", "fig2", "fig3a", "fig3b"))
-    p_game.add_argument("--method", required=True, choices=METHODS)
-    p_game.add_argument("--steps", type=int, default=64)
-    p_game.add_argument("--output", help="CSV output path")
-    p_game.add_argument("--time", action="store_true", help="measure wall clock")
-    p_game.add_argument("--zero-sum", dest="zero_sum", action="store_true",
-                        help="two-player zero-sum mode (coupled Riccati)")
-    p_game.add_argument("--cross-weight", dest="cross_weight", type=float,
-                        default=10.0, help="constant cross weights R_12 = R_21")
+    p_solve = sub.add_parser("solve", parents=[one_run],
+                             help="solve a problem from a config file")
+    p_solve.add_argument("--problem", required=True, help="config file path")
+    p_game = sub.add_parser("game", parents=[one_run], help="run a benchmark preset")
+    p_game.add_argument("--preset", required=True, choices=PRESETS)
 
     p_sweep = sub.add_parser("sweep", help="method x resolution sweep")
-    p_sweep.add_argument("--preset", required=True,
-                         choices=("fig1", "fig2", "fig3a", "fig3b"))
+    p_sweep.add_argument("--preset", required=True, choices=PRESETS)
     p_sweep.add_argument("--methods", required=True,
                          help="comma-separated method names")
     p_sweep.add_argument("--h-ladder", dest="h_ladder",
@@ -194,27 +190,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            prob = build_pollution(load_config(args.problem))
-            if args.zero_sum:
-                _run_zero_sum(_zero_sum_variant(prob, args.cross_weight),
-                              args.steps)
-            else:
-                row = _run_one(prob, args.method, args.steps, args.time)
-                _print_result(row)
-                if args.output:
-                    emit_csv([row], args.output)
-        elif args.command == "game":
-            prob = build_pollution(preset(args.preset))
-            if args.zero_sum:
-                _run_zero_sum(_zero_sum_variant(prob, args.cross_weight),
-                              args.steps)
-            else:
-                row = _run_one(prob, args.method, args.steps, args.time)
-                _print_result(row)
-                if args.output:
-                    emit_csv([row], args.output)
-        elif args.command == "sweep":
+        if args.command == "sweep":
             prob = build_pollution(preset(args.preset))
             methods = tuple(m.strip() for m in args.methods.split(","))
             for m in methods:
@@ -231,7 +207,20 @@ def main(argv=None):
                              tol_ladder=tol_ladder, measure_time=args.time)
             emit_csv(rows, args.output)
             print(f"wrote {len(rows)} rows to {args.output}")
-    except (ConfigError, OSError) as exc:
+            return 0
+        if args.steps < 1:
+            raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+        prob = build_pollution(load_config(args.problem) if args.command == "solve"
+                               else preset(args.preset))
+        if args.zero_sum:
+            _run_zero_sum(_zero_sum_variant(prob, args.cross_weight), args.steps)
+        else:
+            row = _run_one(prob, args.method, args.steps, args.time)
+            _print_result(row)
+            if args.output:
+                emit_csv([row], args.output)
+    except (ConfigError, DimensionError, InputError, MisuseError,
+            SingularityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

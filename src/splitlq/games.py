@@ -1,213 +1,29 @@
 """N-player linear-quadratic differential games.
 
-Non-zero-sum games linearize exactly like the single-player problem: the N
-coupled Riccati equations become one linear system on the stacked blocks
+Non-zero-sum games are the general case of the pipeline: the N coupled
+Riccati equations become one linear system on the stacked blocks
 [U; V_1; ...; V_N], integrated backward for initial data and forward with
-the splitting engines.  Zero-sum games couple the Riccati equations
-quadratically through the cross weights, so no linearization exists; they
-are solved with a symmetric second-order map (exact linear part, Taylor
-quadratic part) plus Richardson extrapolation backward and composition
-forward.
+the splitting engines.  A single-player control problem is the game with
+N = 1, so the problem type (GameProblem), the flow type (GameFlow) and the
+backward pass (backward_game) live in :mod:`splitlq.problem` and
+:mod:`splitlq.riccati` and are re-exported here.
+
+Zero-sum games couple the Riccati equations quadratically through the
+cross weights, so no linearization exists; they are solved with a
+symmetric second-order map (exact linear part, Taylor quadratic part) plus
+Richardson extrapolation backward and composition forward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, InputError, MisuseError,
-                     SingularityError)
-from .matfun import expm, min_eigenvalue_sym, symmetry_defect
-from .magnus import LinearFlowProblem, cf4_step
-from .problem import (TimeMatrix, _check_weight, assemble_flow_matrix,
-                      SYMMETRY_TOL, PSD_TOL)
-from .riccati import _gain_raw, check_nonsingular
-from .splitting import COMPOSE4_ALPHAS, Trajectory, compose, integrate_forward
-
-
-@dataclass(frozen=True, eq=False)
-class GameProblem:
-    """Dynamics and per-player costs of an N-player LQ differential game.
-
-    ``B[i]``, ``R[i]`` (self weights, SPD), ``Q[i]`` (PSD) and ``QT[i]``
-    describe player i.  ``cross_R`` holds the zero-sum cross weights as a
-    mapping (i, j) -> TimeMatrix for i != j; leaving it empty selects the
-    non-zero-sum mode in which each cost ignores the other controls.
-    """
-
-    A: TimeMatrix
-    B: tuple
-    R: tuple
-    Q: tuple
-    QT: tuple
-    x0: np.ndarray
-    t0: float = 0.0
-    T: float = 1.0
-    cross_R: dict | None = None
-
-    def __post_init__(self):
-        n = self.A.dims[0]
-        if self.A.dims != (n, n):
-            raise DimensionError("A must be square")
-        N = len(self.B)
-        if not (len(self.R) == len(self.Q) == len(self.QT) == N):
-            raise DimensionError("per-player tuples must have equal length")
-        object.__setattr__(self, "QT",
-                           tuple(np.atleast_2d(np.asarray(Z, dtype=float)) for Z in self.QT))
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        if self.x0.shape != (n,):
-            raise DimensionError("x0 must have length n")
-        if not self.t0 < self.T:
-            raise InputError(f"need t0 < T, got [{self.t0}, {self.T}]")
-        samples = np.linspace(self.t0, self.T, 5)
-        for i in range(N):
-            ri = self.B[i].dims[1]
-            if self.B[i].dims[0] != n:
-                raise DimensionError(f"B[{i}] must have {n} rows")
-            if self.R[i].dims != (ri, ri):
-                raise DimensionError(f"R[{i}] must be {ri} x {ri}")
-            if self.Q[i].dims != (n, n) or self.QT[i].shape != (n, n):
-                raise DimensionError(f"Q[{i}] and QT[{i}] must be {n} x {n}")
-            _check_weight(f"Q[{i}]", self.Q[i], samples)
-            _check_weight(f"R[{i}]", self.R[i], samples, positive_definite=True)
-            if (symmetry_defect(self.QT[i]) > SYMMETRY_TOL
-                    or min_eigenvalue_sym(self.QT[i]) < -PSD_TOL):
-                raise InputError(f"QT[{i}] must be symmetric PSD")
-        if self.cross_R is not None:
-            if N != 2:
-                raise InputError("zero-sum mode requires exactly two players")
-            for key in ((1, 2), (2, 1)):
-                if key not in self.cross_R:
-                    raise InputError(f"zero-sum mode needs cross weight R_{key}")
-
-    @property
-    def n(self):
-        return self.A.dims[0]
-
-    @property
-    def nplayers(self):
-        return len(self.B)
-
-    @property
-    def zero_sum(self):
-        return self.cross_R is not None
-
-    @property
-    def is_autonomous(self):
-        tms = [self.A, *self.B, *self.R, *self.Q]
-        if self.cross_R:
-            tms.extend(self.cross_R.values())
-        return all(tm.constant for tm in tms)
-
-    # --- protocol shared with LQProblem, used by the stepping engines ---
-
-    @property
-    def nblocks(self):
-        return self.nplayers
-
-    def state_matrix(self, t):
-        return self.A(t)
-
-    def coupling_at(self, t):
-        return [self._s_self(i, t) for i in range(self.nplayers)]
-
-    def blocks_at(self, t):
-        return (self.A(t), self.coupling_at(t),
-                [self.Q[i](t) for i in range(self.nplayers)])
-
-    def flow_matrix(self, t):
-        return game_block_matrix(self, t)
-
-    def feedback_controls(self, t, gains, x):
-        out = []
-        for i in range(self.nplayers):
-            B = self.B[i](t)
-            out.append(-_solve_weight(self.R[i](t), B.T @ (gains[i] @ x), i, t))
-        return out
-
-    def terminal_gains(self):
-        return list(self.QT)
-
-    def _s_self(self, i, t):
-        B = self.B[i](t)
-        S = B @ _solve_weight(self.R[i](t), B.T, i, t)
-        return 0.5 * (S + S.T)
-
-    def _s_cross(self, i, j, t):
-        # Coupling matrix of player j's control weighted by player i's
-        # cross cost: B_j R_ij^-1 B_j^T.
-        B = self.B[j - 1](t)
-        S = B @ _solve_weight(self.cross_R[(i, j)](t), B.T, j - 1, t)
-        return 0.5 * (S + S.T)
-
-
-def _solve_weight(R, rhs, player, t):
-    if R.shape == (1, 1):
-        if R[0, 0] == 0.0:
-            raise SingularityError(f"R of player {player + 1} singular at t = {t}",
-                                   where=t)
-        return rhs / R[0, 0]
-    try:
-        return np.linalg.solve(R, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"R of player {player + 1} singular at t = {t}",
-                               where=t) from exc
-
-
-@dataclass(frozen=True)
-class GameFlow:
-    """Snapshot (U, V_1..V_N) of the stacked game flow at time t."""
-
-    U: np.ndarray
-    V: tuple
-    t: float
-
-    def stacked(self):
-        return np.vstack([self.U, *self.V])
-
-    @classmethod
-    def from_stacked(cls, y, t):
-        n = y.shape[1]
-        nplayers = y.shape[0] // n - 1
-        return cls(U=y[:n], V=tuple(y[n * (1 + j): n * (2 + j)] for j in range(nplayers)),
-                   t=t)
-
-    def gains(self):
-        return [_gain_raw(self.U, Vj, self.t) for Vj in self.V]
-
-
-def game_block_matrix(game, t):
-    """The (N+1)n x (N+1)n flow matrix [[A, -S_1 .. -S_N], [-Q_i, -A^T diag]]."""
-    return assemble_flow_matrix(game.n, *game.blocks_at(t))
-
-
-def terminal_game_flow(game):
-    n = game.n
-    return GameFlow(U=np.eye(n), V=tuple(Z.copy() for Z in game.QT), t=game.T)
-
-
-def backward_game(game, steps=None):
-    """Backward pass on the stacked linear system: expm for constant
-    coefficients, CF4 otherwise."""
-    y = terminal_game_flow(game).stacked()
-    if game.is_autonomous:
-        K = game_block_matrix(game, game.t0)
-        y = expm((game.t0 - game.T) * K) @ y
-        flow = GameFlow.from_stacked(y, game.t0)
-        check_nonsingular(flow.U, game.t0)
-        return flow
-    if steps is None or steps < 1:
-        raise MisuseError("non-autonomous backward pass needs steps >= 1")
-    lin = LinearFlowProblem(matrix=lambda t: game_block_matrix(game, t),
-                            dim=(game.nplayers + 1) * game.n)
-    h = (game.t0 - game.T) / steps
-    t = game.T
-    for _ in range(steps):
-        y = cf4_step(lin, t, h, y)
-        t += h
-        check_nonsingular(y[: game.n], t)
-    return GameFlow.from_stacked(y, game.t0)
+from .errors import ConfigError, MisuseError
+from .matfun import expm
+from .problem import GameProblem, hamiltonian_matrix as game_block_matrix
+from .riccati import GameFlow, backward_game
+from .splitting import (COMPOSE4_ALPHAS, compose, integrate_forward,
+                        record_trajectory)
 
 
 def solve_game(game, scheme="sp4", steps_backward=64, steps_forward=64):
@@ -386,47 +202,17 @@ def solve_zero_sum(game, steps_backward=32, composition_alphas=COMPOSE4_ALPHAS,
     def base(h, state, prob):
         (p1, p2), x, t = state
         S = prob.coupling_at(t)
-        A = prob.state_matrix(t)
+        A = prob.A(t)
         x = expm(0.5 * h * (A - S[0] @ p1 - S[1] @ p2)) @ x
         p1, p2 = zs_base_step(prob, t, h, p1, p2)
         t += h
         S = prob.coupling_at(t)
-        A = prob.state_matrix(t)
+        A = prob.A(t)
         x = expm(0.5 * h * (A - S[0] @ p1 - S[1] @ p2)) @ x
         return (p1, p2), x, t
 
-    stepper = compose(base, composition_alphas)
     h = (game.T - game.t0) / steps_forward
     state = ((P1, P2), game.x0.copy(), game.t0)
-
-    times = [game.t0]
-    xs = [state[1].copy()]
-    gains = [[0.5 * (P + P.T) for P in (P1, P2)]]
-    controls = [game.feedback_controls(game.t0, gains[-1], state[1])]
-    min_eig = min(min_eigenvalue_sym(P) for P in gains[-1])
-    max_defect = max(symmetry_defect(P) for P in (P1, P2))
-
-    for _ in range(steps_forward):
-        state = stepper(h, state, game)
-        (p1, p2), x, t = state
-        g = [0.5 * (P + P.T) for P in (p1, p2)]
-        times.append(t)
-        xs.append(x.copy())
-        gains.append(g)
-        controls.append(game.feedback_controls(t, g, x))
-        min_eig = min(min_eig, min(min_eigenvalue_sym(P) for P in g))
-        max_defect = max(max_defect, max(symmetry_defect(P) for P in (p1, p2)))
-
-    terminal_defect = max(
-        float(np.max(np.abs(P - QT))) for P, QT in zip(gains[-1], game.QT)
-    )
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(xs),
-        gains=np.asarray(gains),
-        controls=[np.asarray([c[j] for c in controls]) for j in range(2)],
-        evaluations=steps_forward * len(composition_alphas),
-        min_gain_eig=min_eig,
-        max_symmetry_defect=max_defect,
-        terminal_gain_defect=terminal_defect,
-    )
+    return record_trajectory(game, compose(base, composition_alphas), state, h,
+                             steps_forward, lambda s: (s[2], s[1], s[0]),
+                             steps_forward * len(composition_alphas))

@@ -1,14 +1,16 @@
-"""LQ optimal control problem definitions.
+"""LQ problem definitions: N-player games, with the single-player optimal
+control problem as the case N = 1.
 
-A problem bundles the time-dependent coefficients A(t), B(t), Q(t), R(t),
-the terminal weight, the initial state and the horizon, and knows how to
-assemble the derived matrices: the control-weight image S(t) = B R^-1 B^T,
-the doubled Hamiltonian flow matrix and the closed-loop state matrix.
+A problem bundles the time-dependent dynamics A(t), the per-player
+coefficients B_i(t), Q_i(t), R_i(t) and terminal weights, the initial
+state and the horizon, and knows how to assemble the derived matrices: the
+control-weight images S_i(t) = B_i R_i^-1 B_i^T, the stacked flow matrix
+and the closed-loop state matrix.  ``LQProblem(...)`` builds the
+one-player game of a control problem.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -83,107 +85,143 @@ def _check_weight(name, tm, t_samples, positive_definite=False):
 
 
 @dataclass(frozen=True, eq=False)
-class LQProblem:
-    """Data of a finite-horizon LQ optimal control problem.
+class GameProblem:
+    """Dynamics and per-player costs of an N-player LQ differential game.
 
-    x' = A(t) x + B(t) u on [t0, T], quadratic running cost with state
-    weight Q(t) (PSD) and control weight R(t) (SPD), terminal weight QT.
+    x' = A(t) x + sum_i B_i(t) u_i on [t0, T].  ``B[i]``, ``R[i]`` (self
+    weights, SPD), ``Q[i]`` (PSD) and ``QT[i]`` describe player i.
+    ``cross_R`` holds the zero-sum cross weights as a mapping
+    (i, j) -> TimeMatrix for i != j; leaving it empty selects the
+    non-zero-sum mode in which each cost ignores the other controls.
     """
 
     A: TimeMatrix
-    B: TimeMatrix
-    Q: TimeMatrix
-    R: TimeMatrix
-    QT: np.ndarray
+    B: tuple
+    R: tuple
+    Q: tuple
+    QT: tuple
     x0: np.ndarray
     t0: float = 0.0
     T: float = 1.0
+    cross_R: dict | None = None
 
     def __post_init__(self):
         n = self.A.dims[0]
-        r = self.B.dims[1]
         if self.A.dims != (n, n):
             raise DimensionError("A must be square")
-        if self.B.dims[0] != n:
-            raise DimensionError("B must have as many rows as A")
-        if self.Q.dims != (n, n) or self.R.dims != (r, r):
-            raise DimensionError("Q must be n x n and R must be r x r")
-        if not self.t0 < self.T:
-            raise InputError(f"need t0 < T, got [{self.t0}, {self.T}]")
-        object.__setattr__(self, "QT", np.atleast_2d(np.asarray(self.QT, dtype=float)))
+        N = len(self.B)
+        if not (len(self.R) == len(self.Q) == len(self.QT) == N):
+            raise DimensionError("per-player tuples must have equal length")
+        object.__setattr__(self, "QT",
+                           tuple(np.atleast_2d(np.asarray(Z, dtype=float)) for Z in self.QT))
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        if self.QT.shape != (n, n):
-            raise DimensionError("QT must be n x n")
         if self.x0.shape != (n,):
             raise DimensionError("x0 must have length n")
+        if not self.t0 < self.T:
+            raise InputError(f"need t0 < T, got [{self.t0}, {self.T}]")
         samples = np.linspace(self.t0, self.T, 5)
-        _check_weight("Q", self.Q, samples)
-        _check_weight("R", self.R, samples, positive_definite=True)
-        if symmetry_defect(self.QT) > SYMMETRY_TOL or min_eigenvalue_sym(self.QT) < -PSD_TOL:
-            raise InputError("QT must be symmetric PSD")
+        for i in range(N):
+            ri = self.B[i].dims[1]
+            if self.B[i].dims[0] != n:
+                raise DimensionError(f"B[{i}] must have {n} rows")
+            if self.R[i].dims != (ri, ri):
+                raise DimensionError(f"R[{i}] must be {ri} x {ri}")
+            if self.Q[i].dims != (n, n) or self.QT[i].shape != (n, n):
+                raise DimensionError(f"Q[{i}] and QT[{i}] must be {n} x {n}")
+            _check_weight(f"Q[{i}]", self.Q[i], samples)
+            _check_weight(f"R[{i}]", self.R[i], samples, positive_definite=True)
+            if (symmetry_defect(self.QT[i]) > SYMMETRY_TOL
+                    or min_eigenvalue_sym(self.QT[i]) < -PSD_TOL):
+                raise InputError(f"QT[{i}] must be symmetric PSD")
+        if self.cross_R is not None:
+            if N != 2:
+                raise InputError("zero-sum mode requires exactly two players")
+            for key in ((1, 2), (2, 1)):
+                if key not in self.cross_R:
+                    raise InputError(f"zero-sum mode needs cross weight R_{key}")
 
     @property
     def n(self):
         return self.A.dims[0]
 
     @property
-    def is_autonomous(self):
-        return all(tm.constant for tm in (self.A, self.B, self.Q, self.R))
-
-    # --- protocol shared with GameProblem, used by the stepping engines ---
+    def nplayers(self):
+        return len(self.B)
 
     @property
-    def nblocks(self):
-        return 1
+    def zero_sum(self):
+        return self.cross_R is not None
 
-    def state_matrix(self, t):
-        return self.A(t)
+    @property
+    def is_autonomous(self):
+        tms = [self.A, *self.B, *self.R, *self.Q]
+        if self.cross_R:
+            tms.extend(self.cross_R.values())
+        return all(tm.constant for tm in tms)
 
     def coupling_at(self, t):
-        return [s_matrix(self, t)]
+        return [self._s_self(i, t) for i in range(self.nplayers)]
 
     def blocks_at(self, t):
-        return self.A(t), [s_matrix(self, t)], [self.Q(t)]
+        return (self.A(t), self.coupling_at(t),
+                [self.Q[i](t) for i in range(self.nplayers)])
 
     def flow_matrix(self, t):
-        return hamiltonian_matrix(self, t)
+        """The (N+1)n x (N+1)n matrix K(t) of the stacked linear flow."""
+        return assemble_flow_matrix(self.n, *self.blocks_at(t))
 
     def feedback_controls(self, t, gains, x):
-        B = self.B(t)
-        return [-(_r_inverse(self, t) @ (B.T @ (gains[0] @ x)))]
+        out = []
+        for i in range(self.nplayers):
+            B = self.B[i](t)
+            out.append(-_solve_weight(self.R[i](t), B.T @ (gains[i] @ x), i, t))
+        return out
 
-    def terminal_gains(self):
-        return [self.QT]
+    def _s_self(self, i, t):
+        B = self.B[i](t)
+        S = B @ _solve_weight(self.R[i](t), B.T, i, t)
+        return 0.5 * (S + S.T)
+
+    def _s_cross(self, i, j, t):
+        # Coupling matrix of player j's control weighted by player i's
+        # cross cost: B_j R_ij^-1 B_j^T.
+        B = self.B[j - 1](t)
+        S = B @ _solve_weight(self.cross_R[(i, j)](t), B.T, j - 1, t)
+        return 0.5 * (S + S.T)
 
 
-@functools.lru_cache(maxsize=None)
-def _constant_inverse(tm: TimeMatrix):
-    # TimeMatrix is hashable by identity (eq=False), so this caches the
-    # factorized inverse of each constant R exactly once.
-    M = tm(0.0)
-    return solve_checked(M, np.eye(M.shape[0]))
-
-
-def _r_inverse(prob, t):
-    if prob.R.constant:
-        return _constant_inverse(prob.R)
-    R = prob.R(t)
+def _solve_weight(R, rhs, player, t):
+    if R.shape == (1, 1):
+        if R[0, 0] == 0.0:
+            raise SingularityError(f"R of player {player + 1} singular at t = {t}",
+                                   where=t)
+        return rhs / R[0, 0]
     try:
-        return solve_checked(R, np.eye(R.shape[0]), where=t)
+        return solve_checked(R, rhs, where=t)
     except SingularityError as exc:
-        raise SingularityError(f"R(t) singular at t = {t}", where=t) from exc
+        raise SingularityError(f"R of player {player + 1} singular at t = {t}: {exc}",
+                               where=t) from exc
+
+
+def LQProblem(A, B, Q, R, QT, x0, t0=0.0, T=1.0):
+    """A finite-horizon LQ optimal control problem, as a one-player game.
+
+    x' = A(t) x + B(t) u on [t0, T], quadratic running cost with state
+    weight Q(t) (PSD) and control weight R(t) (SPD), terminal weight QT.
+    """
+    return GameProblem(A=A, B=(B,), R=(R,), Q=(Q,), QT=(QT,), x0=x0, t0=t0, T=T)
 
 
 def s_matrix(prob, t):
-    """S(t) = B(t) R(t)^-1 B(t)^T, symmetrized on output."""
-    B = prob.B(t)
-    S = B @ _r_inverse(prob, t) @ B.T
-    return 0.5 * (S + S.T)
+    """S(t) = B(t) R(t)^-1 B(t)^T of the first (for a control problem, the
+    only) player, symmetrized on output."""
+    return prob.coupling_at(t)[0]
 
 
 def hamiltonian_matrix(prob, t):
-    """The 2n x 2n flow matrix [[A, -S], [-Q, -A^T]] of the linearized RDE."""
-    return assemble_flow_matrix(prob.n, *prob.blocks_at(t))
+    """The flow matrix [[A, -S_1 .. -S_N], [-Q_i, -A^T diagonal]] of the
+    linearized Riccati equations; [[A, -S], [-Q, -A^T]] for one player."""
+    return prob.flow_matrix(t)
 
 
 def assemble_flow_matrix(n, A, S_list, Q_list):

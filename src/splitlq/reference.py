@@ -40,7 +40,7 @@ def flatten_pipeline(prob, flow0):
     from .riccati import _gain_raw
 
     n = prob.n
-    nb = prob.nblocks
+    nb = prob.nplayers
     dim = (nb + 1) * n * n + n
     frozen = None
     if prob.is_autonomous:
@@ -70,7 +70,7 @@ def flatten_pipeline(prob, flow0):
 def unflatten(prob, y):
     """Split a flat vector back into (stacked blocks, state)."""
     n = prob.n
-    nb = prob.nblocks
+    nb = prob.nplayers
     blocks = y[: (nb + 1) * n * n].reshape((nb + 1) * n, n)
     return blocks, y[(nb + 1) * n * n:]
 

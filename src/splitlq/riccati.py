@@ -1,10 +1,12 @@
 """Linearized Riccati flow: backward integration, gain map and feedback law.
 
-The nonlinear Riccati equation P' = -Q - A^T P - P A + P S P is solved
-through the linear doubled system y' = K(t) y with y = [U; V], P = V U^-1
-and final condition y(T) = [I; QT].  The backward pass produces (U0, V0)
-at t0 with no intermediate storage; the forward engines live in
-:mod:`splitlq.splitting`.
+The N coupled Riccati equations
+P_i' = -Q_i - A^T P_i - P_i A + P_i (S_1 P_1 + ... + S_N P_N) are solved
+through the linear system y' = K(t) y on the stacked blocks
+y = [U; V_1; ...; V_N], with P_i = V_i U^-1 and final condition
+y(T) = [I; QT_1; ...; QT_N].  A single-player problem is the case N = 1.
+The backward pass produces the flow at t0 with no intermediate storage;
+the forward engines live in :mod:`splitlq.splitting`.
 """
 
 from __future__ import annotations
@@ -16,31 +18,37 @@ import numpy as np
 from .errors import MisuseError, SingularityError
 from .magnus import LinearFlowProblem, cf4_step
 from .matfun import expm, symmetry_defect
-from .problem import _r_inverse, hamiltonian_matrix
 
 # 1/cond(U) below this aborts the solve: P = V U^-1 is no longer meaningful.
 U_RCOND_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class RiccatiFlow:
-    """Snapshot (U, V) of the linearized Riccati flow at time t."""
+class GameFlow:
+    """Snapshot (U, V_1..V_N) of the stacked linear flow at time t."""
 
     U: np.ndarray
-    V: np.ndarray
+    V: tuple
     t: float
 
     def stacked(self):
-        return np.vstack([self.U, self.V])
+        return np.vstack([self.U, *self.V])
 
     @classmethod
     def from_stacked(cls, y, t):
         n = y.shape[1]
-        return cls(U=y[:n], V=y[n:], t=t)
+        nplayers = y.shape[0] // n - 1
+        return cls(U=y[:n], V=tuple(y[n * (1 + j): n * (2 + j)] for j in range(nplayers)),
+                   t=t)
 
     def gains(self):
-        """[P] with P = V U^-1 (raw, not symmetrized)."""
-        return [_gain_raw(self.U, self.V, self.t)]
+        """[P_1, ..., P_N] with P_j = V_j U^-1 (raw, not symmetrized)."""
+        return [_gain_raw(self.U, Vj, self.t) for Vj in self.V]
+
+
+def RiccatiFlow(U, V, t):
+    """The one-player flow (U, V) at time t."""
+    return GameFlow(U=U, V=(V,), t=t)
 
 
 def check_nonsingular(U, t):
@@ -68,10 +76,22 @@ def _gain_raw(U, V, t):
         raise SingularityError(f"U(t) singular at t = {t}", where=t) from exc
 
 
-def terminal_flow(prob):
-    """The final condition y(T) = [I; QT]."""
-    n = prob.n
-    return RiccatiFlow(U=np.eye(n), V=prob.QT.copy(), t=prob.T)
+def terminal_game_flow(game):
+    """The final condition y(T) = [I; QT_1; ...; QT_N]."""
+    return GameFlow(U=np.eye(game.n), V=tuple(Z.copy() for Z in game.QT), t=game.T)
+
+
+def backward_game(game, steps=None):
+    """Backward pass on the stacked linear system: one expm for constant
+    coefficients, ``steps`` CF4 steps otherwise.  U is condition-checked
+    at t0, and after every CF4 step."""
+    if not game.is_autonomous:
+        return backward_nonautonomous(game, steps)
+    K = game.flow_matrix(game.t0)
+    y = expm((game.t0 - game.T) * K) @ terminal_game_flow(game).stacked()
+    flow = GameFlow.from_stacked(y, game.t0)
+    check_nonsingular(flow.U, game.t0)
+    return flow
 
 
 def backward_autonomous(prob):
@@ -80,50 +100,45 @@ def backward_autonomous(prob):
         raise MisuseError(
             "coefficients are time dependent; use backward_nonautonomous"
         )
-    K = hamiltonian_matrix(prob, prob.t0)
-    y = expm((prob.t0 - prob.T) * K) @ terminal_flow(prob).stacked()
-    flow = RiccatiFlow.from_stacked(y, prob.t0)
-    check_nonsingular(flow.U, prob.t0)
-    return flow
+    return backward_game(prob)
 
 
 def backward_nonautonomous(prob, steps):
     """Integrate y' = K(t) y from T down to t0 with uniform CF4 steps.
 
-    U is condition-checked after every step; a singular U raises with the
+    Runs CF4 whether or not the coefficients are constant.  U is
+    condition-checked after every step; a singular U raises with the
     failing time.  No intermediate results are stored.
     """
-    if steps < 1:
-        raise MisuseError("steps must be >= 1")
-    lin = LinearFlowProblem(matrix=lambda t: hamiltonian_matrix(prob, t),
-                            dim=2 * prob.n)
+    if steps is None or steps < 1:
+        raise MisuseError("non-autonomous backward pass needs steps >= 1")
+    lin = LinearFlowProblem(matrix=prob.flow_matrix,
+                            dim=(prob.nplayers + 1) * prob.n)
     h = (prob.t0 - prob.T) / steps
-    y = terminal_flow(prob).stacked()
+    y = terminal_game_flow(prob).stacked()
     t = prob.T
     for _ in range(steps):
         y = cf4_step(lin, t, h, y)
         t += h
         check_nonsingular(y[: prob.n], t)
-    return RiccatiFlow.from_stacked(y, prob.t0)
+    return GameFlow.from_stacked(y, prob.t0)
 
 
 def gain(flow):
-    """P = V U^-1, symmetrized as (P + P^T)/2.
+    """P = V U^-1 of the first (for a control problem, the only) player,
+    symmetrized as (P + P^T)/2.
 
     The raw asymmetry is available through :func:`gain_defect`.
     """
-    P = _gain_raw(flow.U, flow.V, flow.t)
+    P = flow.gains()[0]
     return 0.5 * (P + P.T)
 
 
 def gain_defect(flow):
     """max |P_ij - P_ji| of the raw gain, before symmetrization."""
-    return symmetry_defect(_gain_raw(flow.U, flow.V, flow.t))
+    return symmetry_defect(flow.gains()[0])
 
 
 def control(prob, t, flow, x):
     """Optimal feedback u = -R(t)^-1 B(t)^T (V U^-1) x."""
-    P = _gain_raw(flow.U, flow.V, t)
-    B = prob.B(t)
-    x = np.asarray(x, dtype=float)
-    return -(_r_inverse(prob, t) @ (B.T @ (P @ x)))
+    return prob.feedback_controls(t, flow.gains(), np.asarray(x, dtype=float))[0]

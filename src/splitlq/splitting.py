@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, MisuseError
 from .matfun import expm, min_eigenvalue_sym, pade2_apply, symmetry_defect
-from .riccati import _gain_raw
+from .riccati import GameFlow, _gain_raw
 
 # ---------------------------------------------------------------------------
 # Scheme registry
@@ -128,7 +128,7 @@ def _ni84():
 def builtin_schemes():
     """The shipped schemes: Lie-Trotter, leapfrog, the 6-stage order-4 and
     10-stage order-6 compositions, and the (4,2) / (8,4) pairs tuned for
-    dominant-plus-small-coupling problems."""
+    drift-plus-small-coupling problems."""
     sp1 = SplittingScheme(name="sp1", a=(1.0,), b=(1.0,), order=1, stages=1,
                           symmetric=False, fsal=False, kind="general")
     sp2 = SplittingScheme(name="sp2", a=(0.5, 0.5), b=(1.0, 0.0), order=2,
@@ -162,36 +162,27 @@ COMPOSE4_ALPHAS = (
 
 @dataclass(frozen=True)
 class ExtendedState:
-    """Riccati flow + state vector + the two time coordinates.
+    """Stacked Riccati flow + state vector + the two time coordinates.
 
-    ``t1`` accumulates the b-coefficients and is the clock frozen while the
-    state advances; ``t2`` accumulates the a-coefficients and is the clock
-    at which the flow matrix is sampled.  After a complete step both equal
-    t_n + h.
+    ``v`` is the stacked array [U; V_1; ...; V_N].  ``t1`` accumulates the
+    b-coefficients and is the clock frozen while the state advances; ``t2``
+    accumulates the a-coefficients and is the clock at which the flow
+    matrix is sampled.  After a complete step both equal t_n + h.
     """
 
-    flow: object  # RiccatiFlow or GameFlow (duck-typed)
+    v: np.ndarray
     x: np.ndarray
     t1: float
     t2: float
 
-    def replace(self, v=None, x=None, t1=None, t2=None):
-        flow = self.flow
-        t = t1 if t1 is not None else self.t1
-        if v is not None:
-            flow = type(self.flow).from_stacked(v, t)
-        elif t1 is not None:
-            flow = type(self.flow).from_stacked(self.flow.stacked(), t)
-        return ExtendedState(
-            flow=flow,
-            x=self.x if x is None else x,
-            t1=t,
-            t2=self.t2 if t2 is None else t2,
-        )
+    @property
+    def flow(self):
+        """The blocks of ``v`` as a GameFlow at the clock t1."""
+        return GameFlow.from_stacked(self.v, self.t1)
 
 
 def initial_state(prob, flow):
-    return ExtendedState(flow=flow, x=prob.x0.copy(), t1=prob.t0, t2=prob.t0)
+    return ExtendedState(v=flow.stacked(), x=prob.x0.copy(), t1=prob.t0, t2=prob.t0)
 
 
 def _closed_loop(prob, A, S_list, v, n, t):
@@ -220,12 +211,12 @@ def step_autonomous(scheme, h, state, prob, cache=None):
         cache = {}
     key = ("static",)
     if key not in cache:
-        cache[key] = (prob.state_matrix(prob.t0), prob.coupling_at(prob.t0),
+        cache[key] = (prob.A(prob.t0), prob.coupling_at(prob.t0),
                       prob.flow_matrix(prob.t0))
     A0, S0, M0 = cache[key]
     n = prob.n
 
-    v = state.flow.stacked()
+    v = state.v
     x = state.x
     t1 = state.t1
     for ai, bi in zip(scheme.a, scheme.b):
@@ -236,7 +227,7 @@ def step_autonomous(scheme, h, state, prob, cache=None):
             if ekey not in cache:
                 cache[ekey] = expm(bi * h * M0)
             v = cache[ekey] @ v
-    return state.replace(v=v, x=x, t1=state.t1 + h, t2=state.t2 + h)
+    return ExtendedState(v=v, x=x, t1=state.t1 + h, t2=state.t2 + h)
 
 
 def step_nonautonomous(scheme, h, state, prob):
@@ -247,38 +238,38 @@ def step_nonautonomous(scheme, h, state, prob):
     by b_i h.
     """
     n = prob.n
-    v = state.flow.stacked()
+    v = state.v
     x = state.x
     t1, t2 = state.t1, state.t2
     for ai, bi in zip(scheme.a, scheme.b):
         if ai != 0.0:
-            A = prob.state_matrix(t1)
+            A = prob.A(t1)
             S = prob.coupling_at(t1)
             x = expm(ai * h * _closed_loop(prob, A, S, v, n, t1)) @ x
         t2 += ai * h
         if bi != 0.0:
             v = expm(bi * h * prob.flow_matrix(t2)) @ v
         t1 += bi * h
-    return state.replace(v=v, x=x, t1=t1, t2=t2)
+    return ExtendedState(v=v, x=x, t1=t1, t2=t2)
 
 
 def s2_step(h, state, prob):
     """Symmetric second-order map: half state step, Cayley flow update at
     the midpoint clock, half state step."""
     n = prob.n
-    v = state.flow.stacked()
+    v = state.v
     x = state.x
     t1, t2 = state.t1, state.t2
 
-    x = expm(0.5 * h * _closed_loop(prob, prob.state_matrix(t1),
+    x = expm(0.5 * h * _closed_loop(prob, prob.A(t1),
                                     prob.coupling_at(t1), v, n, t1)) @ x
     t2 += 0.5 * h
     v = pade2_apply(prob.flow_matrix(t2), h, v)
     t1 += h
-    x = expm(0.5 * h * _closed_loop(prob, prob.state_matrix(t1),
+    x = expm(0.5 * h * _closed_loop(prob, prob.A(t1),
                                     prob.coupling_at(t1), v, n, t1)) @ x
     t2 += 0.5 * h
-    return state.replace(v=v, x=x, t1=t1, t2=t2)
+    return ExtendedState(v=v, x=x, t1=t1, t2=t2)
 
 
 def compose(base, alphas):
@@ -306,8 +297,8 @@ def _taylor4_apply(X, Y):
     return acc
 
 
-def step_near_integrable(scheme, h, state, prob, dominant="A", cache=None):
-    """One step for a dominant constant drift plus small coupling.
+def step_near_integrable(scheme, h, state, prob, cache=None):
+    """One step for a large constant drift plus small coupling.
 
     The a-stages propagate U, V by the exact drift exponentials and the
     state by one CF4 step of its linear equation (the needed nodal drift
@@ -315,11 +306,6 @@ def step_near_integrable(scheme, h, state, prob, dominant="A", cache=None):
     degree-4 Taylor of the frozen coupling flow.  Time enters as a single
     extra coordinate, advanced during the a-stages only.
     """
-    if dominant != "A":
-        raise MisuseError(
-            "near-integrable stepping needs the dominant part designated; "
-            "only the constant drift block designation 'A' is supported"
-        )
     if scheme.kind != "near-integrable":
         raise MisuseError(f"scheme {scheme.name} is not a near-integrable scheme")
     if not prob.A.constant:
@@ -328,9 +314,9 @@ def step_near_integrable(scheme, h, state, prob, dominant="A", cache=None):
         cache = {}
 
     n = prob.n
-    A = prob.state_matrix(prob.t0)
-    nb = prob.nblocks
-    v = state.flow.stacked()
+    A = prob.A(prob.t0)
+    nb = prob.nplayers
+    v = state.v
     x = state.x
     t = state.t1
 
@@ -380,7 +366,7 @@ def step_near_integrable(scheme, h, state, prob, dominant="A", cache=None):
         if bi != 0.0:
             W = prob.flow_matrix(t) - D
             v = _taylor4_apply(bi * h * W, v)
-    return state.replace(v=v, x=x, t1=t, t2=t)
+    return ExtendedState(v=v, x=x, t1=t, t2=t)
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +407,13 @@ def make_stepper(prob, method, cache):
     ``sp*``/``ni*`` pick the engine from the scheme kind and the problem's
     constancy; ``s2`` and ``s2c4`` use the Cayley-based symmetric map.
     """
-    if method in ("s2", "s2c4"):
-        base = lambda h, state, p: s2_step(h, state, p)
-        if method == "s2":
-            return base, 1
+    if method == "s2":
+        return s2_step, 1
+    if method == "s2c4":
         return compose(s2_step, COMPOSE4_ALPHAS), 5
     scheme = get_scheme(method)
     if scheme.kind == "near-integrable":
-        return (lambda h, state, p: step_near_integrable(scheme, h, state, p,
-                                                         dominant="A", cache=cache),
+        return (lambda h, state, p: step_near_integrable(scheme, h, state, p, cache=cache),
                 scheme.stages)
     if prob.is_autonomous:
         return (lambda h, state, p: step_autonomous(scheme, h, state, p, cache=cache),
@@ -451,45 +435,42 @@ def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
     if stepper is None:
         stepper, stages_per_step = make_stepper(prob, method, cache)
     h = (prob.T - prob.t0) / steps
-    state = initial_state(prob, flow0)
+    return record_trajectory(prob, stepper, initial_state(prob, flow0), h, steps,
+                             lambda s: (s.t1, s.x, s.flow.gains()),
+                             steps * stages_per_step)
 
-    times = [state.t1]
-    xs = [state.x.copy()]
-    gains = [_symmetrized_gains(state, prob)]
-    controls = [prob.feedback_controls(state.t1, gains[-1], state.x)]
-    min_eig = min(min_eigenvalue_sym(P) for P in gains[-1])
-    max_defect = _raw_gain_defect(state, prob)
 
-    for _ in range(steps):
-        state = stepper(h, state, prob)
-        g = _symmetrized_gains(state, prob)
-        times.append(state.t1)
-        xs.append(state.x.copy())
+def record_trajectory(prob, stepper, state, h, steps, sample, evaluations):
+    """Take ``steps`` steps of ``stepper`` from ``state``, sampling each state.
+
+    ``sample(state)`` returns (t, x, raw gains).  The raw gains are formed
+    once per sample; the symmetrized gains, the controls, the smallest gain
+    eigenvalue and the raw symmetry defect all come from them.
+    """
+    times, xs, gains, controls = [], [], [], []
+    min_eig, max_defect = math.inf, 0.0
+    for k in range(steps + 1):
+        if k:
+            state = stepper(h, state, prob)
+        t, x, raw = sample(state)
+        g = [0.5 * (P + P.T) for P in raw]
+        times.append(t)
+        xs.append(x.copy())
         gains.append(g)
-        controls.append(prob.feedback_controls(state.t1, g, state.x))
-        min_eig = min(min_eig, min(min_eigenvalue_sym(P) for P in g))
-        max_defect = max(max_defect, _raw_gain_defect(state, prob))
+        controls.append(prob.feedback_controls(t, g, x))
+        min_eig = min(min_eig, *(min_eigenvalue_sym(P) for P in g))
+        max_defect = max(max_defect, *(symmetry_defect(P) for P in raw))
 
     terminal_defect = max(
-        float(np.max(np.abs(P - QT)))
-        for P, QT in zip(gains[-1], prob.terminal_gains())
+        float(np.max(np.abs(P - QT))) for P, QT in zip(gains[-1], prob.QT)
     )
-    nplayers = len(gains[0])
     return Trajectory(
         times=np.asarray(times),
         states=np.asarray(xs),
         gains=np.asarray(gains),
-        controls=[np.asarray([c[j] for c in controls]) for j in range(nplayers)],
-        evaluations=steps * stages_per_step,
+        controls=[np.asarray([c[j] for c in controls]) for j in range(len(g))],
+        evaluations=evaluations,
         min_gain_eig=min_eig,
         max_symmetry_defect=max_defect,
         terminal_gain_defect=terminal_defect,
     )
-
-
-def _symmetrized_gains(state, prob):
-    return [0.5 * (P + P.T) for P in state.flow.gains()]
-
-
-def _raw_gain_defect(state, prob):
-    return max(symmetry_defect(P) for P in state.flow.gains())

@@ -123,6 +123,18 @@ def test_solve_zero_sum_from_config(config_file, capsys):
     assert "zero-sum" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    # a near-integrable scheme on a drift that varies in time (MisuseError)
+    ["game", "--preset", "fig3a", "--method", "ni84", "--steps", "8"],
+    # a step count that leaves no step to take
+    ["game", "--preset", "fig1", "--method", "sp4", "--steps", "0"],
+], ids=["ni84-time-dependent-drift", "zero-steps"])
+def test_game_failure_is_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_sweep_rejects_unknown_method(tmp_path, capsys):
     code = main(["sweep", "--preset", "fig1", "--methods", "sp3",
                  "--output", str(tmp_path / "x.csv")])

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from conftest import C, canonical_j, random_lq, random_psd, random_spd
 from splitlq.errors import DimensionError, InputError, SingularityError
-from splitlq.problem import (LQProblem, TimeMatrix, closed_loop_matrix,
-                             hamiltonian_matrix, s_matrix)
+from splitlq.problem import (GameProblem, LQProblem, TimeMatrix,
+                             closed_loop_matrix, hamiltonian_matrix, s_matrix)
 
 
 def test_time_matrix_constant_flag():
@@ -74,6 +74,21 @@ def test_s_matrix_singular_r_names_time():
     assert "0.75" in str(err.value)
 
 
+def test_ill_conditioned_matrix_r_names_player_and_time():
+    # Player 2's R is positive definite at the construction-time sample
+    # points, but its 1/cond drops to 1e-14, below the solve floor, at t = 0.75.
+    R2 = TimeMatrix.from_function(
+        lambda t: np.diag([1.0, (t - 0.75) ** 2 + 1e-14]), (2, 2))
+    zero = np.zeros((2, 2))
+    game = GameProblem(A=C(zero), B=(C(np.eye(2)), C(np.eye(2))),
+                       R=(C(np.eye(2)), R2), Q=(C(zero), C(zero)), QT=(zero, zero),
+                       x0=np.zeros(2), t0=0.0, T=2.0)
+    with pytest.raises(SingularityError) as err:
+        game.coupling_at(0.75)
+    assert "player 2" in str(err.value) and "0.75" in str(err.value)
+    assert err.value.where == 0.75
+
+
 def test_hamiltonian_zero_problem():
     prob = LQProblem(A=C([[0.0]]), B=C([[0.0]]), Q=C([[0.0]]), R=C([[1.0]]),
                      QT=[[0.0]], x0=[1.0])
@@ -96,7 +111,7 @@ def test_hamiltonian_blocks_and_j_symmetry():
         n = 3
         assert_allclose(K[:n, :n], prob.A(0.0), atol=0.0)
         assert_allclose(K[:n, n:], -s_matrix(prob, 0.0), atol=0.0)
-        assert_allclose(K[n:, :n], -prob.Q(0.0), atol=0.0)
+        assert_allclose(K[n:, :n], -prob.Q[0](0.0), atol=0.0)
         assert_allclose(K[n:, n:], -prob.A(0.0).T, atol=0.0)
         JK = canonical_j(n) @ K
         assert np.max(np.abs(JK - JK.T)) < 1e-12

@@ -17,7 +17,7 @@ def test_zero_length_horizon_limit():
                      QT=[[0.7]], x0=[1.0], t0=0.0, T=1e-13)
     flow = backward_autonomous(prob)
     assert_allclose(flow.U, [[1.0]], rtol=1e-11)
-    assert_allclose(flow.V, [[0.7]], rtol=1e-9)
+    assert_allclose(flow.V[0], [[0.7]], rtol=1e-9)
 
 
 def test_decoupled_diagonal_flow():
@@ -27,20 +27,20 @@ def test_decoupled_diagonal_flow():
                      QT=[[q]], x0=[1.0], t0=0.0, T=1.0)
     flow = backward_autonomous(prob)
     assert flow.U[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-13)
-    assert flow.V[0, 0] == pytest.approx(q * np.exp(1.0), rel=1e-13)
+    assert flow.V[0][0, 0] == pytest.approx(q * np.exp(1.0), rel=1e-13)
 
 
 def test_backward_autonomous_matches_rde_oracle():
     rng = np.random.default_rng(41)
     prob = random_lq(rng, n=2, r=1)
     flow = backward_autonomous(prob)
-    A, Q, S = prob.A(0.0), prob.Q(0.0), s_matrix(prob, 0.0)
+    A, Q, S = prob.A(0.0), prob.Q[0](0.0), s_matrix(prob, 0.0)
 
     def rde(t, p):
         P = p.reshape(2, 2)
         return (-Q - A.T @ P - P @ A + P @ S @ P).ravel()
 
-    sol = solve_ivp(rde, [prob.T, prob.t0], prob.QT.ravel(),
+    sol = solve_ivp(rde, [prob.T, prob.t0], prob.QT[0].ravel(),
                     rtol=1e-12, atol=1e-14)
     assert np.max(np.abs(gain(flow) - sol.y[:, -1].reshape(2, 2))) < 1e-10
 
@@ -69,7 +69,7 @@ def test_backward_nonautonomous_scalar_quadrature_oracle():
     flow = backward_nonautonomous(prob, 64)
     integral = quad(a, 0.0, 1.0, epsabs=1e-13)[0]
     assert flow.U[0, 0] == pytest.approx(np.exp(-integral), rel=1e-10)
-    assert flow.V[0, 0] == pytest.approx(0.5 * np.exp(integral), rel=1e-10)
+    assert flow.V[0][0, 0] == pytest.approx(0.5 * np.exp(integral), rel=1e-10)
 
 
 def test_backward_nonautonomous_fourth_order():

@@ -362,8 +362,6 @@ def test_near_integrable_misuse_errors(fig2_setup):
     state = initial_state(prob, flow0)
     with pytest.raises(MisuseError):
         step_near_integrable(get_scheme("sp4"), 0.1, state, prob)
-    with pytest.raises(MisuseError):
-        step_near_integrable(get_scheme("ni42"), 0.1, state, prob, dominant=None)
     ramp = build_pollution(preset("fig3a"))
     rstate = initial_state(ramp, backward_game(ramp, steps=64))
     with pytest.raises(MisuseError):
