@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .games import GameProblem, backward_game
+from .errors import ConfigError, InputError, SingularityError
+from .games import GameFlow, GameProblem, backward_game
+from .magnus import LinearFlowProblem, integrate
+from .matfun import solve_checked
 from .problem import TimeMatrix
 from .reference import adaptive_solve, flatten_pipeline, rk4_solve, unflatten
 from .splitting import integrate_forward
@@ -192,17 +194,21 @@ def backward_pass(prob):
     return backward_game(prob, steps=None if prob.is_autonomous else BACKWARD_STEPS)
 
 
-def reference_endpoint(prob, flow0, steps):
-    """High-accuracy forward endpoint, self-checked at two resolutions.
+def reference_endpoint(prob, flow0):
+    """Exact forward endpoint x(T) = U(T) U(t0)^-1 x0, self-checked.
 
-    Fine fixed-step RK4 on the flat system; the run is accepted only when
-    the endpoints at ``steps`` and ``2 * steps`` agree to 1e-11.
+    Under the optimal feedback U' = (A - sum_j S_j P_j) U, so U is the
+    closed-loop fundamental matrix (Radon's lemma).  U(T) comes from CF4 on
+    y' = K(t) y from ``flow0``: 1 and 2 steps for constant K (where one step
+    is exact), BACKWARD_STEPS / 2 and BACKWARD_STEPS otherwise.  The run is
+    accepted only when the two endpoints agree to 1e-11.
     """
-    ends = []
-    for k in (2, 1):
-        ode, y0 = flatten_pipeline(prob, flow0)
-        y = rk4_solve(ode, prob.t0, prob.T, k * steps, y0)
-        ends.append(unflatten(prob, y)[1])
+    lin = LinearFlowProblem(matrix=prob.flow_matrix,
+                            dim=(prob.nplayers + 1) * prob.n)
+    s = 1 if prob.is_autonomous else BACKWARD_STEPS // 2
+    z0 = solve_checked(flow0.U, prob.x0)
+    ends = [integrate(lin, prob.t0, prob.T, k * s, flow0.stacked())[: prob.n] @ z0
+            for k in (2, 1)]
     drift = float(np.max(np.abs(ends[0] - ends[1])))
     if drift > REFERENCE_AGREEMENT:
         raise ConfigError(
@@ -256,10 +262,7 @@ def run_single(prob, flow0, method, resolution, x_ref, measure_time=False):
 
 def _flat_diagnostics(prob, y):
     blocks, x = unflatten(prob, y)
-    n = prob.n
-    U = blocks[:n]
-    gains = [np.linalg.solve(U.T, blocks[n * (1 + j): n * (2 + j)].T).T
-             for j in range(prob.nplayers)]
+    gains = GameFlow.from_stacked(blocks, prob.T).gains()
     defect = max(float(np.max(np.abs(P - QT)))
                  for P, QT in zip(gains, prob.QT))
     sym = max(float(np.max(np.abs(P - P.T))) for P in gains)
@@ -268,23 +271,20 @@ def _flat_diagnostics(prob, y):
 
 
 def run_sweep(prob, methods, h_ladder=None, tol_ladder=None,
-              reference_steps=None, measure_time=False):
+              measure_time=False):
     """Run every (method, resolution) pair and collect SweepResult rows.
 
     Fixed-step methods walk ``h_ladder``; the adaptive baseline walks
-    ``tol_ladder``.  The reference endpoint is computed once at no coarser
-    than 100x the finest ladder resolution.  Rows are deterministic unless
-    ``measure_time`` is set (wall-clock is then filled in, at the cost of
-    reproducibility).  Failing rows are recorded with a NaN error instead
-    of aborting.
+    ``tol_ladder``.  The reference endpoint is computed once.  Rows are
+    deterministic unless ``measure_time`` is set (wall-clock is then filled
+    in, at the cost of reproducibility).  A row that fails numerically
+    (InputError, SingularityError) is recorded with a NaN error instead of
+    aborting; any other error propagates.
     """
     if h_ladder is None:
         h_ladder = tuple(1.0 / 2**k for k in range(2, 9))
-    span = prob.T - prob.t0
-    finest = max(1, round(span / min(h_ladder)))
-    ref_steps = max(reference_steps or 0, 100 * finest)
     flow0 = backward_pass(prob)
-    x_ref = reference_endpoint(prob, flow0, ref_steps)
+    x_ref = reference_endpoint(prob, flow0)
     results = []
     for method in methods:
         ladder = tol_ladder if method in ADAPTIVE_METHODS else h_ladder
@@ -294,7 +294,7 @@ def run_sweep(prob, methods, h_ladder=None, tol_ladder=None,
             try:
                 results.append(run_single(prob, flow0, method, resolution,
                                           x_ref, measure_time=measure_time))
-            except Exception:
+            except (InputError, SingularityError):
                 results.append(SweepResult(
                     method=method, resolution=resolution, evaluations=0,
                     seconds=0.0, x_error=float("nan"), gain_defect=float("nan"),

@@ -114,12 +114,10 @@ def load_config(path):
 
 
 def _run_one(prob, method, steps, measure_time):
-    h = (prob.T - prob.t0) / steps
     flow0 = backward_pass(prob)
-    x_ref = reference_endpoint(prob, flow0, 100 * steps)
-    resolution = 1e-8 if method == "dopri" else h
-    return run_single(prob, flow0, method, resolution, x_ref,
-                      measure_time=measure_time)
+    resolution = 1e-8 if method == "dopri" else (prob.T - prob.t0) / steps
+    return run_single(prob, flow0, method, resolution,
+                      reference_endpoint(prob, flow0), measure_time=measure_time)
 
 
 def _zero_sum_variant(prob, cross_weight):

@@ -32,28 +32,28 @@ def _as_square(M, name="matrix"):
     return M
 
 
+def rcond(A):
+    """1-norm reciprocal condition number from the explicit inverse; 0.0
+    when LAPACK reports A singular."""
+    try:
+        norms = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+    except np.linalg.LinAlgError:
+        return 0.0
+    return 1.0 / norms if norms > 0 else 0.0
+
+
 def solve_checked(A, B, where=None):
     """Solve A X = B by LU with partial pivoting, guarding the condition.
 
-    Raises SingularityError when A is singular or 1/cond(A) < RCOND_FLOOR.
+    Raises SingularityError when 1/cond(A) < RCOND_FLOOR (0 when singular).
     """
     A = np.asarray(A, dtype=float)
-    try:
-        X = np.linalg.solve(A, B)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"singular linear system: {exc}", where=where) from exc
-    # 1-norm condition estimate from the explicit solve of the identity.
-    norm_a = np.linalg.norm(A, 1)
-    try:
-        norm_ainv = np.linalg.norm(np.linalg.solve(A, np.eye(A.shape[0])), 1)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"singular linear system: {exc}", where=where) from exc
-    rcond = 1.0 / (norm_a * norm_ainv) if norm_a * norm_ainv > 0 else 0.0
-    if rcond < RCOND_FLOOR:
+    r = rcond(A)
+    if r < RCOND_FLOOR:
         raise SingularityError(
-            f"matrix is numerically singular (1/cond = {rcond:.3e})", where=where
+            f"matrix is numerically singular (1/cond = {r:.3e})", where=where
         )
-    return X
+    return np.linalg.solve(A, B)
 
 
 def expm(M):

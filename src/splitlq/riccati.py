@@ -17,10 +17,7 @@ import numpy as np
 
 from .errors import MisuseError, SingularityError
 from .magnus import LinearFlowProblem, cf4_step
-from .matfun import expm, symmetry_defect
-
-# 1/cond(U) below this aborts the solve: P = V U^-1 is no longer meaningful.
-U_RCOND_FLOOR = 1e-12
+from .matfun import RCOND_FLOOR, expm, rcond, symmetry_defect
 
 
 @dataclass(frozen=True)
@@ -52,17 +49,12 @@ def RiccatiFlow(U, V, t):
 
 
 def check_nonsingular(U, t):
-    norm_u = np.linalg.norm(U, 1)
-    try:
-        Uinv = np.linalg.solve(U, np.eye(U.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"U(t) singular at t = {t}", where=t) from exc
-    rcond = 1.0 / (norm_u * np.linalg.norm(Uinv, 1))
-    if rcond < U_RCOND_FLOOR:
+    """Abort when 1/cond(U) < RCOND_FLOOR: P = V U^-1 is no longer meaningful."""
+    r = rcond(U)
+    if r < RCOND_FLOOR:
         raise SingularityError(
-            f"U(t) numerically singular at t = {t} (1/cond = {rcond:.3e})", where=t
+            f"U(t) numerically singular at t = {t} (1/cond = {r:.3e})", where=t
         )
-    return Uinv
 
 
 def _gain_raw(U, V, t):

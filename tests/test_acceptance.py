@@ -10,6 +10,7 @@ with global error alpha h^4 + beta h^2, and its crossover sqrt(beta / alpha)
 lies inside the mandated ladder, so it is judged by that two-term law.
 """
 
+import functools
 import math
 import time
 
@@ -53,18 +54,22 @@ def accurate_reference(prob, flow0):
     return x
 
 
-@pytest.fixture(scope="module")
-def fig1():
-    prob = build_pollution(preset("fig1"))
+@functools.cache
+def reference_case(name):
+    """(prob, flow0, accurate reference) of a preset, built once per run."""
+    prob = build_pollution(preset(name))
     flow0 = backward_game(prob)
     return prob, flow0, accurate_reference(prob, flow0)
+
+
+@pytest.fixture(scope="module")
+def fig1():
+    return reference_case("fig1")
 
 
 @pytest.fixture(scope="module")
 def fig2():
-    prob = build_pollution(preset("fig2"))
-    flow0 = backward_game(prob)
-    return prob, flow0, accurate_reference(prob, flow0)
+    return reference_case("fig2")
 
 
 def test_criterion_01_coefficient_fidelity():
@@ -148,12 +153,8 @@ def ni42_law(hs, errs):
 
 def test_criterion_02_convergence_orders():
     start = time.perf_counter()
-    prob1 = build_pollution(preset("fig1"))
-    flow1 = backward_game(prob1)
-    fig1 = (prob1, flow1, accurate_reference(prob1, flow1))
-    prob2 = build_pollution(preset("fig2"))
-    flow2 = backward_game(prob2)
-    fig2 = (prob2, flow2, accurate_reference(prob2, flow2))
+    fig1 = reference_case("fig1")
+    fig2 = reference_case("fig2")
 
     def errors(name, case, ladder):
         prob, flow0, ref = case

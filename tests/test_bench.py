@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from splitlq.bench import (PollutionConfig, TimeFunction, build_pollution,
-                           emit_csv, preset, run_sweep, SweepResult)
+from splitlq.bench import (PollutionConfig, TimeFunction, backward_pass,
+                           build_pollution, emit_csv, preset,
+                           reference_endpoint, run_sweep, SweepResult)
 from splitlq.errors import ConfigError, InputError
+from splitlq.reference import flatten_pipeline, rk4_solve, unflatten
 
 
 def test_time_function_catalog():
@@ -61,6 +63,26 @@ def test_build_pollution_rejects_bad_configs():
         build_pollution(PollutionConfig(N=1, a=1.0, b=0.0, c=(1.0,), d=(1.0,)))
     with pytest.raises(ConfigError):
         PollutionConfig(N=2, a=1.0, b=1.0, c=(1.0,), d=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b"])
+def test_reference_endpoint_matches_flat_rk4(name):
+    # x(T) = U(T) U(t0)^-1 x0 against RK4 on the flattened nonlinear system
+    prob = build_pollution(preset(name))
+    flow0 = backward_pass(prob)
+    ode, y0 = flatten_pipeline(prob, flow0)
+    rk4 = unflatten(prob, rk4_solve(ode, prob.t0, prob.T, 3200, y0))[1]
+    assert np.max(np.abs(reference_endpoint(prob, flow0) - rk4)) < 1e-12
+
+
+def test_reference_endpoint_self_check_rejects_steep_drift():
+    # a drift ramp 400x steeper than fig3a's: CF4 at 1024 and 2048 steps
+    # disagree by about 3e-9
+    prob = build_pollution(PollutionConfig(
+        N=1, a=TimeFunction.tanh_ramp(2.0, 1.0, rate=2000.0, center=0.5),
+        b=1.0, c=(5.5,), d=(1.0 / 5.5,), rho=0.1))
+    with pytest.raises(ConfigError, match="self-consistency"):
+        reference_endpoint(prob, backward_pass(prob))
 
 
 def test_run_sweep_rows_and_determinism():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from splitlq.cli import load_config, main
@@ -140,3 +142,30 @@ def test_sweep_rejects_unknown_method(tmp_path, capsys):
                  "--output", str(tmp_path / "x.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_coarse_time_dependent_game_succeeds(capsys):
+    # the reference endpoint does not depend on the caller's step count
+    assert main(["game", "--preset", "fig3a", "--method", "sp4",
+                 "--steps", "4"]) == 0
+    assert "method=sp4" in capsys.readouterr().out
+
+
+def test_coarse_time_dependent_sweep_succeeds(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--preset", "fig3a", "--methods", "sp2",
+                 "--h-ladder", "0.25", "--output", str(out)]) == 0
+    row = out.read_text().strip().split("\n")[1].split(",")
+    assert math.isfinite(float(row[4]))  # x_error
+
+
+def test_sweep_fails_on_inapplicable_method(tmp_path, capsys):
+    # ni84 needs a constant drift; the sweep stops instead of writing a NaN row
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--preset", "fig3a", "--methods", "ni84,sp2",
+                 "--h-ladder", "0.125", "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "constant A" in err
+    assert not out.exists()

@@ -7,8 +7,8 @@ from conftest import C, random_lq, tanh_lq
 from splitlq.errors import MisuseError, SingularityError
 from splitlq.problem import LQProblem, TimeMatrix, s_matrix
 from splitlq.riccati import (RiccatiFlow, backward_autonomous,
-                             backward_nonautonomous, control, gain,
-                             gain_defect)
+                             backward_nonautonomous, check_nonsingular,
+                             control, gain, gain_defect)
 
 
 def test_zero_length_horizon_limit():
@@ -106,6 +106,16 @@ def test_gain_singular_u():
     flow = RiccatiFlow(U=np.zeros((2, 2)), V=np.eye(2), t=0.5)
     with pytest.raises(SingularityError):
         gain(flow)
+
+
+@pytest.mark.parametrize("U", [np.diag([1.0, 1e-14]), np.zeros((2, 2))],
+                         ids=["ill-conditioned", "singular"])
+def test_check_nonsingular_names_time(U):
+    # 1/cond = 1e-14 is below the floor; the zero matrix fails in LAPACK.
+    with pytest.raises(SingularityError, match="0.25") as info:
+        check_nonsingular(U, 0.25)
+    assert info.value.where == 0.25
+    assert "U(t)" in str(info.value)
 
 
 def test_control_zero_gain():
