@@ -22,7 +22,7 @@ from .magnus import LinearFlowProblem, integrate
 from .matfun import solve_checked
 from .problem import TimeMatrix
 from .reference import adaptive_solve, flatten_pipeline, rk4_solve, unflatten
-from .splitting import integrate_forward
+from .splitting import integrate_forward, make_stepper
 
 POSITIVITY_THRESHOLD = -1e-8
 REFERENCE_AGREEMENT = 1e-11
@@ -188,8 +188,15 @@ class SweepResult:
 BACKWARD_STEPS = 2048  # CF4 backward budget for non-autonomous problems
 
 
+def check_methods(prob, methods):
+    """Fail before the backward pass on a method that does not apply to prob."""
+    for method in methods:
+        if method in SPLITTING_METHODS:
+            make_stepper(prob, method, {})
+
+
 def backward_pass(prob):
-    """Backward pass at roundoff/1e-12 accuracy (expm when autonomous,
+    """Backward pass at roundoff/1e-12 accuracy (one exponential when autonomous,
     CF4 otherwise); its cost is excluded from forward evaluation counts."""
     return backward_game(prob, steps=None if prob.is_autonomous else BACKWARD_STEPS)
 
@@ -283,6 +290,7 @@ def run_sweep(prob, methods, h_ladder=None, tol_ladder=None,
     """
     if h_ladder is None:
         h_ladder = tuple(1.0 / 2**k for k in range(2, 9))
+    check_methods(prob, methods)
     flow0 = backward_pass(prob)
     x_ref = reference_endpoint(prob, flow0)
     results = []

@@ -40,9 +40,9 @@ import argparse
 import configparser
 import sys
 
-from .bench import (PollutionConfig, TimeFunction, build_pollution, emit_csv,
-                    preset, run_single, run_sweep, backward_pass,
-                    reference_endpoint)
+from .bench import (PollutionConfig, TimeFunction, build_pollution,
+                    check_methods, emit_csv, preset, run_single, run_sweep,
+                    backward_pass, reference_endpoint)
 from .errors import (ConfigError, DimensionError, InputError, MisuseError,
                      SingularityError)
 from .games import GameProblem, solve_zero_sum
@@ -114,6 +114,7 @@ def load_config(path):
 
 
 def _run_one(prob, method, steps, measure_time):
+    check_methods(prob, (method,))
     flow0 = backward_pass(prob)
     resolution = 1e-8 if method == "dopri" else (prob.T - prob.t0) / steps
     return run_single(prob, flow0, method, resolution,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, MisuseError
-from .matfun import expm
+from .matfun import expm, expm_apply
 from .problem import GameProblem, hamiltonian_matrix as game_block_matrix
 from .riccati import GameFlow, backward_game
 from .splitting import (COMPOSE4_ALPHAS, compose, integrate_forward,
@@ -203,12 +203,12 @@ def solve_zero_sum(game, steps_backward=32, composition_alphas=COMPOSE4_ALPHAS,
         (p1, p2), x, t = state
         S = prob.coupling_at(t)
         A = prob.A(t)
-        x = expm(0.5 * h * (A - S[0] @ p1 - S[1] @ p2)) @ x
+        x = expm_apply(0.5 * h * (A - S[0] @ p1 - S[1] @ p2), x)
         p1, p2 = zs_base_step(prob, t, h, p1, p2)
         t += h
         S = prob.coupling_at(t)
         A = prob.A(t)
-        x = expm(0.5 * h * (A - S[0] @ p1 - S[1] @ p2)) @ x
+        x = expm_apply(0.5 * h * (A - S[0] @ p1 - S[1] @ p2), x)
         return (p1, p2), x, t
 
     h = (game.T - game.t0) / steps_forward

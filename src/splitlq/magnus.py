@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .matfun import expm
+from .matfun import expm_apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,15 +44,14 @@ def cf4_step(prob, t_n, h, y):
         raise InputError(
             f"matrix(t) returned shape {M0.shape}, expected ({prob.dim}, {prob.dim})"
         )
-    first = expm((h / 12.0) * (3.0 * M0 + 4.0 * Mh - M1))
-    second = expm((h / 12.0) * (-M0 + 4.0 * Mh + 3.0 * M1))
-    return second @ (first @ y)
+    y = expm_apply((h / 12.0) * (3.0 * M0 + 4.0 * Mh - M1), y)
+    return expm_apply((h / 12.0) * (-M0 + 4.0 * Mh + 3.0 * M1), y)
 
 
 def integrate(prob, t0, t1, steps, y0):
     """Drive cf4_step over ``steps`` uniform steps from t0 to t1.
 
-    Costs 3*steps matrix samples and 2*steps exponentials.
+    Costs 3*steps matrix samples and 2*steps exponential actions.
     """
     if steps < 1:
         raise InputError("steps must be >= 1")

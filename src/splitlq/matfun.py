@@ -1,12 +1,17 @@
 """Dense small-matrix utilities.
 
 Matrix exponential by scaling and squaring with a degree-6 diagonal Pade
-kernel, the Cayley / Pade(1,1) map, and structural checks (symmetry defect,
-smallest eigenvalue of a symmetric matrix).  Everything here is a pure
-function of its inputs; matrices are plain ``numpy`` arrays.
+kernel, its action on a block of vectors by a truncated Taylor series, the
+Cayley / Pade(1,1) map, and structural checks (symmetry defect, smallest
+eigenvalue of a symmetric matrix).  Everything here is a pure function of
+its inputs; matrices are plain ``numpy`` arrays.  An exponential is formed
+only where the matrix is reused; a single product exp(M) @ Y goes through
+``expm_apply``.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -18,6 +23,15 @@ from .errors import DimensionError, InputError, SingularityError
 # 1e-13, so accuracy is limited by the squarings only.
 _PADE6_NUM = (665280.0, 332640.0, 75600.0, 10080.0, 840.0, 42.0, 1.0)
 _SCALING_THRESHOLD = 0.5
+
+# theta_m, m = 1..30: the largest 1-norm of M for which the degree-m Taylor
+# polynomial of exp(M) has backward error below the double-precision unit
+# roundoff (Higham, Functions of Matrices, Table A.3; Al-Mohy & Higham,
+# SIAM J. Sci. Comput. 33, 2011).
+_TAYLOR_THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.4e-4, 2.4e-3, 9.07e-3, 2.38e-2,
+                 5.0e-2, 8.96e-2, 0.144, 0.214, 0.3, 0.4, 0.514, 0.641, 0.781,
+                 0.931, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64,
+                 2.86, 3.08, 3.31, 3.54)
 
 # 1/cond below this means the solve result cannot be trusted.
 RCOND_FLOOR = 1e-12
@@ -87,6 +101,29 @@ def expm(M):
     for _ in range(squarings):
         F = F @ F
     return F
+
+
+def expm_apply(M, Y):
+    """exp(M) @ Y without forming exp(M).
+
+    Horner evaluation of the Taylor polynomial of the smallest degree m
+    with ||M||_1 <= theta_m; above theta_30 the exponential is formed and
+    applied, which keeps the work logarithmic in ||M||.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {M.shape}")
+    norm = abs(M[0, 0]) if M.shape == (1, 1) else np.linalg.norm(M, 1)
+    if not np.isfinite(norm):
+        raise InputError("matrix contains non-finite entries")
+    if M.shape == (1, 1):
+        return np.exp(M[0, 0]) * Y
+    if norm > _TAYLOR_THETA[-1]:
+        return expm(M) @ Y
+    acc = Y
+    for k in range(bisect.bisect_left(_TAYLOR_THETA, norm) + 1, 0, -1):
+        acc = Y + (M @ acc) / k
+    return acc
 
 
 def pade2(M, h):

@@ -139,6 +139,13 @@ class GameProblem:
             for key in ((1, 2), (2, 1)):
                 if key not in self.cross_R:
                     raise InputError(f"zero-sum mode needs cross weight R_{key}")
+        named = [("A", self.A)] + [(f"{k}[{i}]", tm) for k in ("B", "R", "Q")
+                                   for i, tm in enumerate(getattr(self, k))]
+        named += [(f"cross_R{k}", tm) for k, tm in (self.cross_R or {}).items()]
+        for name, tm in named:  # a declared constant must hold on the horizon
+            if tm.constant and any(not np.array_equal(tm._evaluate(t), tm(t))
+                                   for t in samples):
+                raise InputError(f"{name} declared constant but varies on [{self.t0}, {self.T}]")
 
     @property
     def n(self):

@@ -37,7 +37,7 @@ def flatten_pipeline(prob, flow0):
     encodes the backward-pass result ``flow0`` and the problem's x0.
     """
     from .problem import assemble_flow_matrix
-    from .riccati import _gain_raw
+    from .riccati import closed_loop
 
     n = prob.n
     nb = prob.nplayers
@@ -45,23 +45,19 @@ def flatten_pipeline(prob, flow0):
     frozen = None
     if prob.is_autonomous:
         A0, S0, Q0 = prob.blocks_at(prob.t0)
-        frozen = (A0, S0, assemble_flow_matrix(n, A0, S0, Q0))
+        frozen = (A0, np.hstack(S0), assemble_flow_matrix(n, A0, S0, Q0))
 
     def rhs(t, y):
         blocks = y[: (nb + 1) * n * n].reshape((nb + 1) * n, n)
         x = y[(nb + 1) * n * n:]
         if frozen is not None:
-            A, S_list, M = frozen
+            A, S_row, M = frozen
         else:
             A, S_list, Q_list = prob.blocks_at(t)
+            S_row = np.hstack(S_list)
             M = assemble_flow_matrix(n, A, S_list, Q_list)
-        dblocks = M @ blocks
-        U = blocks[:n]
-        N = A.copy()
-        for j, S in enumerate(S_list):
-            Vj = blocks[n * (1 + j): n * (2 + j)]
-            N -= S @ _gain_raw(U, Vj, t)
-        return np.concatenate([dblocks.ravel(), N @ x])
+        N = closed_loop(A, S_row, blocks, t)
+        return np.concatenate([(M @ blocks).ravel(), N @ x])
 
     y0 = np.concatenate([flow0.stacked().ravel(), prob.x0])
     return FlatODE(dimension=dim, rhs=rhs), y0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MisuseError, SingularityError
 from .magnus import LinearFlowProblem, cf4_step
-from .matfun import RCOND_FLOOR, expm, rcond, symmetry_defect
+from .matfun import RCOND_FLOOR, expm_apply, rcond, symmetry_defect
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,13 @@ class GameFlow:
     @classmethod
     def from_stacked(cls, y, t):
         n = y.shape[1]
-        nplayers = y.shape[0] // n - 1
-        return cls(U=y[:n], V=tuple(y[n * (1 + j): n * (2 + j)] for j in range(nplayers)),
-                   t=t)
+        return cls(U=y[:n], V=tuple(y[k: k + n] for k in range(n, len(y), n)), t=t)
 
     def gains(self):
-        """[P_1, ..., P_N] with P_j = V_j U^-1 (raw, not symmetrized)."""
-        return [_gain_raw(self.U, Vj, self.t) for Vj in self.V]
+        """[P_1, ..., P_N] with P_j = V_j U^-1 (raw, not symmetrized), from
+        one solve with U for all players."""
+        P, n = _gain_raw(self.U, np.vstack(self.V), self.t), len(self.U)
+        return [P[k: k + n] for k in range(0, len(P), n)]
 
 
 def RiccatiFlow(U, V, t):
@@ -68,26 +68,33 @@ def _gain_raw(U, V, t):
         raise SingularityError(f"U(t) singular at t = {t}", where=t) from exc
 
 
+def closed_loop(A, S_row, y, t):
+    """A - sum_j S_j V_j U^-1 as A - (S_row V_stack) U^-1, for the stacked
+    y = [U; V_stack] and S_row = [S_1 ... S_N]: one solve for all players."""
+    n = A.shape[0]
+    return A - _gain_raw(y[:n], S_row @ y[n:], t)
+
+
 def terminal_game_flow(game):
     """The final condition y(T) = [I; QT_1; ...; QT_N]."""
     return GameFlow(U=np.eye(game.n), V=tuple(Z.copy() for Z in game.QT), t=game.T)
 
 
 def backward_game(game, steps=None):
-    """Backward pass on the stacked linear system: one expm for constant
-    coefficients, ``steps`` CF4 steps otherwise.  U is condition-checked
-    at t0, and after every CF4 step."""
+    """Backward pass on the stacked linear system: exp((t0 - T) K) applied
+    to y(T) for constant coefficients, ``steps`` CF4 steps otherwise.  U is
+    condition-checked at t0, and after every CF4 step."""
     if not game.is_autonomous:
         return backward_nonautonomous(game, steps)
     K = game.flow_matrix(game.t0)
-    y = expm((game.t0 - game.T) * K) @ terminal_game_flow(game).stacked()
+    y = expm_apply((game.t0 - game.T) * K, terminal_game_flow(game).stacked())
     flow = GameFlow.from_stacked(y, game.t0)
     check_nonsingular(flow.U, game.t0)
     return flow
 
 
 def backward_autonomous(prob):
-    """(U0, V0) = expm((t0 - T) K) [I; QT] for constant coefficients."""
+    """(U0, V0) = exp((t0 - T) K) [I; QT] for constant coefficients."""
     if not prob.is_autonomous:
         raise MisuseError(
             "coefficients are time dependent; use backward_nonautonomous"

@@ -27,8 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MisuseError
-from .matfun import expm, min_eigenvalue_sym, pade2_apply, symmetry_defect
-from .riccati import GameFlow, _gain_raw
+from .matfun import (expm, expm_apply, min_eigenvalue_sym, pade2_apply,
+                     symmetry_defect)
+from .problem import assemble_flow_matrix
+from .riccati import GameFlow, closed_loop
 
 # ---------------------------------------------------------------------------
 # Scheme registry
@@ -185,13 +187,10 @@ def initial_state(prob, flow):
     return ExtendedState(v=flow.stacked(), x=prob.x0.copy(), t1=prob.t0, t2=prob.t0)
 
 
-def _closed_loop(prob, A, S_list, v, n, t):
-    U = v[:n]
-    N = A.copy()
-    for j, S in enumerate(S_list):
-        Vj = v[n * (1 + j): n * (2 + j)]
-        N -= S @ _gain_raw(U, Vj, t)
-    return N
+def _advance_state(prob, tau, t, v, x):
+    """exp(tau (A(t) - sum_j S_j(t) P_j)) x with the gains P_j of ``v``."""
+    N = closed_loop(prob.A(t), np.hstack(prob.coupling_at(t)), v, t)
+    return expm_apply(tau * N, x)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +210,16 @@ def step_autonomous(scheme, h, state, prob, cache=None):
         cache = {}
     key = ("static",)
     if key not in cache:
-        cache[key] = (prob.A(prob.t0), prob.coupling_at(prob.t0),
+        cache[key] = (prob.A(prob.t0), np.hstack(prob.coupling_at(prob.t0)),
                       prob.flow_matrix(prob.t0))
-    A0, S0, M0 = cache[key]
-    n = prob.n
+    A0, S_row, M0 = cache[key]
 
     v = state.v
     x = state.x
     t1 = state.t1
     for ai, bi in zip(scheme.a, scheme.b):
         if ai != 0.0:
-            x = expm(ai * h * _closed_loop(prob, A0, S0, v, n, t1)) @ x
+            x = expm_apply(ai * h * closed_loop(A0, S_row, v, t1), x)
         if bi != 0.0:
             ekey = (scheme.name, h, bi)
             if ekey not in cache:
@@ -237,18 +235,15 @@ def step_nonautonomous(scheme, h, state, prob):
     gain, move t2 by a_i h, advance the flow by exp(b_i h M(t2)), move t1
     by b_i h.
     """
-    n = prob.n
     v = state.v
     x = state.x
     t1, t2 = state.t1, state.t2
     for ai, bi in zip(scheme.a, scheme.b):
         if ai != 0.0:
-            A = prob.A(t1)
-            S = prob.coupling_at(t1)
-            x = expm(ai * h * _closed_loop(prob, A, S, v, n, t1)) @ x
+            x = _advance_state(prob, ai * h, t1, v, x)
         t2 += ai * h
         if bi != 0.0:
-            v = expm(bi * h * prob.flow_matrix(t2)) @ v
+            v = expm_apply(bi * h * prob.flow_matrix(t2), v)
         t1 += bi * h
     return ExtendedState(v=v, x=x, t1=t1, t2=t2)
 
@@ -256,18 +251,15 @@ def step_nonautonomous(scheme, h, state, prob):
 def s2_step(h, state, prob):
     """Symmetric second-order map: half state step, Cayley flow update at
     the midpoint clock, half state step."""
-    n = prob.n
     v = state.v
     x = state.x
     t1, t2 = state.t1, state.t2
 
-    x = expm(0.5 * h * _closed_loop(prob, prob.A(t1),
-                                    prob.coupling_at(t1), v, n, t1)) @ x
+    x = _advance_state(prob, 0.5 * h, t1, v, x)
     t2 += 0.5 * h
     v = pade2_apply(prob.flow_matrix(t2), h, v)
     t1 += h
-    x = expm(0.5 * h * _closed_loop(prob, prob.A(t1),
-                                    prob.coupling_at(t1), v, n, t1)) @ x
+    x = _advance_state(prob, 0.5 * h, t1, v, x)
     t2 += 0.5 * h
     return ExtendedState(v=v, x=x, t1=t1, t2=t2)
 
@@ -297,6 +289,13 @@ def _taylor4_apply(X, Y):
     return acc
 
 
+def _check_near_integrable(scheme, prob):
+    if scheme.kind != "near-integrable":
+        raise MisuseError(f"scheme {scheme.name} is not a near-integrable scheme")
+    if not prob.A.constant:
+        raise MisuseError("near-integrable stepping requires a constant A")
+
+
 def step_near_integrable(scheme, h, state, prob, cache=None):
     """One step for a large constant drift plus small coupling.
 
@@ -306,27 +305,20 @@ def step_near_integrable(scheme, h, state, prob, cache=None):
     degree-4 Taylor of the frozen coupling flow.  Time enters as a single
     extra coordinate, advanced during the a-stages only.
     """
-    if scheme.kind != "near-integrable":
-        raise MisuseError(f"scheme {scheme.name} is not a near-integrable scheme")
-    if not prob.A.constant:
-        raise MisuseError("near-integrable stepping requires a constant A")
+    _check_near_integrable(scheme, prob)
     if cache is None:
         cache = {}
 
     n = prob.n
     A = prob.A(prob.t0)
-    nb = prob.nplayers
     v = state.v
     x = state.x
     t = state.t1
 
     skey = ("ni-static",)
-    if skey not in cache:
-        D = np.zeros(((nb + 1) * n, (nb + 1) * n))
-        D[:n, :n] = A
-        for j in range(nb):
-            D[n * (1 + j): n * (2 + j), n * (1 + j): n * (2 + j)] = -A.T
-        cache[skey] = D
+    if skey not in cache:  # the drift part of the flow matrix
+        zero = [np.zeros((n, n))] * prob.nplayers
+        cache[skey] = assemble_flow_matrix(n, A, zero, zero)
     D = cache[skey]
 
     for ai, bi in zip(scheme.a, scheme.b):
@@ -334,34 +326,18 @@ def step_near_integrable(scheme, h, state, prob, cache=None):
             tau = ai * h
             ekey = ("ni-exp", h, ai)
             if ekey not in cache:
-                cache[ekey] = (
-                    expm(0.5 * tau * A), expm(tau * A),
-                    expm(-0.5 * tau * A.T), expm(-tau * A.T),
-                )
-            Eh, E1, Fh, F1 = cache[ekey]
+                cache[ekey] = (expm(0.5 * tau * D), expm(tau * D))
+            Gh, G1 = cache[ekey]
 
             # CF4 on x' = (A - sum_j S_j(s) P_j(s)) x over [t, t + tau],
             # with the gain blocks evolved by the exact drift flow.
-            U0 = v[:n]
-            nodes = []
-            for E, F, dt in ((None, None, 0.0), (Eh, Fh, 0.5 * tau), (E1, F1, tau)):
-                Unode = U0 if E is None else E @ U0
-                M = A.copy()
-                for j, S in enumerate(prob.coupling_at(t + dt)):
-                    Vnode = v[n * (1 + j): n * (2 + j)]
-                    if F is not None:
-                        Vnode = F @ Vnode
-                    M -= S @ np.linalg.solve(Unode.T, Vnode.T).T
-                nodes.append(M)
-            M0, Mmid, M1 = nodes
-            x = expm((tau / 12.0) * (-M0 + 4.0 * Mmid + 3.0 * M1)) @ (
-                expm((tau / 12.0) * (3.0 * M0 + 4.0 * Mmid - M1)) @ x)
-
-            vnew = np.empty_like(v)
-            vnew[:n] = E1 @ v[:n]
-            for j in range(nb):
-                vnew[n * (1 + j): n * (2 + j)] = F1 @ v[n * (1 + j): n * (2 + j)]
-            v = vnew
+            vend = G1 @ v
+            M0, Mmid, M1 = (
+                closed_loop(A, np.hstack(prob.coupling_at(t + dt)), y, t + dt)
+                for dt, y in ((0.0, v), (0.5 * tau, Gh @ v), (tau, vend)))
+            x = expm_apply((tau / 12.0) * (3.0 * M0 + 4.0 * Mmid - M1), x)
+            x = expm_apply((tau / 12.0) * (-M0 + 4.0 * Mmid + 3.0 * M1), x)
+            v = vend
             t += tau
         if bi != 0.0:
             W = prob.flow_matrix(t) - D
@@ -406,6 +382,8 @@ def make_stepper(prob, method, cache):
 
     ``sp*``/``ni*`` pick the engine from the scheme kind and the problem's
     constancy; ``s2`` and ``s2c4`` use the Cayley-based symmetric map.
+    A near-integrable scheme on a time-dependent A raises MisuseError here,
+    before any stepping.
     """
     if method == "s2":
         return s2_step, 1
@@ -413,6 +391,7 @@ def make_stepper(prob, method, cache):
         return compose(s2_step, COMPOSE4_ALPHAS), 5
     scheme = get_scheme(method)
     if scheme.kind == "near-integrable":
+        _check_near_integrable(scheme, prob)
         return (lambda h, state, p: step_near_integrable(scheme, h, state, p, cache=cache),
                 scheme.stages)
     if prob.is_autonomous:

@@ -169,3 +169,23 @@ def test_sweep_fails_on_inapplicable_method(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "constant A" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["game", "--preset", "fig3a", "--method", "ni84", "--steps", "8"],
+    ["sweep", "--preset", "fig3a", "--methods", "sp2,ni42", "--h-ladder", "0.25"],
+], ids=["game", "sweep"])
+def test_inapplicable_method_fails_before_backward_pass(argv, monkeypatch, capsys,
+                                                        tmp_path):
+    if argv[0] == "sweep":
+        argv = argv + ["--output", str(tmp_path / "x.csv")]
+
+    def no_backward_pass(prob):
+        raise AssertionError("backward pass ran before the method check")
+
+    monkeypatch.setattr("splitlq.cli.backward_pass", no_backward_pass)
+    monkeypatch.setattr("splitlq.bench.backward_pass", no_backward_pass)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "constant A" in err

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import expm_multiply
 
 from conftest import canonical_j, random_hamiltonian, taylor_expm
 from splitlq.errors import DimensionError, InputError, SingularityError
-from splitlq.matfun import expm, min_eigenvalue_sym, pade2, symmetry_defect
+from splitlq.matfun import (_TAYLOR_THETA, expm, expm_apply, min_eigenvalue_sym,
+                            pade2, symmetry_defect)
 
 
 def test_expm_zero_is_identity():
@@ -124,3 +126,53 @@ def test_min_eigenvalue_sym():
         assert min_eigenvalue_sym(G.T @ G) >= -1e-12
     with pytest.raises(InputError):
         min_eigenvalue_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _relerr(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 32])
+@pytest.mark.parametrize("norm", [1e-6, 1e-3, 0.1, 1.0, 2.0, 0.999 * _TAYLOR_THETA[-1],
+                                  10.0])
+def test_expm_apply_matches_expm_and_scipy(n, norm):
+    # Taylor degrees 2 to 30, and the formed-exponential fallback at norm 10,
+    # where the scipy comparison measures the accuracy of expm itself.
+    scipy_tol = 1e-14 if norm <= _TAYLOR_THETA[-1] else 1e-13
+    rng = np.random.default_rng(int(1e6 * norm) + n)
+    for _ in range(5):
+        M = rng.standard_normal((n, n))
+        M *= norm / np.linalg.norm(M, 1)
+        for Y in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            ref = expm(M) @ Y
+            got = expm_apply(M, Y)
+            assert got.shape == ref.shape
+            assert _relerr(got, ref) < 1e-14
+            assert _relerr(got, expm_multiply(M, Y)) < scipy_tol
+
+
+def test_expm_apply_above_theta30_forms_the_exponential():
+    rng = np.random.default_rng(21)
+    M = rng.standard_normal((5, 5))
+    M *= 1.01 * _TAYLOR_THETA[-1] / np.linalg.norm(M, 1)
+    Y = rng.standard_normal((5, 2))
+    assert_allclose(expm_apply(M, Y), expm(M) @ Y, rtol=0.0, atol=0.0)
+
+
+def test_expm_apply_zero_matrix_is_identity():
+    Y = np.arange(6.0).reshape(3, 2)
+    assert_allclose(expm_apply(np.zeros((3, 3)), Y), Y, rtol=0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [1, 3])
+def test_expm_apply_rejects_non_finite(n, bad):
+    M = np.eye(n)
+    M[0, -1] = bad
+    with pytest.raises(InputError):
+        expm_apply(M, np.ones(n))
+
+
+def test_expm_apply_rejects_non_square():
+    with pytest.raises(DimensionError):
+        expm_apply(np.ones((2, 3)), np.ones(3))

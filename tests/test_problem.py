@@ -20,6 +20,20 @@ def test_time_matrix_shape_checked():
         tm(0.0)
 
 
+def test_declared_constant_coefficient_checked_over_horizon():
+    # Constant on the TimeMatrix probe points t = 0, 0.5, 1, but not after t = 2.
+    def a(t):
+        return np.array([[-1.0 if t < 2.0 else -2.0]])
+
+    def build(T):
+        return LQProblem(A=TimeMatrix(a, (1, 1), constant=True), B=C([[1.0]]),
+                         Q=C([[1.0]]), R=C([[1.0]]), QT=[[0.0]], x0=[1.0], T=T)
+
+    assert build(1.0).is_autonomous
+    with pytest.raises(InputError, match=r"^A declared constant"):
+        build(3.0)
+
+
 def test_lq_problem_validation():
     with pytest.raises(InputError):  # t0 >= T
         LQProblem(A=C([[1.0]]), B=C([[1.0]]), Q=C([[1.0]]), R=C([[1.0]]),

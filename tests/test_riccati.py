@@ -3,12 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
 
-from conftest import C, random_lq, tanh_lq
+from conftest import C, random_lq, random_psd, tanh_lq
 from splitlq.errors import MisuseError, SingularityError
 from splitlq.problem import LQProblem, TimeMatrix, s_matrix
-from splitlq.riccati import (RiccatiFlow, backward_autonomous,
+from splitlq.riccati import (GameFlow, RiccatiFlow, backward_autonomous,
                              backward_nonautonomous, check_nonsingular,
-                             control, gain, gain_defect)
+                             closed_loop, control, gain, gain_defect)
 
 
 def test_zero_length_horizon_limit():
@@ -138,3 +138,28 @@ def test_control_scalar_hand_formula():
     x = np.array([3.0])
     expected = -(b / c) * np.exp(rho * 0.4) * (0.8 / 2.0) * 3.0
     assert control(prob, 0.4, flow, x)[0] == pytest.approx(expected, rel=1e-13)
+
+
+def test_gains_and_closed_loop_use_one_solve_for_all_players():
+    # N = 3, n = 4: the stacked solve equals one solve per player.
+    rng = np.random.default_rng(45)
+    n, N, t = 4, 3, 0.3
+    y = rng.standard_normal(((N + 1) * n, n))
+    y[:n] += 3.0 * np.eye(n)
+    flow = GameFlow.from_stacked(y, t)
+    per_player = [np.linalg.solve(flow.U.T, V.T).T for V in flow.V]
+    gains = flow.gains()
+    assert len(gains) == N
+    for P, ref in zip(gains, per_player):
+        assert np.max(np.abs(P - ref)) < 1e-13 * np.max(np.abs(ref))
+    A = rng.standard_normal((n, n))
+    S = [random_psd(rng, n) for _ in range(N)]
+    ref = A - sum(Sj @ Pj for Sj, Pj in zip(S, per_player))
+    got = closed_loop(A, np.hstack(S), y, t)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_closed_loop_singular_u_names_time():
+    y = np.vstack([np.zeros((2, 2)), np.eye(2)])
+    with pytest.raises(SingularityError, match="0.5"):
+        closed_loop(np.eye(2), np.eye(2), y, 0.5)

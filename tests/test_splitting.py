@@ -6,16 +6,17 @@ from numpy.testing import assert_allclose
 
 from conftest import C, fit_order, random_lq
 from splitlq.bench import build_pollution, preset
-from splitlq.errors import ConfigError, MisuseError
+from splitlq.errors import ConfigError, InputError, MisuseError
 from splitlq.games import backward_game
 from splitlq.matfun import pade2
 from splitlq.problem import LQProblem, TimeMatrix
-from splitlq.riccati import backward_autonomous, backward_nonautonomous
+from splitlq.riccati import (RiccatiFlow, backward_autonomous,
+                             backward_nonautonomous)
 from splitlq.reference import flatten_pipeline, rk4_solve, unflatten
 from splitlq.splitting import (COMPOSE4_ALPHAS, builtin_schemes, compose,
                                get_scheme, initial_state, integrate_forward,
-                               s2_step, step_autonomous, step_near_integrable,
-                               step_nonautonomous)
+                               make_stepper, s2_step, step_autonomous,
+                               step_near_integrable, step_nonautonomous)
 
 
 def coupled_2x2():
@@ -410,3 +411,21 @@ def test_gain_symmetry_along_trajectories():
         traj = integrate_forward(prob, flow0, 32, method=name)
         scale = max(1.0, np.max(np.abs(traj.gains)))
         assert traj.max_symmetry_defect <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_drift_mid_horizon_raises_input_error(n):
+    # A(t) turns NaN after t = 0.5; the state update must not carry it on.
+    A = TimeMatrix.from_function(
+        lambda t: np.full((n, n), np.nan) if t > 0.5 else -np.eye(n), (n, n))
+    prob = LQProblem(A=A, B=C(np.ones((n, 1))), Q=C(np.eye(n)), R=C([[1.0]]),
+                     QT=np.zeros((n, n)), x0=np.ones(n))
+    flow0 = RiccatiFlow(U=np.eye(n), V=np.zeros((n, n)), t=0.0)
+    with pytest.raises(InputError):
+        integrate_forward(prob, flow0, 8, method="sp4")
+
+
+def test_make_stepper_rejects_near_integrable_on_time_dependent_drift():
+    prob = build_pollution(preset("fig3a"))
+    with pytest.raises(MisuseError, match="constant A"):
+        make_stepper(prob, "ni84", {})
