@@ -209,6 +209,8 @@ def main(argv=None):
             return 0
         if args.steps < 1:
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+        if args.zero_sum and args.output:
+            raise ConfigError("--output does not apply to --zero-sum, which writes no CSV row")
         prob = build_pollution(load_config(args.problem) if args.command == "solve"
                                else preset(args.preset))
         if args.zero_sum:

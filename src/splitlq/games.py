@@ -11,7 +11,9 @@ backward pass (backward_game) live in :mod:`splitlq.problem` and
 Zero-sum games couple the Riccati equations quadratically through the
 cross weights, so no linearization exists; they are solved with a
 symmetric second-order map (exact linear part, Taylor quadratic part) plus
-Richardson extrapolation backward and composition forward.
+Richardson extrapolation backward and composition forward.  The linear
+part is the stacked flow with no coupling, applied with ``expm_apply`` and
+read through ``GameFlow.gains``; the quadratic part is one bilinear form.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, MisuseError
-from .matfun import expm, expm_apply
-from .problem import GameProblem, hamiltonian_matrix as game_block_matrix
+from .matfun import expm_apply
+from .problem import (GameProblem, assemble_flow_matrix,
+                      hamiltonian_matrix as game_block_matrix)
 from .riccati import GameFlow, backward_game
 from .splitting import (COMPOSE4_ALPHAS, compose, integrate_forward,
                         record_trajectory)
@@ -53,54 +56,18 @@ def zero_sum_rhs(game, t, P1, P2):
     if not game.zero_sum:
         raise MisuseError("zero_sum_rhs needs a game in zero-sum mode")
     A = game.A(t)
-    Q1, Q2 = game.Q[0](t), game.Q[1](t)
-    S1, S2 = game._s_self(0, t), game._s_self(1, t)
-    S22 = game._s_cross(1, 2, t)
-    S11 = game._s_cross(2, 1, t)
-    P1 = np.atleast_2d(np.asarray(P1, dtype=float))
-    P2 = np.atleast_2d(np.asarray(P2, dtype=float))
-    rhs1 = -Q1 - A.T @ P1 - P1 @ A + P1 @ S1 @ P1 + P1 @ S2 @ P2 + P2 @ S22 @ P2
-    rhs2 = -Q2 - A.T @ P2 - P2 @ A + P2 @ S2 @ P2 + P2 @ S1 @ P1 + P1 @ S11 @ P1
-    return rhs1, rhs2
+    y = tuple(np.atleast_2d(np.asarray(P, dtype=float)) for P in (P1, P2))
+    q = _zs_bilinear(game, t)(y, y)
+    return tuple(-game.Q[k](t) - A.T @ y[k] - y[k] @ A + 0.5 * q[k]
+                 for k in range(2))
 
 
-def _zs_quadratic_rhs(game, t, P1, P2):
-    S1, S2 = game._s_self(0, t), game._s_self(1, t)
-    S22 = game._s_cross(1, 2, t)
-    S11 = game._s_cross(2, 1, t)
-    q1 = P1 @ S1 @ P1 + P1 @ S2 @ P2 + P2 @ S22 @ P2
-    q2 = P2 @ S2 @ P2 + P2 @ S1 @ P1 + P1 @ S11 @ P1
-    return q1, q2
-
-
-def _zs_linear_halfstep(game, tmid, tau, P1, P2):
-    # Exact flow of P_i' = -Q_i - A^T P_i - P_i A over tau with A, Q frozen
-    # at tmid, through the block exponential
-    #   exp(tau [[-A^T, -Q], [0, A]]) = [[F, G], [0, E]],
-    # giving P(tau) = (F P + G) E^-1.
-    n = game.n
-    A = game.A(tmid)
-    C = np.zeros((2 * n, 2 * n))
-    C[:n, :n] = -A.T
-    C[n:, n:] = A
-    out = []
-    for Q, P in ((game.Q[0](tmid), P1), (game.Q[1](tmid), P2)):
-        C[:n, n:] = -Q
-        blk = expm(tau * C)
-        F, G, E = blk[:n, :n], blk[:n, n:], blk[n:, n:]
-        out.append(np.linalg.solve(E.T, (F @ P + G).T).T)
-    return out
-
-
-def _zs_quadratic_taylor4(game, tmid, tau, P1, P2):
-    # Degree-4 Taylor of y' = q(y) for the homogeneous quadratic part, with
-    # coefficients frozen at tmid.  Writing q(y) = bil(y, y)/2 with bil the
-    # symmetric bilinear form, the chain rule gives
+def _zs_quadratic_taylor4(bil, tau, y):
+    # Degree-4 Taylor of y' = bil(y, y)/2, the homogeneous quadratic part
+    # with coefficients frozen.  By the chain rule
     #   y2 = bil(y, y1),  y3 = bil(y1, y1) + bil(y, y2),
     #   y4 = 3 bil(y1, y2) + bil(y, y3).
-    bil = _zs_bilinear(game, tmid)
-    y = (P1, P2)
-    y1 = _zs_quadratic_rhs(game, tmid, P1, P2)
+    y1 = tuple(0.5 * b for b in bil(y, y))
     y2 = bil(y, y1)
     b11 = bil(y1, y1)
     by2 = bil(y, y2)
@@ -115,10 +82,12 @@ def _zs_quadratic_taylor4(game, tmid, tau, P1, P2):
     ]
 
 
-def _zs_bilinear(game, tmid):
-    S1, S2 = game._s_self(0, tmid), game._s_self(1, tmid)
-    S22 = game._s_cross(1, 2, tmid)
-    S11 = game._s_cross(2, 1, tmid)
+def _zs_bilinear(game, t):
+    # The symmetric bilinear form bil with bil(y, y)/2 the quadratic part
+    # of the zero-sum right sides, for y = (P1, P2).
+    S1, S2 = game.coupling_at(t)
+    S22 = game._coupling(1, game.cross_R[(1, 2)], t)
+    S11 = game._coupling(0, game.cross_R[(2, 1)], t)
 
     def bil(U, V):
         U1, U2 = U
@@ -139,12 +108,23 @@ def zs_base_step(game, t, h, P1, P2):
 
     Strang split with data frozen at the step midpoint: exact linear
     half-flow, degree-4 Taylor of the quadratic flow, exact linear
-    half-flow.  Works for signed h.
+    half-flow.  The linear part P_i' = -Q_i - A^T P_i - P_i A is the
+    stacked flow with no coupling, [U; V_1; V_2] = exp(h/2 K0) [I; P_1; P_2]
+    with K0 = [[A, 0, 0], [-Q_1, -A^T, 0], [-Q_2, 0, -A^T]], read through
+    one U solve for both players.  Works for signed h.
     """
     tmid = t + 0.5 * h
-    P1, P2 = _zs_linear_halfstep(game, tmid, 0.5 * h, P1, P2)
-    P1, P2 = _zs_quadratic_taylor4(game, tmid, h, P1, P2)
-    P1, P2 = _zs_linear_halfstep(game, tmid, 0.5 * h, P1, P2)
+    n = game.n
+    K0 = 0.5 * h * assemble_flow_matrix(n, game.A(tmid), [0.0, 0.0],
+                                        [game.Q[0](tmid), game.Q[1](tmid)])
+
+    def linear_half(P):
+        y = expm_apply(K0, np.vstack([np.eye(n), *P]))
+        return GameFlow.from_stacked(y, tmid).gains()
+
+    P = linear_half((P1, P2))
+    P = _zs_quadratic_taylor4(_zs_bilinear(game, tmid), h, P)
+    P1, P2 = linear_half(P)
     return P1, P2
 
 
@@ -160,15 +140,25 @@ def _zs_integrate(game, t_start, t_end, steps, P1, P2):
 def backward_zero_sum(game, steps):
     """Backward pass, Richardson-extrapolated over {h, h/2, h/4} to order 6.
 
-    Raises ConfigError when the extrapolation ladder is non-monotone (the
-    step differences must shrink for the even-power expansion to hold).
+    Raises ConfigError when a ladder solution is not finite (the solution
+    escapes on the horizon, or the step is too coarse) or when the ladder
+    is non-monotone (the step differences must shrink for the
+    even-power expansion to hold).
     """
     if not game.zero_sum:
         raise MisuseError("backward_zero_sum needs a zero-sum game")
     P1T, P2T = game.QT
     sols = []
     for mult in (1, 2, 4):
-        sols.append(_zs_integrate(game, game.T, game.t0, steps * mult, P1T, P2T))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            sols.append(_zs_integrate(game, game.T, game.t0, steps * mult, P1T, P2T))
+        for k in range(2):
+            if not np.all(np.isfinite(sols[-1][k])):
+                raise ConfigError(
+                    f"zero-sum backward pass with {steps * mult} steps gave a "
+                    f"non-finite P{k + 1}({game.t0}): the solution escapes on "
+                    f"[{game.t0}, {game.T}] or the step is too coarse"
+                )
     d1 = max(np.max(np.abs(sols[1][k] - sols[0][k])) for k in range(2))
     d2 = max(np.max(np.abs(sols[2][k] - sols[1][k])) for k in range(2))
     if d2 > d1 and d1 > 1e-14:

@@ -29,7 +29,8 @@ class TimeMatrix:
 
     ``evaluator`` must be a pure function of t returning an array of shape
     ``dims`` for every t in the problem horizon.  When ``constant`` is true
-    the evaluator is sampled once and the cached value reused.
+    the value of the first call is frozen and reused; ``GameProblem`` checks
+    it against the evaluator on its horizon.
     """
 
     evaluator: Callable[[float], np.ndarray]
@@ -49,15 +50,6 @@ class TimeMatrix:
     def from_function(cls, fn, dims):
         return cls(evaluator=fn, dims=tuple(dims), constant=False)
 
-    def __post_init__(self):
-        if self.constant and self._frozen_value is None:
-            # a declared-constant evaluator is sampled, checked, and frozen
-            probe = [self._evaluate(t) for t in (0.0, 0.5, 1.0)]
-            if any(not np.array_equal(probe[0], p) for p in probe[1:]):
-                raise InputError(
-                    "coefficient declared constant but varies with time")
-            object.__setattr__(self, "_frozen_value", probe[0])
-
     def _evaluate(self, t):
         value = np.atleast_2d(np.asarray(self.evaluator(t), dtype=float))
         if value.shape != self.dims:
@@ -69,7 +61,10 @@ class TimeMatrix:
     def __call__(self, t):
         if self._frozen_value is not None:
             return self._frozen_value
-        return self._evaluate(t)
+        value = self._evaluate(t)
+        if self.constant:
+            object.__setattr__(self, "_frozen_value", value)
+        return value
 
 
 def _check_weight(name, tm, t_samples, positive_definite=False):
@@ -167,7 +162,7 @@ class GameProblem:
         return all(tm.constant for tm in tms)
 
     def coupling_at(self, t):
-        return [self._s_self(i, t) for i in range(self.nplayers)]
+        return [self._coupling(i, self.R[i], t) for i in range(self.nplayers)]
 
     def blocks_at(self, t):
         return (self.A(t), self.coupling_at(t),
@@ -184,16 +179,11 @@ class GameProblem:
             out.append(-_solve_weight(self.R[i](t), B.T @ (gains[i] @ x), i, t))
         return out
 
-    def _s_self(self, i, t):
-        B = self.B[i](t)
-        S = B @ _solve_weight(self.R[i](t), B.T, i, t)
-        return 0.5 * (S + S.T)
-
-    def _s_cross(self, i, j, t):
-        # Coupling matrix of player j's control weighted by player i's
-        # cross cost: B_j R_ij^-1 B_j^T.
-        B = self.B[j - 1](t)
-        S = B @ _solve_weight(self.cross_R[(i, j)](t), B.T, j - 1, t)
+    def _coupling(self, j, W, t):
+        # B_j W^-1 B_j^T for player j's control under the weight W: the
+        # player's own R_j, or a zero-sum cross weight.
+        B = self.B[j](t)
+        S = B @ _solve_weight(W(t), B.T, j, t)
         return 0.5 * (S + S.T)
 
 

@@ -125,12 +125,27 @@ def test_solve_zero_sum_from_config(config_file, capsys):
     assert "zero-sum" in capsys.readouterr().out
 
 
+def test_zero_sum_escape_is_one_error_line(tmp_path, capsys):
+    # drift a = -20: the zero-sum Riccati solution escapes near t = 0.56
+    path = tmp_path / "escape.ini"
+    path.write_text("[problem]\nplayers = 2\n[a]\nvalue = -20.0\n"
+                    "[b]\nvalue = 1.0\n[costs]\nc = 5.5, 6.0\nd = 0.18, 0.17\n")
+    assert main(["solve", "--problem", str(path), "--method", "s2c4",
+                 "--zero-sum"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-finite P1" in err
+
+
 @pytest.mark.parametrize("argv", [
     # a near-integrable scheme on a drift that varies in time (MisuseError)
     ["game", "--preset", "fig3a", "--method", "ni84", "--steps", "8"],
     # a step count that leaves no step to take
     ["game", "--preset", "fig1", "--method", "sp4", "--steps", "0"],
-], ids=["ni84-time-dependent-drift", "zero-steps"])
+    # the zero-sum mode writes no CSV row
+    ["game", "--preset", "fig1", "--method", "sp4", "--zero-sum",
+     "--output", "x.csv"],
+], ids=["ni84-time-dependent-drift", "zero-steps", "zero-sum-output"])
 def test_game_failure_is_one_error_line(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

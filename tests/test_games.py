@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import C, random_psd, random_spd
 from splitlq.bench import build_pollution, preset
-from splitlq.errors import InputError, MisuseError
+from splitlq.errors import ConfigError, InputError, MisuseError, SingularityError
 from splitlq.games import (GameFlow, GameProblem, backward_game,
                            backward_zero_sum, game_block_matrix, solve_game,
                            solve_zero_sum, zero_sum_rhs)
@@ -307,6 +307,72 @@ def test_zero_sum_decoupling_limit_matches_nonzero_sum():
     tn = solve_game(gn, scheme="sp4", steps_forward=64)
     assert abs(tz.terminal_state[0] - tn.terminal_state[0]) < 1e-7
     assert np.max(np.abs(tz.gains[0] - tn.gains[0])) < 1e-7
+
+
+def test_zero_sum_matrix_game_matches_adaptive_oracle():
+    # n = 2, where the transposes of the linear half-flow matter; the data
+    # have the scale of zs_toy.  No symmetry check: the model's P1 S2 P2
+    # term is not symmetric for n > 1.
+    rng = np.random.default_rng(67)
+    n = 2
+    A = rng.standard_normal((n, n)) * 0.4
+    B = [0.5 * rng.standard_normal((n, 1)) for _ in range(2)]
+    R = [random_spd(rng, 1, shift=2.0) for _ in range(2)]
+    W = [random_spd(rng, 1, shift=4.0) for _ in range(2)]
+    Q = [0.5 * random_psd(rng, n) for _ in range(2)]
+    QT = [0.2 * random_psd(rng, n) for _ in range(2)]
+    game = GameProblem(A=C(A), B=tuple(C(b) for b in B), R=tuple(C(r) for r in R),
+                       Q=tuple(C(q) for q in Q), QT=tuple(QT),
+                       x0=rng.standard_normal(n),
+                       cross_R={(1, 2): C(W[0]), (2, 1): C(W[1])})
+    S = [b @ np.linalg.inv(r) @ b.T for b, r in zip(B, R)]
+
+    def rhs(t, y):
+        r1, r2 = zero_sum_rhs(game, t, y[:4].reshape(n, n), y[4:].reshape(n, n))
+        return np.concatenate([r1.ravel(), r2.ravel()])
+
+    back = solve_ivp(rhs, [1.0, 0.0], np.concatenate([Z.ravel() for Z in QT]),
+                     rtol=1e-12, atol=1e-14, dense_output=True)
+
+    def xrhs(t, x):
+        p = back.sol(t)
+        return (A - S[0] @ p[:4].reshape(n, n) - S[1] @ p[4:].reshape(n, n)) @ x
+
+    xs = solve_ivp(xrhs, [0.0, 1.0], game.x0, rtol=1e-12, atol=1e-14)
+    P1, P2 = backward_zero_sum(game, steps=16)
+    ours = np.concatenate([P1.ravel(), P2.ravel()])
+    assert np.max(np.abs(ours - back.y[:, -1])) < 1e-10
+    traj = solve_zero_sum(game, steps_backward=16, steps_forward=32)
+    assert np.max(np.abs(traj.terminal_state - xs.y[:, -1])) < 1e-8
+
+
+def test_zero_sum_singular_half_step_names_the_time():
+    # exp(-A/16) underflows in its first entry, so U of the first linear
+    # half-step of the backward pass (h = -1/8, midpoint 15/16) is singular.
+    game = GameProblem(
+        A=C(np.diag([1.5e4, -1.0])), B=(C([[1.0], [0.0]]), C([[0.0], [1.0]])),
+        R=(C([[1.0]]), C([[1.0]])), Q=(C(np.eye(2)), C(np.eye(2))),
+        QT=(np.zeros((2, 2)), np.zeros((2, 2))), x0=np.ones(2),
+        cross_R={(1, 2): C([[10.0]]), (2, 1): C([[10.0]])},
+    )
+    with pytest.raises(SingularityError, match="t = 0.9375") as info:
+        backward_zero_sum(game, 8)
+    assert info.value.where == 0.9375
+
+
+def test_zero_sum_escape_is_a_typed_error():
+    # P_i' = -Q_i - 2 a P_i + (quadratic terms) with a = 20 escapes near
+    # t = 0.56 going backward from T = 1; no ladder solution may come back
+    # as nan.
+    game = GameProblem(
+        A=C([[20.0]]), B=(C([[1.0]]), C([[1.0]])),
+        R=(C([[5.5]]), C([[6.0]])), Q=(C([[0.18]]), C([[0.17]])),
+        QT=(np.zeros((1, 1)), np.zeros((1, 1))), x0=np.array([1.0]),
+        cross_R={(1, 2): C([[10.0]]), (2, 1): C([[10.0]])},
+    )
+    for steps in (32, 128, 512):
+        with pytest.raises(ConfigError, match="non-finite P1"):
+            backward_zero_sum(game, steps)
 
 
 def test_solve_zero_sum_requires_zero_sum_mode():

@@ -6,6 +6,8 @@ from conftest import C, canonical_j, random_lq, random_psd, random_spd
 from splitlq.errors import DimensionError, InputError, SingularityError
 from splitlq.problem import (GameProblem, LQProblem, TimeMatrix,
                              closed_loop_matrix, hamiltonian_matrix, s_matrix)
+from splitlq.riccati import backward_game
+from splitlq.splitting import integrate_forward
 
 
 def test_time_matrix_constant_flag():
@@ -32,6 +34,26 @@ def test_declared_constant_coefficient_checked_over_horizon():
     assert build(1.0).is_autonomous
     with pytest.raises(InputError, match=r"^A declared constant"):
         build(3.0)
+
+
+def test_declared_constant_coefficient_evaluated_on_horizon_only():
+    # The evaluator is only defined on the horizon [2, 3].
+    def a(t):
+        if not 2.0 <= t <= 3.0:
+            raise ValueError(f"A evaluated outside [2, 3] at t = {t}")
+        return np.array([[-1.0]])
+
+    def build(A):
+        return LQProblem(A=A, B=C([[1.0]]), Q=C([[1.0]]), R=C([[1.0]]),
+                         QT=[[0.5]], x0=[1.0], t0=2.0, T=3.0)
+
+    prob = build(TimeMatrix(a, (1, 1), constant=True))
+    assert prob.is_autonomous
+    want = build(C([[-1.0]]))
+    traj = integrate_forward(prob, backward_game(prob), 8, method="sp4")
+    assert_allclose(traj.states,
+                    integrate_forward(want, backward_game(want), 8, method="sp4").states,
+                    rtol=0.0, atol=0.0)
 
 
 def test_lq_problem_validation():
