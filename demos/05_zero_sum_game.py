@@ -3,8 +3,10 @@
 Cross weights couple the two Riccati equations quadratically, so the
 linear-block trick is unavailable.  The solver integrates backward with a
 symmetric second-order map (exact linear part, Taylor quadratic part)
-raised to order six by Richardson extrapolation, then forward with the
-same map composed to order four.  The terminal-condition defect doubles
+and Richardson extrapolation over three step sizes, then forward with the
+same map composed to order four.  The extrapolated backward pass converges
+at order five: the degree-4 Taylor substep is not time-symmetric, so the
+base map keeps an h^5 error term that the extrapolation does not remove.  The terminal-condition defect doubles
 as the accuracy readout.
 """
 

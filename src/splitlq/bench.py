@@ -11,6 +11,7 @@ numerical gain is a positivity violation.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 
@@ -198,7 +199,7 @@ def check_methods(prob, methods):
 def backward_pass(prob):
     """Backward pass at roundoff/1e-12 accuracy (one exponential when autonomous,
     CF4 otherwise); its cost is excluded from forward evaluation counts."""
-    return backward_game(prob, steps=None if prob.is_autonomous else BACKWARD_STEPS)
+    return backward_game(prob, steps=BACKWARD_STEPS)
 
 
 def reference_endpoint(prob, flow0):
@@ -282,7 +283,9 @@ def run_sweep(prob, methods, h_ladder=None, tol_ladder=None,
     """Run every (method, resolution) pair and collect SweepResult rows.
 
     Fixed-step methods walk ``h_ladder``; the adaptive baseline walks
-    ``tol_ladder``.  The reference endpoint is computed once.  Rows are
+    ``tol_ladder``; an empty ladder for a requested method, or a resolution
+    that is not finite and positive, raises ConfigError before any
+    integration.  The reference endpoint is computed once.  Rows are
     deterministic unless ``measure_time`` is set (wall-clock is then filled
     in, at the cost of reproducibility).  A row that fails numerically
     (InputError, SingularityError) is recorded with a NaN error instead of
@@ -290,14 +293,19 @@ def run_sweep(prob, methods, h_ladder=None, tol_ladder=None,
     """
     if h_ladder is None:
         h_ladder = tuple(1.0 / 2**k for k in range(2, 9))
+    if tol_ladder is None:
+        tol_ladder = tuple(10.0 ** (-i) for i in range(3, 10))
+    ladders = [tol_ladder if method in ADAPTIVE_METHODS else h_ladder
+               for method in methods]
+    for method, ladder in zip(methods, ladders):
+        if len(ladder) == 0 or not all(math.isfinite(r) and r > 0.0 for r in ladder):
+            raise ConfigError(f"method {method}: resolution ladder {tuple(ladder)} "
+                              "must be non-empty, finite and positive")
     check_methods(prob, methods)
     flow0 = backward_pass(prob)
     x_ref = reference_endpoint(prob, flow0)
     results = []
-    for method in methods:
-        ladder = tol_ladder if method in ADAPTIVE_METHODS else h_ladder
-        if ladder is None:
-            ladder = tuple(10.0 ** (-i) for i in range(3, 10))
+    for method, ladder in zip(methods, ladders):
         for resolution in ladder:
             try:
                 results.append(run_single(prob, flow0, method, resolution,

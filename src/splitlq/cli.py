@@ -52,53 +52,79 @@ METHODS = ("sp2", "sp4", "sp6", "s2c4", "ni42", "ni84", "rk4", "dopri")
 PRESETS = ("fig1", "fig2", "fig3a", "fig3b")
 
 
-def _time_function_from_section(section):
+def _parse(raw, where, kind=float):
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} = {raw!r} is not {noun}") from None
+
+
+def _value(path, section, key, default=None, kind=float):
+    """``kind(section[key])``, or ``default`` when the key is absent; a missing
+    required key or an unparsable value names the file, section and key."""
+    where = f"{path}: [{section.name}] {key}"
+    raw = section.get(key)
+    if raw is None:
+        if default is None:
+            raise ConfigError(f"{where} is missing")
+        return default
+    return _parse(raw, where, kind)
+
+
+def _time_function_from_section(path, section):
     kind = section.get("kind", "constant")
     if kind == "constant":
-        return TimeFunction.constant(section.getfloat("value"))
+        return TimeFunction.constant(_value(path, section, "value"))
     if kind == "tanh-ramp":
         return TimeFunction.tanh_ramp(
-            base=section.getfloat("base"),
-            amplitude=section.getfloat("amplitude", 1.0),
-            rate=section.getfloat("rate", 1.0),
-            center=section.getfloat("center", 0.0),
+            base=_value(path, section, "base"),
+            amplitude=_value(path, section, "amplitude", 1.0),
+            rate=_value(path, section, "rate", 1.0),
+            center=_value(path, section, "center", 0.0),
         )
-    raise ConfigError(f"unknown time function kind {kind!r}")
+    raise ConfigError(f"{path}: [{section.name}] unknown time function kind {kind!r}")
 
 
 def load_config(path):
-    """Parse a problem config file into a PollutionConfig."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Parse a problem config file into a PollutionConfig.
+
+    Every defect of the file (unreadable, unparsable, a missing or
+    non-numeric entry) raises ConfigError naming the file and the key.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse config file {path!r}: {detail}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     if "problem" not in parser:
-        raise ConfigError("config file needs a [problem] section")
+        raise ConfigError(f"{path}: needs a [problem] section")
     sec = parser["problem"]
-    nplayers = sec.getint("players")
-    if nplayers is None or nplayers < 1:
-        raise ConfigError("players must be a positive integer")
+    nplayers = _value(path, sec, "players", kind=int)
+    if nplayers < 1:
+        raise ConfigError(f"{path}: [problem] players must be a positive integer")
 
-    def coefficient(name, default=None):
-        if name in parser:
-            return _time_function_from_section(parser[name])
-        if default is None:
-            raise ConfigError(f"config file needs an [{name}] section")
-        return TimeFunction.constant(default)
+    def coefficient(name):
+        if name not in parser:
+            raise ConfigError(f"{path}: needs an [{name}] section")
+        return _time_function_from_section(path, parser[name])
 
     def per_player(name):
         values = []
         if "costs" in parser and name in parser["costs"]:
-            values = [TimeFunction.constant(float(v.strip()))
+            values = [TimeFunction.constant(_parse(v.strip(), f"{path}: [costs] {name}"))
                       for v in parser["costs"][name].split(",")]
         for i in range(1, nplayers + 1):
             key = f"{name}.{i}"
             if key in parser:
                 if len(values) < i:
                     values.extend([None] * (i - len(values)))
-                values[i - 1] = _time_function_from_section(parser[key])
+                values[i - 1] = _time_function_from_section(path, parser[key])
         if len(values) != nplayers or any(v is None for v in values):
-            raise ConfigError(f"need one {name} entry per player")
+            raise ConfigError(f"{path}: need one {name} entry per player")
         return tuple(values)
 
     return PollutionConfig(
@@ -107,9 +133,9 @@ def load_config(path):
         b=coefficient("b"),
         c=per_player("c"),
         d=per_player("d"),
-        rho=sec.getfloat("rho", 0.0),
-        T=sec.getfloat("horizon", 1.0),
-        x0=sec.getfloat("x0", 10.0),
+        rho=_value(path, sec, "rho", 0.0),
+        T=_value(path, sec, "horizon", 1.0),
+        x0=_value(path, sec, "x0", 10.0),
     )
 
 
@@ -196,10 +222,14 @@ def main(argv=None):
                 if m not in METHODS:
                     raise ConfigError(f"unknown method {m!r}")
             h_ladder = None
-            if args.h_ladder:
-                h_ladder = tuple(float(v) for v in args.h_ladder.split(","))
+            if args.h_ladder is not None:
+                h_ladder = tuple(_parse(v.strip(), "--h-ladder entry")
+                                 for v in args.h_ladder.split(","))
             tol_ladder = None
-            if args.tol_exponent:
+            if args.tol_exponent is not None:
+                if args.tol_exponent < 3:
+                    raise ConfigError(
+                        f"--tol-exponent must be >= 3, got {args.tol_exponent}")
                 tol_ladder = tuple(10.0 ** (-i)
                                    for i in range(3, args.tol_exponent + 1))
             rows = run_sweep(prob, methods, h_ladder=h_ladder,

@@ -4,7 +4,8 @@ control problem as the case N = 1.
 A problem bundles the time-dependent dynamics A(t), the per-player
 coefficients B_i(t), Q_i(t), R_i(t) and terminal weights, the initial
 state and the horizon, and knows how to assemble the derived matrices: the
-control-weight images S_i(t) = B_i R_i^-1 B_i^T, the stacked flow matrix
+control-weight images S_i(t) = B_i R_i^-1 B_i^T and their row, the stacked
+flow matrix (formed once, read-only, when every coefficient is constant)
 and the closed-loop state matrix.  ``LQProblem(...)`` builds the
 one-player game of a control problem.
 """
@@ -12,6 +13,7 @@ one-player game of a control problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,8 +31,8 @@ class TimeMatrix:
 
     ``evaluator`` must be a pure function of t returning an array of shape
     ``dims`` for every t in the problem horizon.  When ``constant`` is true
-    the value of the first call is frozen and reused; ``GameProblem`` checks
-    it against the evaluator on its horizon.
+    the value of the first call is frozen, as a read-only copy, and reused;
+    ``GameProblem`` checks it against the evaluator on its horizon.
     """
 
     evaluator: Callable[[float], np.ndarray]
@@ -40,7 +42,7 @@ class TimeMatrix:
 
     @classmethod
     def from_constant(cls, value):
-        value = np.atleast_2d(np.asarray(value, dtype=float))
+        value = _read_only(np.array(value, dtype=float, ndmin=2))
         if not np.all(np.isfinite(value)):
             raise InputError("constant coefficient has non-finite entries")
         return cls(evaluator=lambda t: value, dims=value.shape, constant=True,
@@ -63,8 +65,14 @@ class TimeMatrix:
             return self._frozen_value
         value = self._evaluate(t)
         if self.constant:
+            value = _read_only(value.copy())
             object.__setattr__(self, "_frozen_value", value)
         return value
+
+
+def _read_only(M):
+    M.setflags(write=False)
+    return M
 
 
 def _check_weight(name, tm, t_samples, positive_definite=False):
@@ -154,7 +162,7 @@ class GameProblem:
     def zero_sum(self):
         return self.cross_R is not None
 
-    @property
+    @cached_property
     def is_autonomous(self):
         tms = [self.A, *self.B, *self.R, *self.Q]
         if self.cross_R:
@@ -162,15 +170,34 @@ class GameProblem:
         return all(tm.constant for tm in tms)
 
     def coupling_at(self, t):
-        return [self._coupling(i, self.R[i], t) for i in range(self.nplayers)]
+        """(S_1(t), ..., S_N(t)) with S_i = B_i R_i^-1 B_i^T, symmetrized."""
+        if self.is_autonomous:
+            return self._constant_derived[0]
+        return tuple(self._coupling(i, self.R[i], t) for i in range(self.nplayers))
 
-    def blocks_at(self, t):
-        return (self.A(t), self.coupling_at(t),
-                [self.Q[i](t) for i in range(self.nplayers)])
+    def coupling_row(self, t):
+        """[S_1(t) ... S_N(t)], the row the closed loop multiplies."""
+        if self.is_autonomous:
+            return self._constant_derived[1]
+        return np.hstack(self.coupling_at(t))
 
     def flow_matrix(self, t):
         """The (N+1)n x (N+1)n matrix K(t) of the stacked linear flow."""
-        return assemble_flow_matrix(self.n, *self.blocks_at(t))
+        if self.is_autonomous:
+            return self._constant_derived[2]
+        return assemble_flow_matrix(self.n, self.A(t), self.coupling_at(t),
+                                    [Q(t) for Q in self.Q])
+
+    @cached_property
+    def _constant_derived(self):
+        # S_i (views of their row), the row and K of an autonomous problem,
+        # sampled once on first use; read-only, so no caller can make them
+        # stale.
+        t = self.t0
+        S = [self._coupling(i, self.R[i], t) for i in range(self.nplayers)]
+        K = assemble_flow_matrix(self.n, self.A(t), S, [Q(t) for Q in self.Q])
+        row = _read_only(np.hstack(S))
+        return tuple(np.hsplit(row, self.nplayers)), row, _read_only(K)
 
     def feedback_controls(self, t, gains, x):
         out = []

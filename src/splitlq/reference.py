@@ -36,28 +36,18 @@ def flatten_pipeline(prob, flow0):
     The layout is [vec(U), vec(V_1), ..., vec(V_N), x]; the initial vector
     encodes the backward-pass result ``flow0`` and the problem's x0.
     """
-    from .problem import assemble_flow_matrix
     from .riccati import closed_loop
 
     n = prob.n
     nb = prob.nplayers
     dim = (nb + 1) * n * n + n
-    frozen = None
-    if prob.is_autonomous:
-        A0, S0, Q0 = prob.blocks_at(prob.t0)
-        frozen = (A0, np.hstack(S0), assemble_flow_matrix(n, A0, S0, Q0))
 
     def rhs(t, y):
         blocks = y[: (nb + 1) * n * n].reshape((nb + 1) * n, n)
         x = y[(nb + 1) * n * n:]
-        if frozen is not None:
-            A, S_row, M = frozen
-        else:
-            A, S_list, Q_list = prob.blocks_at(t)
-            S_row = np.hstack(S_list)
-            M = assemble_flow_matrix(n, A, S_list, Q_list)
-        N = closed_loop(A, S_row, blocks, t)
-        return np.concatenate([(M @ blocks).ravel(), N @ x])
+        K = prob.flow_matrix(t)  # first block row [A, -S_1 .. -S_N]
+        N = closed_loop(K[:n, :n], -K[:n, n:], blocks, t)
+        return np.concatenate([(K @ blocks).ravel(), N @ x])
 
     y0 = np.concatenate([flow0.stacked().ravel(), prob.x0])
     return FlatODE(dimension=dim, rhs=rhs), y0

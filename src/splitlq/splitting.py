@@ -1,19 +1,18 @@
 """Splitting-scheme registry and the forward stepping engines.
 
-Four engines advance the coupled (Riccati flow, state) pair:
+The general engines share one stage loop, the two-time-coordinate
+interleave, and differ only in the map that advances the stacked flow:
 
-* ``step_autonomous`` -- constant coefficients, cached exponentials of the
-  flow matrix; the Riccati advance is exact, so integrating to T returns
-  P(T) = QT to roundoff.
-* ``step_nonautonomous`` -- general time dependence through the
-  two-time-coordinate interleave: each sub-flow is advanced with its own
-  clock frozen while the other clock moves.
-* ``s2_step`` / ``compose`` -- a symmetric second-order map whose Riccati
-  update is the cheap Cayley approximation, raised to higher order by
-  composition.
-* ``step_near_integrable`` -- for problems whose constant drift dominates
-  the coupling; the drift flow is exact and the perturbation is advanced
-  with frozen time.
+* ``step_autonomous`` -- constant coefficients, exp(b_i h K) formed once
+  per stage length; the Riccati advance is exact, so integrating to T
+  returns P(T) = QT to roundoff.
+* ``step_nonautonomous`` -- general time dependence, exp(b_i h K(t2)).
+* ``s2_step`` / ``compose`` -- sp2's coefficients with the cheap Cayley
+  approximation of the flow, raised to higher order by composition.
+
+``step_near_integrable`` is a fourth engine, for problems whose constant
+drift dominates the coupling: the drift flow is exact and the perturbation
+is advanced with frozen time.
 
 State update uses the a-coefficients and the Riccati flow the
 b-coefficients; for the shipped 6-stage order-4 scheme this ordering keeps
@@ -27,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MisuseError
-from .matfun import (expm, expm_apply, min_eigenvalue_sym, pade2_apply,
-                     symmetry_defect)
+from .matfun import expm, expm_apply, pade2_apply, symmetry_defect
 from .problem import assemble_flow_matrix
 from .riccati import GameFlow, closed_loop
 
@@ -127,15 +125,17 @@ def _ni84():
     )
 
 
+_SP2 = SplittingScheme(name="sp2", a=(0.5, 0.5), b=(1.0, 0.0), order=2,
+                       stages=1, symmetric=True, fsal=True, kind="general")
+
+
 def builtin_schemes():
     """The shipped schemes: Lie-Trotter, leapfrog, the 6-stage order-4 and
     10-stage order-6 compositions, and the (4,2) / (8,4) pairs tuned for
     drift-plus-small-coupling problems."""
     sp1 = SplittingScheme(name="sp1", a=(1.0,), b=(1.0,), order=1, stages=1,
                           symmetric=False, fsal=False, kind="general")
-    sp2 = SplittingScheme(name="sp2", a=(0.5, 0.5), b=(1.0, 0.0), order=2,
-                          stages=1, symmetric=True, fsal=True, kind="general")
-    return [sp1, sp2, _sp4(), _sp6(), _ni42(), _ni84()]
+    return [sp1, _SP2, _sp4(), _sp6(), _ni42(), _ni84()]
 
 
 def get_scheme(name):
@@ -187,81 +187,59 @@ def initial_state(prob, flow):
     return ExtendedState(v=flow.stacked(), x=prob.x0.copy(), t1=prob.t0, t2=prob.t0)
 
 
-def _advance_state(prob, tau, t, v, x):
-    """exp(tau (A(t) - sum_j S_j(t) P_j)) x with the gains P_j of ``v``."""
-    N = closed_loop(prob.A(t), np.hstack(prob.coupling_at(t)), v, t)
-    return expm_apply(tau * N, x)
-
-
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------
 
 
-def step_autonomous(scheme, h, state, prob, cache=None):
-    """One step of a general scheme with constant coefficients.
-
-    The flow-matrix exponentials exp(b_i h M) are computed once per
-    (scheme, h) and reused; a change of h simply misses the cache.
-    """
-    if not prob.is_autonomous:
-        raise MisuseError("problem is not autonomous; use step_nonautonomous")
-    if cache is None:
-        cache = {}
-    key = ("static",)
-    if key not in cache:
-        cache[key] = (prob.A(prob.t0), np.hstack(prob.coupling_at(prob.t0)),
-                      prob.flow_matrix(prob.t0))
-    A0, S_row, M0 = cache[key]
-
-    v = state.v
-    x = state.x
-    t1 = state.t1
-    for ai, bi in zip(scheme.a, scheme.b):
-        if ai != 0.0:
-            x = expm_apply(ai * h * closed_loop(A0, S_row, v, t1), x)
-        if bi != 0.0:
-            ekey = (scheme.name, h, bi)
-            if ekey not in cache:
-                cache[ekey] = expm(bi * h * M0)
-            v = cache[ekey] @ v
-    return ExtendedState(v=v, x=x, t1=state.t1 + h, t2=state.t2 + h)
-
-
-def step_nonautonomous(scheme, h, state, prob):
-    """One step of the two-time-coordinate interleave.
-
-    Per stage: advance the state with its clock t1 frozen and the current
-    gain, move t2 by a_i h, advance the flow by exp(b_i h M(t2)), move t1
-    by b_i h.
-    """
+def _stages(scheme, h, state, prob, flow):
+    """One step of the a/b interleave.  Per stage: advance the state by the
+    closed loop A - sum_j S_j P_j at the clock t1, move t2 by a_i h, advance
+    the stacked flow by ``flow(b_i h, t2, v)``, move t1 by b_i h."""
     v = state.v
     x = state.x
     t1, t2 = state.t1, state.t2
     for ai, bi in zip(scheme.a, scheme.b):
         if ai != 0.0:
-            x = _advance_state(prob, ai * h, t1, v, x)
+            N = closed_loop(prob.A(t1), prob.coupling_row(t1), v, t1)
+            x = expm_apply(ai * h * N, x)
         t2 += ai * h
         if bi != 0.0:
-            v = expm_apply(bi * h * prob.flow_matrix(t2), v)
+            v = flow(bi * h, t2, v)
         t1 += bi * h
     return ExtendedState(v=v, x=x, t1=t1, t2=t2)
 
 
-def s2_step(h, state, prob):
-    """Symmetric second-order map: half state step, Cayley flow update at
-    the midpoint clock, half state step."""
-    v = state.v
-    x = state.x
-    t1, t2 = state.t1, state.t2
+def step_autonomous(scheme, h, state, prob, cache=None):
+    """One step of a general scheme with constant coefficients.
 
-    x = _advance_state(prob, 0.5 * h, t1, v, x)
-    t2 += 0.5 * h
-    v = pade2_apply(prob.flow_matrix(t2), h, v)
-    t1 += h
-    x = _advance_state(prob, 0.5 * h, t1, v, x)
-    t2 += 0.5 * h
-    return ExtendedState(v=v, x=x, t1=t1, t2=t2)
+    The flow exponentials exp(b_i h K) are formed once per stage length and
+    reused from ``cache``; a change of h simply misses it.
+    """
+    if not prob.is_autonomous:
+        raise MisuseError("problem is not autonomous; use step_nonautonomous")
+    cache = {} if cache is None else cache
+
+    def flow(tau, t, v):
+        if tau not in cache:
+            cache[tau] = expm(tau * prob.flow_matrix(t))
+        return cache[tau] @ v
+
+    return _stages(scheme, h, state, prob, flow)
+
+
+def step_nonautonomous(scheme, h, state, prob):
+    """One step of the two-time-coordinate interleave: each flow stage
+    applies exp(b_i h K(t2)) to the stacked blocks."""
+    return _stages(scheme, h, state, prob,
+                   lambda tau, t, v: expm_apply(tau * prob.flow_matrix(t), v))
+
+
+def s2_step(h, state, prob):
+    """Symmetric second-order map: sp2's half state step, Cayley flow update
+    at the midpoint clock, half state step."""
+    return _stages(_SP2, h, state, prob,
+                   lambda tau, t, v: pade2_apply(prob.flow_matrix(t), tau, v))
 
 
 def compose(base, alphas):
@@ -314,12 +292,8 @@ def step_near_integrable(scheme, h, state, prob, cache=None):
     v = state.v
     x = state.x
     t = state.t1
-
-    skey = ("ni-static",)
-    if skey not in cache:  # the drift part of the flow matrix
-        zero = [np.zeros((n, n))] * prob.nplayers
-        cache[skey] = assemble_flow_matrix(n, A, zero, zero)
-    D = cache[skey]
+    zero = [np.zeros((n, n))] * prob.nplayers
+    D = assemble_flow_matrix(n, A, zero, zero)  # the drift part of K
 
     for ai, bi in zip(scheme.a, scheme.b):
         if ai != 0.0:
@@ -333,7 +307,7 @@ def step_near_integrable(scheme, h, state, prob, cache=None):
             # with the gain blocks evolved by the exact drift flow.
             vend = G1 @ v
             M0, Mmid, M1 = (
-                closed_loop(A, np.hstack(prob.coupling_at(t + dt)), y, t + dt)
+                closed_loop(A, prob.coupling_row(t + dt), y, t + dt)
                 for dt, y in ((0.0, v), (0.5 * tau, Gh @ v), (tau, vend)))
             x = expm_apply((tau / 12.0) * (3.0 * M0 + 4.0 * Mmid - M1), x)
             x = expm_apply((tau / 12.0) * (-M0 + 4.0 * Mmid + 3.0 * M1), x)
@@ -364,9 +338,13 @@ class Trajectory:
     gains: np.ndarray
     controls: list
     evaluations: int
-    min_gain_eig: float
     max_symmetry_defect: float
     terminal_gain_defect: float
+
+    @property
+    def min_gain_eig(self):
+        """The smallest eigenvalue of any recorded (symmetrized) gain."""
+        return float(np.linalg.eigvalsh(self.gains).min())
 
     @property
     def terminal_state(self):
@@ -423,11 +401,11 @@ def record_trajectory(prob, stepper, state, h, steps, sample, evaluations):
     """Take ``steps`` steps of ``stepper`` from ``state``, sampling each state.
 
     ``sample(state)`` returns (t, x, raw gains).  The raw gains are formed
-    once per sample; the symmetrized gains, the controls, the smallest gain
-    eigenvalue and the raw symmetry defect all come from them.
+    once per sample; the symmetrized gains, the controls and the raw
+    symmetry defect all come from them.
     """
     times, xs, gains, controls = [], [], [], []
-    min_eig, max_defect = math.inf, 0.0
+    max_defect = 0.0
     for k in range(steps + 1):
         if k:
             state = stepper(h, state, prob)
@@ -437,7 +415,6 @@ def record_trajectory(prob, stepper, state, h, steps, sample, evaluations):
         xs.append(x.copy())
         gains.append(g)
         controls.append(prob.feedback_controls(t, g, x))
-        min_eig = min(min_eig, *(min_eigenvalue_sym(P) for P in g))
         max_defect = max(max_defect, *(symmetry_defect(P) for P in raw))
 
     terminal_defect = max(
@@ -449,7 +426,6 @@ def record_trajectory(prob, stepper, state, h, steps, sample, evaluations):
         gains=np.asarray(gains),
         controls=[np.asarray([c[j] for c in controls]) for j in range(len(g))],
         evaluations=evaluations,
-        min_gain_eig=min_eig,
         max_symmetry_defect=max_defect,
         terminal_gain_defect=terminal_defect,
     )

@@ -109,15 +109,35 @@ def test_run_sweep_adaptive_rows():
 
 
 def test_run_sweep_records_failures_per_row():
-    # an impossible tolerance makes the adaptive rows fail; they are
-    # recorded as NaN-error rows and the remaining rows still run
+    # a tolerance far below roundoff makes the adaptive controller underflow
+    # (SingularityError); the row is recorded with a NaN error and the
+    # remaining rows still run
     prob = build_pollution(preset("fig1"))
     rows = run_sweep(prob, ("dopri", "sp2"), h_ladder=(1.0 / 4,),
-                     tol_ladder=(-1.0, 1e-6))
+                     tol_ladder=(1e-140, 1e-6))
     assert len(rows) == 3
-    failed = [r for r in rows if r.method == "dopri" and r.resolution == -1.0]
+    failed = [r for r in rows if r.method == "dopri" and r.resolution == 1e-140]
     assert len(failed) == 1 and np.isnan(failed[0].x_error)
     assert any(r.method == "sp2" and r.x_error >= 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("methods, h_ladder, tol_ladder", [
+    (("sp4",), (0.25, 0.0), None),
+    (("sp4",), (-0.25,), None),
+    (("sp4",), (float("nan"),), None),
+    (("sp4",), (float("inf"),), None),
+    (("sp4",), (), None),
+    (("sp4", "dopri"), (0.25,), ()),
+    (("dopri",), (0.25,), (-1.0,)),
+], ids=["zero", "negative", "nan", "inf", "empty-h", "empty-tol", "negative-tol"])
+def test_run_sweep_rejects_bad_ladders(methods, h_ladder, tol_ladder, monkeypatch):
+    def no_backward_pass(prob):
+        raise AssertionError("backward pass ran before the ladder check")
+
+    monkeypatch.setattr("splitlq.bench.backward_pass", no_backward_pass)
+    prob = build_pollution(preset("fig1"))
+    with pytest.raises(ConfigError):
+        run_sweep(prob, methods, h_ladder=h_ladder, tol_ladder=tol_ladder)
 
 
 def test_emit_csv(tmp_path):

@@ -72,6 +72,19 @@ value = 0.2
     assert cfg.d[0](1.0) == 0.2
 
 
+# CONFIG with one defect each, and a word the error must contain besides
+# the file name.
+BAD_CONFIGS = (
+    (CONFIG.replace("players = 2", "players = two"), "players"),
+    (CONFIG.replace("value = 1.0", "value = abc"), "value"),
+    ("players = 2\n" + CONFIG, "no section headers"),
+    (CONFIG + "[problem]\nplayers = 3\n", "'problem'"),
+    (CONFIG.replace("value = 1.0", ""), "value"),
+    (CONFIG.replace("base = 2.0", ""), "base"),
+    (CONFIG.replace("c = 5.5, 6.0", "c = 5.5, six"), "[costs] c"),
+)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.ini"))
@@ -79,6 +92,20 @@ def test_load_config_errors(tmp_path):
     bad.write_text("[problem]\nplayers = 1\n")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+    for text, key in BAD_CONFIGS:
+        bad.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(bad))
+        assert str(bad) in str(err.value) and key in str(err.value), key
+
+
+def test_bad_config_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(BAD_CONFIGS[2][0])  # no section header
+    assert main(["solve", "--problem", str(path), "--method", "sp4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_solve_command(config_file, tmp_path, capsys):
@@ -204,3 +231,20 @@ def test_inapplicable_method_fails_before_backward_pass(argv, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "constant A" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--methods", "sp4", "--h-ladder", "0.25,abc"],
+    ["--methods", "sp4", "--h-ladder", "0"],
+    ["--methods", "sp4", "--h-ladder", "nan"],
+    ["--methods", "sp4", "--h-ladder", "-0.25"],
+    ["--methods", "sp4,dopri", "--tol-exponent", "2"],
+    ["--methods", "dopri", "--tol-exponent", "0"],
+], ids=["unparsable", "zero", "nan", "negative", "empty-tol-ladder",
+        "tol-exponent-zero"])
+def test_sweep_rejects_bad_ladder(extra, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--preset", "fig1", *extra, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()

@@ -16,6 +16,45 @@ def test_time_matrix_constant_flag():
     assert_allclose(tm(0.0), tm(17.3), atol=0.0)
 
 
+@pytest.mark.parametrize("make", [
+    C,
+    lambda A: TimeMatrix(evaluator=lambda t: A, dims=A.shape, constant=True),
+], ids=["from_constant", "constant-evaluator"])
+def test_constant_coefficients_are_read_only_copies(make):
+    A = np.array([[-1.0, 2.0], [0.0, -3.0]])
+    prob = LQProblem(A=make(A), B=C(np.eye(2)), Q=C(np.eye(2)), R=C(np.eye(2)),
+                     QT=np.eye(2), x0=[1.0, 1.0])
+    K = prob.flow_matrix(0.0)
+    A[0, 0] = 50.0  # the caller's array is not the problem's
+    assert prob.A(0.5)[0, 0] == -1.0
+    assert_allclose(K[:2, :2], prob.A(0.5), atol=0.0)
+    derived = [prob.A(0.0), K, prob.coupling_row(0.0), *prob.coupling_at(0.0)]
+    for M in derived:  # nor can anyone write into it, or into what it derives
+        with pytest.raises(ValueError):
+            M[0, 0] = 50.0
+    assert prob.A(0.5)[0, 0] == -1.0 and prob.flow_matrix(0.5)[0, 0] == -1.0
+
+
+def test_constant_couplings_formed_once(monkeypatch):
+    # A backward pass and three forward engines on fig1 (10 players, all
+    # data constant) form each S_i = B_i R_i^-1 B_i^T exactly once.
+    from splitlq.bench import backward_pass, build_pollution, preset
+
+    formed = []
+    coupling = GameProblem._coupling
+
+    def counting(self, j, W, t):
+        formed.append(j)
+        return coupling(self, j, W, t)
+
+    monkeypatch.setattr(GameProblem, "_coupling", counting)
+    prob = build_pollution(preset("fig1"))
+    flow0 = backward_pass(prob)
+    for method in ("sp4", "s2c4", "ni84"):
+        integrate_forward(prob, flow0, 8, method=method)
+    assert sorted(formed) == list(range(10))
+
+
 def test_time_matrix_shape_checked():
     tm = TimeMatrix.from_function(lambda t: np.ones((2, 3)), (2, 2))
     with pytest.raises(DimensionError):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import C, fit_order, random_lq
+from conftest import C, fit_order, random_lq, random_psd, random_spd
 from splitlq.bench import build_pollution, preset
 from splitlq.errors import ConfigError, InputError, MisuseError
 from splitlq.games import backward_game
-from splitlq.matfun import pade2
-from splitlq.problem import LQProblem, TimeMatrix
+from splitlq.matfun import min_eigenvalue_sym, pade2
+from splitlq.problem import GameProblem, LQProblem, TimeMatrix
 from splitlq.riccati import (RiccatiFlow, backward_autonomous,
                              backward_nonautonomous)
 from splitlq.reference import flatten_pipeline, rk4_solve, unflatten
@@ -411,6 +411,18 @@ def test_gain_symmetry_along_trajectories():
         traj = integrate_forward(prob, flow0, 32, method=name)
         scale = max(1.0, np.max(np.abs(traj.gains)))
         assert traj.max_symmetry_defect <= 1e-10 * scale
+
+
+def test_min_gain_eig_is_smallest_eigenvalue_of_recorded_gains():
+    rng = np.random.default_rng(56)
+    game = GameProblem(A=C(rng.standard_normal((3, 3))),
+                       B=(C(rng.standard_normal((3, 2))), C(rng.standard_normal((3, 1)))),
+                       R=(C(random_spd(rng, 2)), C(random_spd(rng, 1))),
+                       Q=(C(random_psd(rng, 3)), C(random_psd(rng, 3))),
+                       QT=(random_psd(rng, 3), random_psd(rng, 3)), x0=np.ones(3))
+    traj = integrate_forward(game, backward_game(game), 16, method="sp4")
+    expected = min(min_eigenvalue_sym(P) for gains in traj.gains for P in gains)
+    assert traj.min_gain_eig == expected
 
 
 @pytest.mark.parametrize("n", [1, 2])
