@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import ConfigError, InputError, SingularityError
 from .games import GameFlow, GameProblem, backward_game
-from .magnus import LinearFlowProblem, integrate
+from .magnus import integrate
 from .matfun import solve_checked
 from .problem import TimeMatrix
 from .reference import adaptive_solve, flatten_pipeline, rk4_solve, unflatten
+from .riccati import linear_flow
 from .splitting import integrate_forward, make_stepper
 
 POSITIVITY_THRESHOLD = -1e-8
@@ -211,8 +212,7 @@ def reference_endpoint(prob, flow0):
     is exact), BACKWARD_STEPS / 2 and BACKWARD_STEPS otherwise.  The run is
     accepted only when the two endpoints agree to 1e-11.
     """
-    lin = LinearFlowProblem(matrix=prob.flow_matrix,
-                            dim=(prob.nplayers + 1) * prob.n)
+    lin = linear_flow(prob)
     s = 1 if prob.is_autonomous else BACKWARD_STEPS // 2
     z0 = solve_checked(flow0.U, prob.x0)
     ends = [integrate(lin, prob.t0, prob.T, k * s, flow0.stacked())[: prob.n] @ z0

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, MisuseError
 from .matfun import expm_apply
-from .problem import (GameProblem, assemble_flow_matrix,
-                      hamiltonian_matrix as game_block_matrix)
+from .problem import GameProblem, hamiltonian_matrix as game_block_matrix
 from .riccati import GameFlow, backward_game
 from .splitting import (COMPOSE4_ALPHAS, compose, integrate_forward,
                         record_trajectory)
@@ -58,7 +57,7 @@ def zero_sum_rhs(game, t, P1, P2):
         raise MisuseError("zero_sum_rhs needs a game in zero-sum mode")
     A = game.A(t)
     y = tuple(np.atleast_2d(np.asarray(P, dtype=float)) for P in (P1, P2))
-    q = _zs_bilinear(game, t)(y, y)
+    q = _zs_bilinear(*game.coupling_at(t), *game.zero_sum_terms(t)[1:])(y, y)
     return tuple(-game.Q[k](t) - A.T @ y[k] - y[k] @ A + 0.5 * q[k]
                  for k in range(2))
 
@@ -83,13 +82,9 @@ def _zs_quadratic_taylor4(bil, tau, y):
     ]
 
 
-def _zs_bilinear(game, t):
+def _zs_bilinear(S1, S2, S22, S11):
     # The symmetric bilinear form bil with bil(y, y)/2 the quadratic part
     # of the zero-sum right sides, for y = (P1, P2).
-    S1, S2 = game.coupling_at(t)
-    S22 = game._coupling(1, game.cross_R[(1, 2)], t)
-    S11 = game._coupling(0, game.cross_R[(2, 1)], t)
-
     def bil(U, V):
         U1, U2 = U
         V1, V2 = V
@@ -116,15 +111,15 @@ def zs_base_step(game, t, h, P1, P2):
     """
     tmid = t + 0.5 * h
     n = game.n
-    K0 = 0.5 * h * assemble_flow_matrix(n, game.A(tmid), [0.0, 0.0],
-                                        [game.Q[0](tmid), game.Q[1](tmid)])
+    K0, S22, S11 = game.zero_sum_terms(tmid)
+    K0 = 0.5 * h * K0
 
     def linear_half(P):
         y = expm_apply(K0, np.vstack([np.eye(n), *P]))
         return GameFlow.from_stacked(y, tmid).gains()
 
     P = linear_half((P1, P2))
-    P = _zs_quadratic_taylor4(_zs_bilinear(game, tmid), h, P)
+    P = _zs_quadratic_taylor4(_zs_bilinear(*game.coupling_at(tmid), S22, S11), h, P)
     P1, P2 = linear_half(P)
     return P1, P2
 

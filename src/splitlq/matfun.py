@@ -12,6 +12,7 @@ only where the matrix is reused; a single product exp(M) @ Y goes through
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 
@@ -46,27 +47,50 @@ def _as_square(M, name="matrix"):
     return M
 
 
+def norm1(M):
+    """1-norm (largest absolute column sum) of M, or of each matrix of a
+    stack M (..., d, d)."""
+    return np.abs(M).sum(axis=-2).max(axis=-1)
+
+
 def rcond(A):
-    """1-norm reciprocal condition number from the explicit inverse; 0.0
-    when LAPACK reports A singular."""
-    try:
-        norms = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
-    except np.linalg.LinAlgError:
-        return 0.0
-    return 1.0 / norms if norms > 0 else 0.0
+    """1-norm reciprocal condition number of A, or of each matrix of a stack
+    (..., d, d), from the explicit inverse; 0 where LAPACK reports A singular.
+    A 1 x 1 matrix needs no inverse: 1 when finite and nonzero, else 0."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[-2:] == (1, 1):
+        r = (np.isfinite(A) & (A != 0.0))[..., 0, 0].astype(float)
+    else:
+        try:
+            norms = norm1(A) * norm1(np.linalg.inv(A))
+        except np.linalg.LinAlgError:
+            return 0.0 if A.ndim == 2 else np.array([rcond(a) for a in A])
+        with np.errstate(divide="ignore"):
+            r = np.where(norms > 0, 1.0 / norms, 0.0)
+    return r if r.ndim else float(r)
+
+
+def first_singular(A):
+    """(index, 1/cond) of the first matrix of A, a matrix or a stack over a
+    leading axis, with 1/cond below RCOND_FLOOR; None when there is none."""
+    r = np.ravel(rcond(A))
+    bad = np.flatnonzero(r < RCOND_FLOOR)
+    return (int(bad[0]), float(r[bad[0]])) if bad.size else None
 
 
 def solve_checked(A, B, where=None):
     """Solve A X = B by LU with partial pivoting, guarding the condition.
 
     Raises SingularityError when 1/cond(A) < RCOND_FLOOR (0 when singular).
+    A may be a stack over a leading axis, solved matrix by matrix; ``where``
+    then lists a label per matrix, and the first failing one is reported.
     """
     A = np.asarray(A, dtype=float)
-    r = rcond(A)
-    if r < RCOND_FLOOR:
-        raise SingularityError(
-            f"matrix is numerically singular (1/cond = {r:.3e})", where=where
-        )
+    hit = first_singular(A)
+    if hit is not None:
+        k, r = hit
+        raise SingularityError(f"matrix is numerically singular (1/cond = {r:.3e})",
+                               where=where if A.ndim == 2 else where[k])
     return np.linalg.solve(A, B)
 
 
@@ -81,7 +105,7 @@ def expm(M):
     n = M.shape[0]
     if n == 1:
         return np.array([[np.exp(M[0, 0])]])
-    norm = np.linalg.norm(M, 1)
+    norm = norm1(M)
     squarings = 0
     if norm > _SCALING_THRESHOLD:
         squarings = int(np.ceil(np.log2(norm / _SCALING_THRESHOLD)))
@@ -103,6 +127,33 @@ def expm(M):
     return F
 
 
+def taylor_degrees(norms):
+    """Taylor degree of exp(M) @ Y for each 1-norm ||M||_1 in ``norms``: the
+    smallest m with ||M||_1 <= theta_m, or 0 above theta_30, where the
+    exponential is formed instead.  A non-finite norm raises InputError."""
+    degrees = []
+    for norm in norms:
+        if not math.isfinite(norm):
+            raise InputError("matrix contains non-finite entries")
+        degrees.append(bisect.bisect_left(_TAYLOR_THETA, norm) + 1
+                       if norm <= _TAYLOR_THETA[-1] else 0)
+    return degrees
+
+
+def taylor_apply(M, Y, degree):
+    """exp(M) @ Y for the ``degree`` that taylor_degrees picks for M: Horner
+    evaluation of the Taylor polynomial, the scalar exponential for a 1 x 1
+    M, and the formed exponential for degree 0."""
+    if M.shape == (1, 1):
+        return np.exp(M[0, 0]) * Y
+    if degree == 0:
+        return expm(M) @ Y
+    acc = Y
+    for k in range(degree, 0, -1):
+        acc = Y + (M @ acc) / k
+    return acc
+
+
 def expm_apply(M, Y):
     """exp(M) @ Y without forming exp(M).
 
@@ -113,17 +164,8 @@ def expm_apply(M, Y):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {M.shape}")
-    norm = abs(M[0, 0]) if M.shape == (1, 1) else np.linalg.norm(M, 1)
-    if not np.isfinite(norm):
-        raise InputError("matrix contains non-finite entries")
-    if M.shape == (1, 1):
-        return np.exp(M[0, 0]) * Y
-    if norm > _TAYLOR_THETA[-1]:
-        return expm(M) @ Y
-    acc = Y
-    for k in range(bisect.bisect_left(_TAYLOR_THETA, norm) + 1, 0, -1):
-        acc = Y + (M @ acc) / k
-    return acc
+    norm = abs(M[0, 0]) if M.shape == (1, 1) else norm1(M)
+    return taylor_apply(M, Y, taylor_degrees((norm,))[0])
 
 
 def pade2(M, h):

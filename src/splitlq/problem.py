@@ -115,9 +115,10 @@ class GameProblem:
         N = len(self.B)
         if not (len(self.R) == len(self.Q) == len(self.QT) == N):
             raise DimensionError("per-player tuples must have equal length")
-        object.__setattr__(self, "QT",
-                           tuple(np.atleast_2d(np.asarray(Z, dtype=float)) for Z in self.QT))
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        # private read-only copies, so the caller's arrays cannot change them
+        object.__setattr__(self, "QT", tuple(_read_only(np.array(Z, dtype=float, ndmin=2))
+                                             for Z in self.QT))
+        object.__setattr__(self, "x0", _read_only(np.array(self.x0, dtype=float, ndmin=1)))
         if self.x0.shape != (n,):
             raise DimensionError("x0 must have length n")
         if not self.t0 < self.T:
@@ -173,7 +174,7 @@ class GameProblem:
         """(S_1(t), ..., S_N(t)) with S_i = B_i R_i^-1 B_i^T, symmetrized."""
         if self.is_autonomous:
             return self._constant_derived[0]
-        return tuple(self._coupling(i, self.R[i], t) for i in range(self.nplayers))
+        return tuple(S[0] for S in self._couplings([t]))
 
     def coupling_row(self, t):
         """[S_1(t) ... S_N(t)], the row the closed loop multiplies."""
@@ -185,44 +186,99 @@ class GameProblem:
         """The (N+1)n x (N+1)n matrix K(t) of the stacked linear flow."""
         if self.is_autonomous:
             return self._constant_derived[2]
-        return assemble_flow_matrix(self.n, self.A(t), self.coupling_at(t),
-                                    [Q(t) for Q in self.Q])
+        return self.flow_matrices([t])[0]
+
+    def flow_matrices(self, times):
+        """K at each of ``times``, stacked over a leading node axis.  Every
+        coefficient is evaluated once per node."""
+        if self.is_autonomous:
+            K = self._constant_derived[2]
+            return np.broadcast_to(K, (len(times),) + K.shape)
+        return self._assemble(times, self._couplings(times))
+
+    def zero_sum_terms(self, t):
+        """(K0, S22, S11) of a zero-sum game at t: the stacked flow matrix
+        with no coupling, and the cross couplings S22 = B_2 R_12^-1 B_2^T,
+        S11 = B_1 R_21^-1 B_1^T."""
+        if self.is_autonomous:
+            return self._constant_zero_sum
+        return self._zero_sum_terms([t])
 
     @cached_property
     def _constant_derived(self):
         # S_i (views of their row), the row and K of an autonomous problem,
         # sampled once on first use; read-only, so no caller can make them
         # stale.
-        t = self.t0
-        S = [self._coupling(i, self.R[i], t) for i in range(self.nplayers)]
-        K = assemble_flow_matrix(self.n, self.A(t), S, [Q(t) for Q in self.Q])
-        row = _read_only(np.hstack(S))
-        return tuple(np.hsplit(row, self.nplayers)), row, _read_only(K)
+        t = [self.t0]
+        S = self._couplings(t)
+        row = _read_only(np.hstack([Si[0] for Si in S]))
+        return (tuple(np.hsplit(row, self.nplayers)), row,
+                _read_only(self._assemble(t, S)[0]))
+
+    @cached_property
+    def _constant_zero_sum(self):
+        # copies, so the memo does not keep the stacked arrays they index
+        return tuple(_read_only(M.copy()) for M in self._zero_sum_terms([self.t0]))
+
+    def _zero_sum_terms(self, times):
+        K0 = self._assemble(times, [0.0] * self.nplayers)
+        S22 = self._coupling(1, self.cross_R[(1, 2)], times)
+        S11 = self._coupling(0, self.cross_R[(2, 1)], times)
+        return K0[0], S22[0], S11[0]
+
+    def _assemble(self, times, S):
+        return assemble_flow_matrix(self.n, _sample(self.A, times), S,
+                                    [_sample(Q, times) for Q in self.Q])
+
+    def _couplings(self, times):
+        # Every player's S_i at each node of ``times``.  A singular R is
+        # reported at its first node in the order of ``times``, for the
+        # first player singular there.
+        S, failed = [], []
+        for i in range(self.nplayers):
+            try:
+                S.append(self._coupling(i, self.R[i], times))
+            except SingularityError as exc:
+                failed.append(exc)
+        if failed:
+            raise min(failed, key=lambda exc: times.index(exc.where))
+        return S
 
     def feedback_controls(self, t, gains, x):
         out = []
         for i in range(self.nplayers):
-            B = self.B[i](t)
-            out.append(-_solve_weight(self.R[i](t), B.T @ (gains[i] @ x), i, t))
+            rhs = (self.B[i](t).T @ (gains[i] @ x))[None, :, None]
+            out.append(-_solve_weight(self.R[i](t)[None], rhs, i, [t])[0, :, 0])
         return out
 
-    def _coupling(self, j, W, t):
-        # B_j W^-1 B_j^T for player j's control under the weight W: the
-        # player's own R_j, or a zero-sum cross weight.
-        B = self.B[j](t)
-        S = B @ _solve_weight(W(t), B.T, j, t)
-        return 0.5 * (S + S.T)
+    def _coupling(self, j, W, times):
+        # B_j W^-1 B_j^T at each node of ``times``, stacked, for player j's
+        # control under the weight W: the player's own R_j, or a zero-sum
+        # cross weight.
+        B = _sample(self.B[j], times)
+        S = B @ _solve_weight(_sample(W, times), B.swapaxes(-1, -2), j, times)
+        return 0.5 * (S + S.swapaxes(-1, -2))
 
 
-def _solve_weight(R, rhs, player, t):
-    if R.shape == (1, 1):
-        if R[0, 0] == 0.0:
-            raise SingularityError(f"R of player {player + 1} singular at t = {t}",
-                                   where=t)
-        return rhs / R[0, 0]
+def _sample(tm, times):
+    # tm at each node of ``times``, stacked over a leading node axis.
+    if len(times) == 1:
+        return tm(times[0])[None]
+    return np.array([tm(t) for t in times])
+
+
+def _solve_weight(R, rhs, player, times):
+    # R^-1 rhs at each node of ``times``, R and rhs stacked over the nodes;
+    # a singular R names the player and its first singular node.
+    if R.shape[-1] == 1:
+        if np.count_nonzero(R) == R.size:
+            return rhs / R
+        t = times[np.flatnonzero(R == 0.0)[0]]
+        raise SingularityError(f"R of player {player + 1} singular at t = {t}", where=t)
     try:
-        return solve_checked(R, rhs, where=t)
+        return solve_checked(R, rhs, where=times)
     except SingularityError as exc:
+        t = exc.where
         raise SingularityError(f"R of player {player + 1} singular at t = {t}: {exc}",
                                where=t) from exc
 
@@ -249,14 +305,15 @@ def hamiltonian_matrix(prob, t):
 
 
 def assemble_flow_matrix(n, A, S_list, Q_list):
-    """Stack [[A, -S_1 .. -S_N], [-Q_i down, -A^T diagonal]]."""
+    """Stack [[A, -S_1 .. -S_N], [-Q_i down, -A^T diagonal]], at one node or
+    over a leading node axis shared by the blocks."""
     N = len(S_list)
-    K = np.zeros(((N + 1) * n, (N + 1) * n))
-    K[:n, :n] = A
+    K = np.zeros(A.shape[:-2] + ((N + 1) * n, (N + 1) * n))
+    K[..., :n, :n] = A
     for i in range(N):
-        K[:n, n * (1 + i): n * (2 + i)] = -S_list[i]
-        K[n * (1 + i): n * (2 + i), :n] = -Q_list[i]
-        K[n * (1 + i): n * (2 + i), n * (1 + i): n * (2 + i)] = -A.T
+        K[..., :n, n * (1 + i): n * (2 + i)] = -S_list[i]
+        K[..., n * (1 + i): n * (2 + i), :n] = -Q_list[i]
+        K[..., n * (1 + i): n * (2 + i), n * (1 + i): n * (2 + i)] = -A.swapaxes(-1, -2)
     return K
 
 

@@ -5,8 +5,8 @@ P_i' = -Q_i - A^T P_i - P_i A + P_i (S_1 P_1 + ... + S_N P_N) are solved
 through the linear system y' = K(t) y on the stacked blocks
 y = [U; V_1; ...; V_N], with P_i = V_i U^-1 and final condition
 y(T) = [I; QT_1; ...; QT_N].  A single-player problem is the case N = 1.
-The backward pass produces the flow at t0 with no intermediate storage;
-the forward engines live in :mod:`splitlq.splitting`.
+The backward pass produces the flow at t0, keeping no more than one chunk
+of CF4 steps; the forward engines live in :mod:`splitlq.splitting`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MisuseError, SingularityError
-from .magnus import LinearFlowProblem, cf4_step
-from .matfun import RCOND_FLOOR, expm_apply, rcond, symmetry_defect
+from .magnus import LinearFlowProblem, cf4_chunks
+from .matfun import expm_apply, first_singular, symmetry_defect
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,18 @@ def RiccatiFlow(U, V, t):
 
 def check_nonsingular(U, t):
     """Abort when 1/cond(U) < RCOND_FLOOR: P = V U^-1 is no longer meaningful."""
-    r = rcond(U)
-    if r < RCOND_FLOOR:
+    _check_steps(np.asarray(U)[None], [t])
+
+
+def _check_steps(U, times):
+    # check_nonsingular over a stack of U, one per time of ``times``, in one
+    # batched rcond; the first failing time is reported.
+    hit = first_singular(U)
+    if hit is not None:
+        k, r = hit
         raise SingularityError(
-            f"U(t) numerically singular at t = {t} (1/cond = {r:.3e})", where=t
-        )
+            f"U(t) numerically singular at t = {times[k]} (1/cond = {r:.3e})",
+            where=times[k])
 
 
 def _gain_raw(U, V, t):
@@ -106,21 +113,26 @@ def backward_nonautonomous(prob, steps):
     """Integrate y' = K(t) y from T down to t0 with uniform CF4 steps.
 
     Runs CF4 whether or not the coefficients are constant.  U is
-    condition-checked after every step; a singular U raises with the
-    failing time.  No intermediate results are stored.
+    condition-checked after every step, in one batched check per chunk of
+    steps; a singular U raises with the first failing time.  No
+    intermediate results are kept beyond a chunk.
     """
     if steps is None or steps < 1:
         raise MisuseError("non-autonomous backward pass needs steps >= 1")
-    lin = LinearFlowProblem(matrix=prob.flow_matrix,
-                            dim=(prob.nplayers + 1) * prob.n)
-    h = (prob.t0 - prob.T) / steps
+    n = prob.n
     y = terminal_game_flow(prob).stacked()
-    t = prob.T
-    for _ in range(steps):
-        y = cf4_step(lin, t, h, y)
-        t += h
-        check_nonsingular(y[: prob.n], t)
+    for times, ys in cf4_chunks(linear_flow(prob), prob.T, (prob.t0 - prob.T) / steps,
+                                steps, y):
+        _check_steps(np.array([yk[:n] for yk in ys]), times)
+        y = ys[-1]
     return GameFlow.from_stacked(y, prob.t0)
+
+
+def linear_flow(prob):
+    """The stacked linear system y' = K(t) y of a game, sampled by its
+    stacked sampler."""
+    return LinearFlowProblem(matrix=prob.flow_matrix, matrices=prob.flow_matrices,
+                             dim=(prob.nplayers + 1) * prob.n)
 
 
 def gain(flow):

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigError, MisuseError
-from .matfun import expm, expm_apply, pade2_apply, symmetry_defect
+from .errors import ConfigError, InputError, MisuseError
+from .matfun import expm, expm_apply, pade2_apply
 from .problem import assemble_flow_matrix
 from .riccati import GameFlow, closed_loop
 
@@ -410,12 +410,17 @@ def record_trajectory(prob, stepper, state, h, steps, sample, evaluations):
         if k:
             state = stepper(h, state, prob)
         t, x, raw = sample(state)
+        raw = np.asarray(raw)  # every player's raw gain, stacked
         g = [0.5 * (P + P.T) for P in raw]
         times.append(t)
         xs.append(x.copy())
         gains.append(g)
         controls.append(prob.feedback_controls(t, g, x))
-        max_defect = max(max_defect, *(symmetry_defect(P) for P in raw))
+        # one expression for all players; a non-finite gain makes it non-finite
+        defect = float(np.max(np.abs(raw - raw.swapaxes(-1, -2))))
+        if not math.isfinite(defect):
+            raise InputError("matrix contains non-finite entries")
+        max_defect = max(max_defect, defect)
 
     terminal_defect = max(
         float(np.max(np.abs(P - QT))) for P, QT in zip(gains[-1], prob.QT)

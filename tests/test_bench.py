@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,20 @@ def test_positivity_flag_terminal_criterion():
     assert not by[("sp2", 0.125)].positivity_flag
     assert by[("rk4", 0.25)].positivity_flag
     assert by[("rk4", 0.125)].positivity_flag
+
+
+def test_backward_pass_transient_memory_is_bounded():
+    # The CF4 chunks keep their stacked samples and exponents small: the
+    # tracemalloc peak of the 2048-step fig3a backward pass stays under
+    # 64 KB, below the forward pass's own peak.
+    import tracemalloc
+
+    prob = build_pollution(preset("fig3a"))
+    backward_pass(prob)  # warm-up: first-use allocations are not the pass's
+    tracemalloc.start()
+    try:
+        backward_pass(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"backward pass peak {peak} B"

@@ -5,8 +5,8 @@ from scipy.integrate import solve_ivp
 
 from conftest import canonical_j, fit_order, random_hamiltonian
 from splitlq.errors import InputError
-from splitlq.magnus import LinearFlowProblem, cf4_step, integrate
-from splitlq.matfun import expm
+from splitlq.magnus import LinearFlowProblem, cf4_chunks, cf4_step, integrate
+from splitlq.matfun import expm, expm_apply
 
 
 def _constant_problem(M):
@@ -90,3 +90,71 @@ def test_cf4_rejects_zero_step_and_bad_counts():
         cf4_step(prob, 0.0, 0.0, np.ones(2))
     with pytest.raises(InputError):
         integrate(prob, 0.0, 1.0, 0, np.ones(2))
+
+
+def _per_step(prob, t0, h, steps, y):
+    # The uniform-step loop with the step-end times t += h, one cf4_step
+    # (three samples) per step.
+    t = t0
+    for _ in range(steps):
+        y = cf4_step(prob, t, h, y)
+        t += h
+    return y
+
+
+@pytest.mark.parametrize("steps", [1, 7, 33, 100])
+def test_integrate_is_bit_identical_to_per_step_loop(steps):
+    # Chunk edges fall inside the horizon at d = 2 (32 steps per chunk).
+    matrix = lambda t: np.array([[np.sin(3.0 * t), 1.0], [-1.0, np.cos(t)]])
+    prob = LinearFlowProblem(matrix=matrix, dim=2)
+    y0 = np.array([[0.7, 0.1], [-0.2, 1.0]])
+    h = -1.0 / steps
+    got = integrate(prob, 1.0, 0.0, steps, y0)
+    assert got.tobytes() == _per_step(prob, 1.0, h, steps, y0).tobytes()
+
+
+def test_chunks_sample_each_node_once():
+    seen = []
+
+    def matrix(t):
+        seen.append(t)
+        return np.array([[0.0, 1.0], [-1.0, t]])
+
+    integrate(LinearFlowProblem(matrix=matrix, dim=2), 0.0, 1.0, 40, np.ones(2))
+    assert len(seen) == len(set(seen)) == 2 * 40 + 1
+
+
+def test_chunks_yield_the_steps_before_a_non_finite_coefficient():
+    # The coefficient is NaN from step 6 on, inside the first chunk: the
+    # kernel yields the five good steps, then raises.
+    matrix = lambda t: np.array([[np.nan if t > 0.5 else 1.0]])
+    prob = LinearFlowProblem(matrix=matrix, dim=1)
+    steps = []
+    with pytest.raises(InputError):
+        for times, ys in cf4_chunks(prob, 0.0, 0.1, 20, np.array([1.0])):
+            steps.extend(zip(times, ys))
+    assert len(steps) == 5
+    assert steps[-1][1] == pytest.approx(np.exp(steps[-1][0]), rel=1e-13)
+    with pytest.raises(InputError):
+        integrate(prob, 0.0, 2.0, 20, np.array([1.0]))
+
+
+def test_sample_rejects_misshaped_matrix():
+    prob = LinearFlowProblem(matrix=lambda t: np.eye(3), dim=2)
+    with pytest.raises(InputError, match="shape"):
+        cf4_step(prob, 0.0, 0.1, np.ones(2))
+
+
+@pytest.mark.parametrize("d, h", [(1, 0.3), (2, -0.01), (5, 0.2), (5, 3.0)])
+def test_cf4_step_is_the_two_exponential_actions(d, h):
+    # Bit for bit the CF4 formula with expm_apply, whose Taylor degree (or,
+    # at h = 3, the formed exponential) the kernel picks for its exponents.
+    rng = np.random.default_rng(34)
+    M0, M1 = rng.standard_normal((2, d, d))
+    matrix = lambda t: M0 + np.sin(t) * M1
+    y = rng.standard_normal((d, 2))
+    A, Ah, B = matrix(0.4), matrix(0.4 + 0.5 * h), matrix(0.4 + h)
+    ref = expm_apply((h / 12.0) * (3.0 * A + 4.0 * Ah - B), y)
+    ref = expm_apply((h / 12.0) * (-A + 4.0 * Ah + 3.0 * B), ref)
+    got = cf4_step(LinearFlowProblem(matrix=matrix, dim=d), 0.4, h, y)
+    assert got.tobytes() == ref.tobytes()

@@ -5,8 +5,9 @@ from scipy.sparse.linalg import expm_multiply
 
 from conftest import canonical_j, random_hamiltonian, taylor_expm
 from splitlq.errors import DimensionError, InputError, SingularityError
-from splitlq.matfun import (_TAYLOR_THETA, expm, expm_apply, min_eigenvalue_sym,
-                            pade2, symmetry_defect)
+from splitlq.matfun import (_TAYLOR_THETA, expm, expm_apply, first_singular,
+                            min_eigenvalue_sym, pade2, rcond, solve_checked,
+                            symmetry_defect, taylor_degrees)
 
 
 def test_expm_zero_is_identity():
@@ -176,3 +177,40 @@ def test_expm_apply_rejects_non_finite(n, bad):
 def test_expm_apply_rejects_non_square():
     with pytest.raises(DimensionError):
         expm_apply(np.ones((2, 3)), np.ones(3))
+
+
+@pytest.mark.parametrize("value, expected", [
+    (2.5, 1.0), (1e-300, 1.0), (0.0, 0.0), (np.inf, 0.0), (np.nan, 0.0)])
+def test_rcond_scalar_path(value, expected):
+    assert rcond(np.array([[value]])) == expected
+
+
+def test_rcond_stack_matches_single_matrices():
+    rng = np.random.default_rng(71)
+    stack = np.stack([rng.standard_normal((3, 3)), np.zeros((3, 3)),
+                      np.diag([1.0, 1.0, 1e-14]), np.eye(3)])
+    got = rcond(stack)
+    assert got.shape == (4,)
+    for g, A in zip(got, stack):
+        assert g == rcond(A)
+    assert first_singular(stack)[0] == 1
+    assert first_singular(stack[[0, 3]]) is None
+    scalars = np.array([1.0, 3.0, 0.0]).reshape(3, 1, 1)
+    assert list(rcond(scalars)) == [1.0, 1.0, 0.0]
+
+
+def test_solve_checked_stack_names_first_failing_label():
+    stack = np.stack([np.eye(2), np.diag([1.0, 1e-14]), np.zeros((2, 2))])
+    with pytest.raises(SingularityError, match="1.000e-14") as err:
+        solve_checked(stack, np.ones((3, 2, 1)), where=[0.5, 0.25, 0.0])
+    assert err.value.where == 0.25
+
+
+def test_taylor_degrees_rule():
+    # The smallest m with norm <= theta_m; 0 (form the exponential) above
+    # theta_30; a non-finite norm is an input error.
+    theta = _TAYLOR_THETA
+    assert taylor_degrees([0.0, theta[4], theta[4] * 1.01, theta[-1], theta[-1] * 1.01]) \
+        == [1, 5, 6, 30, 0]
+    with pytest.raises(InputError):
+        taylor_degrees(np.array([0.1, np.nan]))

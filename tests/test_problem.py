@@ -6,6 +6,8 @@ from conftest import C, canonical_j, random_lq, random_psd, random_spd
 from splitlq.errors import DimensionError, InputError, SingularityError
 from splitlq.problem import (GameProblem, LQProblem, TimeMatrix,
                              closed_loop_matrix, hamiltonian_matrix, s_matrix)
+from splitlq.bench import build_pollution, preset
+from splitlq.games import solve_zero_sum
 from splitlq.riccati import backward_game
 from splitlq.splitting import integrate_forward
 
@@ -219,3 +221,70 @@ def test_sp_product_eigenvalues_nonnegative():
         eigs = np.linalg.eigvals(S @ P)
         assert np.max(np.abs(eigs.imag)) < 1e-10
         assert eigs.real.min() >= -1e-10
+
+
+def test_problem_keeps_private_read_only_qt_and_x0():
+    # Changing the caller's arrays afterwards must not reach the problem,
+    # which validated QT as PSD when it was built.
+    QT, x0 = np.array([[1.0]]), np.array([1.0])
+    prob = LQProblem(A=C([[1.0]]), B=C([[1.0]]), Q=C([[1.0]]), R=C([[1.0]]),
+                     QT=QT, x0=x0)
+    V_before = backward_game(prob).V[0].copy()
+    QT[0, 0], x0[0] = -5.0, 9.0
+    assert prob.QT[0][0, 0] == 1.0 and prob.x0[0] == 1.0
+    assert backward_game(prob).V[0].tobytes() == V_before.tobytes()
+    for M in (prob.QT[0], prob.x0):
+        with pytest.raises(ValueError):
+            M[0] = 2.0
+
+
+def test_stacked_sampler_matches_single_node_samples():
+    rng = np.random.default_rng(61)
+    n, r = 3, 2
+    A0, A1 = rng.standard_normal((2, n, n))
+    R0 = random_spd(rng, r)
+    game = GameProblem(
+        A=TimeMatrix.from_function(lambda t: A0 + np.sin(t) * A1, (n, n)),
+        B=(C(rng.standard_normal((n, r))), C(rng.standard_normal((n, 1)))),
+        R=(TimeMatrix.from_function(lambda t: (2.0 + np.cos(t)) * R0, (r, r)), C([[3.0]])),
+        Q=(C(random_psd(rng, n)), C(random_psd(rng, n))),
+        QT=(np.zeros((n, n)), np.zeros((n, n))), x0=np.ones(n))
+    times = [0.9, 0.45, 0.1]
+    K = game.flow_matrices(times)
+    assert K.shape == (3, 3 * n, 3 * n)
+    for Kk, t in zip(K, times):
+        assert Kk.tobytes() == game.flow_matrix(t).tobytes()
+
+
+def test_zero_sum_constant_terms_formed_once(monkeypatch):
+    # An autonomous zero-sum game forms S_1, S_2 and the cross couplings
+    # S22, S11 once each, and gives the same numbers as the same game
+    # declared time dependent, which forms them at every call.
+    formed = []
+    coupling = GameProblem._coupling
+
+    def counting(self, j, W, t):
+        formed.append(j)
+        return coupling(self, j, W, t)
+
+    def game(declare):
+        base = build_pollution(preset("fig1"))
+        W = declare(np.array([[20.0]]))
+        coefficients = {k: tuple(declare(M(0.0)) for M in getattr(base, k)[:2])
+                        for k in ("B", "R", "Q")}
+        return GameProblem(A=declare(base.A(0.0)), QT=base.QT[:2], x0=np.array([10.0]),
+                           cross_R={(1, 2): W, (2, 1): W}, **coefficients)
+
+    frozen = game(C)
+    varying = game(lambda M: TimeMatrix.from_function(lambda t: M, M.shape))
+    monkeypatch.setattr(GameProblem, "_coupling", counting)
+    a = solve_zero_sum(frozen, steps_backward=8, steps_forward=8)
+    assert sorted(formed) == [0, 0, 1, 1]
+    b = solve_zero_sum(varying, steps_backward=8, steps_forward=8)
+    assert len(formed) > 100
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.gains.tobytes() == b.gains.tobytes()
+    K0, S22, S11 = frozen.zero_sum_terms(0.3)
+    for M in (K0, S22, S11):
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0

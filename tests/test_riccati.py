@@ -3,12 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
 
-from conftest import C, random_lq, random_psd, tanh_lq
-from splitlq.errors import MisuseError, SingularityError
-from splitlq.problem import LQProblem, TimeMatrix, s_matrix
+from conftest import C, random_lq, random_psd, random_spd, tanh_lq
+from splitlq import magnus
+from splitlq.bench import build_pollution, preset
+from splitlq.errors import InputError, MisuseError, SingularityError
+from splitlq.magnus import LinearFlowProblem, cf4_step
+from splitlq.problem import GameProblem, LQProblem, TimeMatrix, s_matrix
 from splitlq.riccati import (GameFlow, RiccatiFlow, backward_autonomous,
                              backward_nonautonomous, check_nonsingular,
-                             closed_loop, control, gain, gain_defect)
+                             closed_loop, control, gain, gain_defect,
+                             terminal_game_flow)
 
 
 def test_zero_length_horizon_limit():
@@ -163,3 +167,109 @@ def test_closed_loop_singular_u_names_time():
     y = np.vstack([np.zeros((2, 2)), np.eye(2)])
     with pytest.raises(SingularityError, match="0.5"):
         closed_loop(np.eye(2), np.eye(2), y, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The chunked CF4 backward pass against the per-step loop
+# ---------------------------------------------------------------------------
+
+
+def _per_step_backward(prob, steps):
+    # One cf4_step (three samples through flow_matrix) and one U check per
+    # step, with the step-end times t += h.
+    lin = LinearFlowProblem(matrix=prob.flow_matrix, dim=(prob.nplayers + 1) * prob.n)
+    h = (prob.t0 - prob.T) / steps
+    y, t = terminal_game_flow(prob).stacked(), prob.T
+    for _ in range(steps):
+        y = cf4_step(lin, t, h, y)
+        t += h
+        check_nonsingular(y[: prob.n], t)
+    return y
+
+
+def _time_dependent_game(N, n, r, seed):
+    rng = np.random.default_rng(seed)
+    A0, A1 = 0.5 * rng.standard_normal((2, n, n))
+    Rs = [random_spd(rng, r) for _ in range(N)]
+    Qs = [random_psd(rng, n) for _ in range(N)]
+    tf = TimeMatrix.from_function
+    return GameProblem(
+        A=tf(lambda t: A0 + np.sin(3.0 * t) * A1, (n, n)),
+        B=tuple(C(rng.standard_normal((n, r))) for _ in range(N)),
+        R=tuple(tf(lambda t, R=R: (1.0 + 0.3 * np.cos(t)) * R, (r, r)) for R in Rs),
+        Q=tuple(tf(lambda t, Q=Q: np.exp(-0.1 * t) * Q, (n, n)) for Q in Qs),
+        QT=tuple(random_psd(rng, n) for _ in range(N)),
+        x0=np.ones(n), t0=0.0, T=1.0)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 33, 100, 2048])
+def test_backward_pass_bit_identical_to_per_step_loop_fig3a(steps):
+    prob = build_pollution(preset("fig3a"))
+    got = backward_nonautonomous(prob, steps).stacked()
+    assert got.tobytes() == _per_step_backward(prob, steps).tobytes()
+
+
+@pytest.mark.parametrize("N, n, r", [(3, 4, 2), (1, 2, 2)], ids=["N3-n4", "N1-n2"])
+@pytest.mark.parametrize("steps", [1, 7, 33])
+def test_backward_pass_bit_identical_to_per_step_loop_matrix_game(N, n, r, steps):
+    prob = _time_dependent_game(N, n, r, seed=7)
+    got = backward_nonautonomous(prob, steps).stacked()
+    assert got.tobytes() == _per_step_backward(prob, steps).tobytes()
+
+
+def _stiff_game(cutoff=None):
+    # A = diag(20, -20), no coupling: 1/cond(U(t)) = exp(-40 (T - t)) falls
+    # below the floor after 70 of 100 steps, inside a chunk (d = 4, 8 steps
+    # per chunk).  With a cutoff the drift is NaN for t below it.
+    def drift(t):
+        if cutoff is not None and t < cutoff:
+            return np.full((2, 2), np.nan)
+        return np.diag([20.0, -20.0])
+
+    zero = np.zeros((2, 2))
+    return LQProblem(A=TimeMatrix.from_function(drift, (2, 2)), B=C(zero), Q=C(zero),
+                     R=C(np.eye(2)), QT=zero, x0=np.ones(2), t0=0.0, T=1.0)
+
+
+@pytest.mark.parametrize("cutoff", [None, 0.285], ids=["finite", "nan-later-in-chunk"])
+def test_backward_pass_singular_u_mid_chunk_names_the_per_step_time(cutoff):
+    # With the cutoff, the step after the singular one has a NaN exponent in
+    # the same chunk; the per-step loop reports the singular U first.
+    prob = _stiff_game(cutoff)
+    with pytest.raises(SingularityError) as ref:
+        _per_step_backward(prob, 100)
+    with pytest.raises(SingularityError) as got:
+        backward_nonautonomous(prob, 100)
+    assert str(got.value) == str(ref.value)
+    assert got.value.where == ref.value.where
+    step = round((prob.T - got.value.where) * 100)
+    chunk = magnus._CHUNK_BYTES // (32 * 4 * 4)
+    assert step == 70 and step % chunk != 0
+
+
+def test_backward_pass_non_finite_coefficient_mid_horizon():
+    prob = _stiff_game(cutoff=0.6)
+    with pytest.raises(InputError):
+        _per_step_backward(prob, 100)
+    with pytest.raises(InputError, match="non-finite"):
+        backward_nonautonomous(prob, 100)
+
+
+def test_backward_pass_singular_matrix_r_names_player_and_first_node():
+    # Player 2's R is singular at t = 0.75 and player 1's one half step
+    # later in integration order, both in one chunk (d = 6, 3 steps).
+    def weight(t_bad):
+        return TimeMatrix.from_function(
+            lambda t: np.diag([1.0, (t - t_bad) ** 2 + 1e-14]), (2, 2))
+
+    zero = np.zeros((2, 2))
+    game = GameProblem(A=C(zero), B=(C(np.eye(2)), C(np.eye(2))),
+                       R=(weight(0.75 - 1.0 / 64.0), weight(0.75)),
+                       Q=(C(zero), C(zero)), QT=(zero, zero), x0=np.zeros(2),
+                       t0=0.0, T=2.0)
+    with pytest.raises(SingularityError) as ref:
+        _per_step_backward(game, 64)
+    with pytest.raises(SingularityError) as got:
+        backward_nonautonomous(game, 64)
+    assert "player 2" in str(got.value) and got.value.where == 0.75
+    assert str(got.value) == str(ref.value)

@@ -8,15 +8,16 @@ from conftest import C, fit_order, random_lq, random_psd, random_spd
 from splitlq.bench import build_pollution, preset
 from splitlq.errors import ConfigError, InputError, MisuseError
 from splitlq.games import backward_game
-from splitlq.matfun import min_eigenvalue_sym, pade2
+from splitlq.matfun import min_eigenvalue_sym, pade2, symmetry_defect
 from splitlq.problem import GameProblem, LQProblem, TimeMatrix
 from splitlq.riccati import (RiccatiFlow, backward_autonomous,
                              backward_nonautonomous)
 from splitlq.reference import flatten_pipeline, rk4_solve, unflatten
 from splitlq.splitting import (COMPOSE4_ALPHAS, builtin_schemes, compose,
                                get_scheme, initial_state, integrate_forward,
-                               make_stepper, s2_step, step_autonomous,
-                               step_near_integrable, step_nonautonomous)
+                               make_stepper, record_trajectory, s2_step,
+                               step_autonomous, step_near_integrable,
+                               step_nonautonomous)
 
 
 def coupled_2x2():
@@ -441,3 +442,37 @@ def test_make_stepper_rejects_near_integrable_on_time_dependent_drift():
     prob = build_pollution(preset("fig3a"))
     with pytest.raises(MisuseError, match="constant A"):
         make_stepper(prob, "ni84", {})
+
+
+def test_recorded_symmetry_defect_is_the_largest_raw_defect():
+    # Open-loop Nash gains of a matrix game are not symmetric; the recorder's
+    # one expression per sample equals the per-player maximum, bit for bit.
+    rng = np.random.default_rng(81)
+    n = 3
+    game = GameProblem(A=C(0.5 * rng.standard_normal((n, n))),
+                       B=tuple(C(rng.standard_normal((n, 2))) for _ in range(3)),
+                       R=tuple(C(random_spd(rng, 2)) for _ in range(3)),
+                       Q=tuple(C(random_psd(rng, n)) for _ in range(3)),
+                       QT=tuple(random_psd(rng, n) for _ in range(3)), x0=np.ones(n))
+    flow0 = backward_game(game)
+    raws = []
+
+    def sample(state):
+        raws.append(state.flow.gains())
+        return state.t1, state.x, raws[-1]
+
+    stepper, _ = make_stepper(game, "sp4", {})
+    traj = record_trajectory(game, stepper, initial_state(game, flow0), 1.0 / 16, 16,
+                             sample, 0)
+    expected = max(symmetry_defect(P) for raw in raws for P in raw)
+    assert expected > 1e-3
+    assert traj.max_symmetry_defect == expected
+
+
+def test_recorder_rejects_non_finite_gains():
+    prob = random_lq(np.random.default_rng(82), n=2, r=1)
+    flow0 = backward_game(prob)
+    bad = lambda state: (state.t1, state.x, [np.full((2, 2), np.nan)])
+    with pytest.raises(InputError):
+        record_trajectory(prob, lambda h, s, p: s, initial_state(prob, flow0), 0.5, 2,
+                          bad, 0)
