@@ -188,7 +188,8 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     one_run = argparse.ArgumentParser(add_help=False)
-    one_run.add_argument("--method", required=True, choices=METHODS)
+    one_run.add_argument("--method", choices=METHODS,
+                         help="required unless --zero-sum, which does not use it")
     one_run.add_argument("--steps", type=int, default=64)
     one_run.add_argument("--output", help="CSV output path")
     one_run.add_argument("--time", action="store_true", help="measure wall clock")
@@ -241,6 +242,8 @@ def main(argv=None):
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")
         if args.zero_sum and args.output:
             raise ConfigError("--output does not apply to --zero-sum, which writes no CSV row")
+        if not args.zero_sum and args.method is None:
+            raise ConfigError("--method is required unless --zero-sum is given")
         prob = build_pollution(load_config(args.problem) if args.command == "solve"
                                else preset(args.preset))
         if args.zero_sum:

@@ -10,11 +10,13 @@ backward pass (backward_game) live in :mod:`splitlq.problem` and
 
 Zero-sum games couple the Riccati equations quadratically through the
 cross weights, so no linearization exists; they are solved with a
-symmetric second-order map (exact linear part, Taylor quadratic part) plus
-Richardson extrapolation backward (order 5) and composition forward.  The
-linear part is the stacked flow with no coupling, applied with
-``expm_apply`` and read through ``GameFlow.gains``; the quadratic part is
-one bilinear form.
+symmetric second-order map on the stacked flow [U; V_1; V_2] (exact linear
+part, Taylor quadratic part) plus Richardson extrapolation backward
+(order 5) and composition forward.  The linear part is the stacked flow
+with no coupling, applied with ``expm_apply``; the quadratic part is one
+bilinear form on the gains, read once per step through ``GameFlow.gains``.
+Forward, the map is the flow stage of sp2's interleave, run by the
+driver and recorder that every other pipeline uses.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import numpy as np
 from .errors import ConfigError, MisuseError
 from .matfun import expm_apply
 from .problem import GameProblem, hamiltonian_matrix as game_block_matrix
-from .riccati import GameFlow, backward_game
-from .splitting import (COMPOSE4_ALPHAS, compose, integrate_forward,
-                        record_trajectory)
+from .riccati import GameFlow, backward_game, terminal_game_flow
+from .splitting import _SP2, COMPOSE4_ALPHAS, _stages, compose, integrate_forward
 
 
 def solve_game(game, scheme="sp4", steps_backward=64, steps_forward=64):
@@ -35,8 +36,6 @@ def solve_game(game, scheme="sp4", steps_backward=64, steps_forward=64):
     Returns the forward Trajectory with gains P_i = V_i U^-1 and controls
     u_i = -R_ii^-1 B_i^T P_i x sampled at every accepted step.
     """
-    if game.zero_sum:
-        raise MisuseError("zero-sum games are solved by solve_zero_sum")
     flow0 = backward_game(game, steps=steps_backward)
     return integrate_forward(game, flow0, steps_forward, method=scheme)
 
@@ -99,38 +98,34 @@ def _zs_bilinear(S1, S2, S22, S11):
     return bil
 
 
-def zs_base_step(game, t, h, P1, P2):
-    """Symmetric second-order map for the coupled zero-sum RDE.
+def zs_base_step(game, tmid, h, y):
+    """Symmetric second-order map for the coupled zero-sum RDE, on the
+    stacked flow y = [U; V_1; V_2] with P_i = V_i U^-1.
 
-    Strang split with data frozen at the step midpoint: exact linear
-    half-flow, degree-4 Taylor of the quadratic flow, exact linear
+    Strang split with data frozen at the step midpoint ``tmid``: exact
+    linear half-flow, degree-4 Taylor of the quadratic flow, exact linear
     half-flow.  The linear part P_i' = -Q_i - A^T P_i - P_i A is the
-    stacked flow with no coupling, [U; V_1; V_2] = exp(h/2 K0) [I; P_1; P_2]
-    with K0 = [[A, 0, 0], [-Q_1, -A^T, 0], [-Q_2, 0, -A^T]], read through
-    one U solve for both players.  Works for signed h.
+    stacked flow with no coupling, y -> exp(h/2 K0) y with
+    K0 = [[A, 0, 0], [-Q_1, -A^T, 0], [-Q_2, 0, -A^T]]; it acts on any
+    representative of P, so both half-flows apply to y as it stands.  The
+    gains are read once, with one U solve, for the quadratic step, and the
+    second half-flow starts from [I; P_1; P_2].  Works for signed h.
     """
-    tmid = t + 0.5 * h
-    n = game.n
     K0, S22, S11 = game.zero_sum_terms(tmid)
     K0 = 0.5 * h * K0
-
-    def linear_half(P):
-        y = expm_apply(K0, np.vstack([np.eye(n), *P]))
-        return GameFlow.from_stacked(y, tmid).gains()
-
-    P = linear_half((P1, P2))
+    P = GameFlow.from_stacked(expm_apply(K0, y), tmid).gains()
     P = _zs_quadratic_taylor4(_zs_bilinear(*game.coupling_at(tmid), S22, S11), h, P)
-    P1, P2 = linear_half(P)
-    return P1, P2
+    return expm_apply(K0, np.vstack([np.eye(game.n), *P]))
 
 
-def _zs_integrate(game, t_start, t_end, steps, P1, P2):
+def _zs_integrate(game, t_start, t_end, steps, y):
+    # ``steps`` base steps from t_start to t_end; P is read at the end only.
     h = (t_end - t_start) / steps
     t = t_start
     for _ in range(steps):
-        P1, P2 = zs_base_step(game, t, h, P1, P2)
+        y = zs_base_step(game, t + 0.5 * h, h, y)
         t += h
-    return P1, P2
+    return GameFlow.from_stacked(y, t_end).gains()
 
 
 def backward_zero_sum(game, steps):
@@ -141,18 +136,20 @@ def backward_zero_sum(game, steps):
     time-symmetric, so the base map's error keeps an h^5 term (the error
     falls by about 35 per halving of h).
 
-    Raises ConfigError when a ladder solution is not finite (the solution
-    escapes on the horizon, or the step is too coarse) or when the ladder
-    is non-monotone (the step differences must shrink for the
-    even-power expansion to hold).
+    Raises ConfigError when ``steps`` < 1, when a ladder solution is not
+    finite (the solution escapes on the horizon, or the step is too
+    coarse) or when the ladder is non-monotone (the step differences must
+    shrink for the even-power expansion to hold).
     """
     if not game.zero_sum:
         raise MisuseError("backward_zero_sum needs a zero-sum game")
-    P1T, P2T = game.QT
+    if steps < 1:
+        raise ConfigError(f"zero-sum backward pass needs steps >= 1, got {steps}")
+    yT = terminal_game_flow(game).stacked()
     sols = []
     for mult in (1, 2, 4):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            sols.append(_zs_integrate(game, game.T, game.t0, steps * mult, P1T, P2T))
+            sols.append(_zs_integrate(game, game.T, game.t0, steps * mult, yT))
         for k in range(2):
             if not np.all(np.isfinite(sols[-1][k])):
                 raise ConfigError(
@@ -160,48 +157,36 @@ def backward_zero_sum(game, steps):
                     f"non-finite P{k + 1}({game.t0}): the solution escapes on "
                     f"[{game.t0}, {game.T}] or the step is too coarse"
                 )
-    d1 = max(np.max(np.abs(sols[1][k] - sols[0][k])) for k in range(2))
-    d2 = max(np.max(np.abs(sols[2][k] - sols[1][k])) for k in range(2))
+    runs = np.asarray(sols)  # ladder run x player x n x n
+    d1, d2 = np.max(np.abs(runs[1] - runs[0])), np.max(np.abs(runs[2] - runs[1]))
     if d2 > d1 and d1 > 1e-14:
         raise ConfigError(
             f"zero-sum extrapolation defects non-monotone ({d1:.3e} -> {d2:.3e}); "
             "reduce the base step"
         )
-    out = []
-    for k in range(2):
-        t11, t21, t31 = sols[0][k], sols[1][k], sols[2][k]
-        t22 = (4.0 * t21 - t11) / 3.0
-        t32 = (4.0 * t31 - t21) / 3.0
-        t33 = (16.0 * t32 - t22) / 15.0
-        out.append(t33)
-    return out[0], out[1]
+    t22 = (4.0 * runs[1] - runs[0]) / 3.0
+    t32 = (4.0 * runs[2] - runs[1]) / 3.0
+    return tuple((16.0 * t32 - t22) / 15.0)
 
 
 def solve_zero_sum(game, steps_backward=32, composition_alphas=COMPOSE4_ALPHAS,
                    steps_forward=64):
     """Backward extrapolated pass, then forward composed symmetric map.
 
-    The forward base map advances the state by half-steps of the
-    closed-loop exponential around the P-update (mirroring the
-    second-order map of the linear pipeline).  The final-condition defect
-    max_i |P_i(T) - Q_iT| is the reported accuracy estimate.
+    The forward base map is sp2's a/b interleave with zs_base_step as the
+    flow map: half a step of the closed loop for the state, the P-update,
+    half a step of the closed loop, run by the shared forward driver.  The
+    final-condition defect max_i |P_i(T) - Q_iT| is the reported accuracy
+    estimate.
     """
     if not game.zero_sum:
         raise MisuseError("solve_zero_sum needs a zero-sum game")
     P1, P2 = backward_zero_sum(game, steps_backward)
 
-    def half_state(h, t, p1, p2, x):
-        S1, S2 = game.coupling_at(t)
-        return expm_apply(0.5 * h * (game.A(t) - S1 @ p1 - S2 @ p2), x)
-
     def base(h, state, prob):
-        (p1, p2), x, t = state
-        x = half_state(h, t, p1, p2, x)
-        p1, p2 = zs_base_step(prob, t, h, p1, p2)
-        return (p1, p2), half_state(h, t + h, p1, p2, x), t + h
+        return _stages(_SP2, h, state, prob,
+                       lambda tau, t, v: zs_base_step(prob, t, tau, v))
 
-    h = (game.T - game.t0) / steps_forward
-    state = ((P1, P2), game.x0.copy(), game.t0)
-    return record_trajectory(game, compose(base, composition_alphas), state, h,
-                             steps_forward, lambda s: (s[2], s[1], s[0]),
-                             steps_forward * len(composition_alphas))
+    return integrate_forward(game, GameFlow(U=np.eye(game.n), V=(P1, P2), t=game.t0),
+                             steps_forward, stepper=compose(base, composition_alphas),
+                             stages_per_step=len(composition_alphas))

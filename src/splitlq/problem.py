@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, InputError, SingularityError
+from .errors import DimensionError, InputError, MisuseError, SingularityError
 from .matfun import min_eigenvalue_sym, solve_checked, symmetry_defect
 
 SYMMETRY_TOL = 1e-12
@@ -184,13 +184,17 @@ class GameProblem:
 
     def flow_matrix(self, t):
         """The (N+1)n x (N+1)n matrix K(t) of the stacked linear flow."""
-        if self.is_autonomous:
+        if self.is_autonomous and not self.zero_sum:
             return self._constant_derived[2]
         return self.flow_matrices([t])[0]
 
     def flow_matrices(self, times):
         """K at each of ``times``, stacked over a leading node axis.  Every
-        coefficient is evaluated once per node."""
+        coefficient is evaluated once per node.  A zero-sum game has no
+        linear flow, so every linear pipeline stops here for it."""
+        if self.zero_sum:
+            raise MisuseError("a zero-sum game has no linear Riccati flow; "
+                              "solve it with solve_zero_sum")
         if self.is_autonomous:
             K = self._constant_derived[2]
             return np.broadcast_to(K, (len(times),) + K.shape)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, MisuseError
-from .matfun import expm, expm_apply, pade2_apply
+from .matfun import expm, expm_apply, pade2_apply, taylor_apply
 from .problem import assemble_flow_matrix
 from .riccati import GameFlow, closed_loop
 
@@ -257,16 +257,6 @@ def compose(base, alphas):
     return stepper
 
 
-def _taylor4_apply(X, Y):
-    # I + X + X^2/2 + X^3/6 + X^4/24 applied to Y.
-    acc = Y.copy()
-    term = Y
-    for k in range(1, 5):
-        term = (X @ term) / k
-        acc += term
-    return acc
-
-
 def _check_near_integrable(scheme, prob):
     if scheme.kind != "near-integrable":
         raise MisuseError(f"scheme {scheme.name} is not a near-integrable scheme")
@@ -315,7 +305,7 @@ def step_near_integrable(scheme, h, state, prob, cache=None):
             t += tau
         if bi != 0.0:
             W = prob.flow_matrix(t) - D
-            v = _taylor4_apply(bi * h * W, v)
+            v = taylor_apply(bi * h * W, v, 4)
     return ExtendedState(v=v, x=x, t1=t, t2=t)
 
 
@@ -393,24 +383,23 @@ def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
         stepper, stages_per_step = make_stepper(prob, method, cache)
     h = (prob.T - prob.t0) / steps
     return record_trajectory(prob, stepper, initial_state(prob, flow0), h, steps,
-                             lambda s: (s.t1, s.x, s.flow.gains()),
                              steps * stages_per_step)
 
 
-def record_trajectory(prob, stepper, state, h, steps, sample, evaluations):
+def record_trajectory(prob, stepper, state, h, steps, evaluations):
     """Take ``steps`` steps of ``stepper`` from ``state``, sampling each state.
 
-    ``sample(state)`` returns (t, x, raw gains).  The raw gains are formed
-    once per sample; the symmetrized gains, the controls and the raw
-    symmetry defect all come from them.
+    A sample is the clock t1, the state x and the raw gains of the flow,
+    formed once; the symmetrized gains, the controls and the raw symmetry
+    defect all come from them.
     """
     times, xs, gains, controls = [], [], [], []
     max_defect = 0.0
     for k in range(steps + 1):
         if k:
             state = stepper(h, state, prob)
-        t, x, raw = sample(state)
-        raw = np.asarray(raw)  # every player's raw gain, stacked
+        t, x = state.t1, state.x
+        raw = np.asarray(state.flow.gains())  # every player's raw gain, stacked
         g = [0.5 * (P + P.T) for P in raw]
         times.append(t)
         xs.append(x.copy())

@@ -145,6 +145,13 @@ def test_game_zero_sum_mode(capsys):
     assert "zero-sum" in out and "terminal_gain_defect" in out
 
 
+def test_zero_sum_mode_needs_no_method(capsys):
+    code = main(["game", "--preset", "fig1", "--steps", "16", "--zero-sum",
+                 "--cross-weight", "20"])
+    assert code == 0
+    assert "zero-sum" in capsys.readouterr().out
+
+
 def test_solve_zero_sum_from_config(config_file, capsys):
     code = main(["solve", "--problem", config_file, "--method", "s2c4",
                  "--steps", "8", "--zero-sum"])
@@ -172,7 +179,9 @@ def test_zero_sum_escape_is_one_error_line(tmp_path, capsys):
     # the zero-sum mode writes no CSV row
     ["game", "--preset", "fig1", "--method", "sp4", "--zero-sum",
      "--output", "x.csv"],
-], ids=["ni84-time-dependent-drift", "zero-steps", "zero-sum-output"])
+    # only the zero-sum mode runs without a method
+    ["game", "--preset", "fig1", "--steps", "16"],
+], ids=["ni84-time-dependent-drift", "zero-steps", "zero-sum-output", "missing-method"])
 def test_game_failure_is_one_error_line(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -4,12 +4,13 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from conftest import C, random_psd, random_spd
-from splitlq.bench import build_pollution, preset
+from splitlq import riccati
+from splitlq.bench import build_pollution, preset, run_sweep
 from splitlq.errors import ConfigError, InputError, MisuseError, SingularityError
 from splitlq.games import (GameFlow, GameProblem, backward_game,
                            backward_zero_sum, game_block_matrix, solve_game,
-                           solve_zero_sum, zero_sum_rhs)
-from splitlq.problem import LQProblem
+                           solve_zero_sum, zero_sum_rhs, zs_base_step)
+from splitlq.problem import LQProblem, TimeMatrix
 from splitlq.riccati import backward_autonomous
 from splitlq.problem import hamiltonian_matrix
 from splitlq.splitting import integrate_forward
@@ -378,6 +379,56 @@ def test_zero_sum_escape_is_a_typed_error():
 def test_solve_zero_sum_requires_zero_sum_mode():
     with pytest.raises(MisuseError):
         solve_zero_sum(scalar_game())
+
+
+def fig1_zero_sum(w=10.0, A=None):
+    base = build_pollution(preset("fig1"))
+    W = C([[w]])
+    return GameProblem(A=base.A if A is None else A, B=base.B[:2], R=base.R[:2],
+                       Q=base.Q[:2], QT=base.QT[:2], x0=base.x0, t0=base.t0, T=base.T,
+                       cross_R={(1, 2): W, (2, 1): W})
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g: backward_game(g, steps=8),
+    lambda g: integrate_forward(g, GameFlow(U=np.eye(1), V=g.QT, t=g.t0), 8,
+                                method="sp4"),
+    lambda g: run_sweep(g, ("sp4",), h_ladder=(0.25,)),
+], ids=["backward_game", "integrate_forward", "run_sweep"])
+@pytest.mark.parametrize("A", [
+    None, TimeMatrix.from_function(lambda t: np.array([[1.0 + t]]), (1, 1)),
+], ids=["constant", "time-dependent"])
+def test_linear_pipelines_reject_zero_sum_games(entry, A):
+    # The linear flow ignores the cross weights; its answer is the
+    # non-zero-sum Nash equilibrium, not the zero-sum one.
+    with pytest.raises(MisuseError, match="solve_zero_sum"):
+        entry(fig1_zero_sum(A=A))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: backward_zero_sum(g, 0),
+    lambda g: solve_zero_sum(g, steps_backward=8, steps_forward=0),
+    lambda g: solve_zero_sum(g, steps_backward=8, steps_forward=-1),
+], ids=["backward-zero", "forward-zero", "forward-negative"])
+def test_zero_sum_bad_step_counts_are_config_errors(call):
+    with pytest.raises(ConfigError, match="steps"):
+        call(zs_toy())
+
+
+def test_zero_sum_base_step_solves_with_u_once(monkeypatch):
+    game = fig1_zero_sum()
+    calls = []
+    real = riccati._gain_raw
+
+    def counting(U, V, t):
+        calls.append(t)
+        return real(U, V, t)
+
+    monkeypatch.setattr(riccati, "_gain_raw", counting)
+    y = np.vstack([np.eye(1), *game.QT])
+    y = zs_base_step(game, 0.75, -0.5, y)
+    assert calls == [0.75]
+    assert y.shape == (3, 1) and np.all(np.isfinite(y))
 
 
 def test_game_flow_round_trip():

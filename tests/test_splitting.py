@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -455,15 +456,13 @@ def test_recorded_symmetry_defect_is_the_largest_raw_defect():
                        Q=tuple(C(random_psd(rng, n)) for _ in range(3)),
                        QT=tuple(random_psd(rng, n) for _ in range(3)), x0=np.ones(n))
     flow0 = backward_game(game)
-    raws = []
-
-    def sample(state):
-        raws.append(state.flow.gains())
-        return state.t1, state.x, raws[-1]
-
     stepper, _ = make_stepper(game, "sp4", {})
-    traj = record_trajectory(game, stepper, initial_state(game, flow0), 1.0 / 16, 16,
-                             sample, 0)
+    state = initial_state(game, flow0)
+    raws = [state.flow.gains()]
+    for _ in range(16):  # the states the recorder samples, stepped again
+        state = stepper(1.0 / 16, state, game)
+        raws.append(state.flow.gains())
+    traj = record_trajectory(game, stepper, initial_state(game, flow0), 1.0 / 16, 16, 0)
     expected = max(symmetry_defect(P) for raw in raws for P in raw)
     assert expected > 1e-3
     assert traj.max_symmetry_defect == expected
@@ -472,7 +471,7 @@ def test_recorded_symmetry_defect_is_the_largest_raw_defect():
 def test_recorder_rejects_non_finite_gains():
     prob = random_lq(np.random.default_rng(82), n=2, r=1)
     flow0 = backward_game(prob)
-    bad = lambda state: (state.t1, state.x, [np.full((2, 2), np.nan)])
+    nan_gain = np.vstack([np.eye(2), np.full((2, 2), np.nan)])  # U = I, V = nan
+    bad = lambda h, state, p: replace(state, v=nan_gain)
     with pytest.raises(InputError):
-        record_trajectory(prob, lambda h, s, p: s, initial_state(prob, flow0), 0.5, 2,
-                          bad, 0)
+        record_trajectory(prob, bad, initial_state(prob, flow0), 0.5, 2, 0)
