@@ -15,8 +15,8 @@ part, Taylor quadratic part) plus Richardson extrapolation backward
 (order 5) and composition forward.  The linear part is the stacked flow
 with no coupling, applied with ``expm_apply``; the quadratic part is one
 bilinear form on the gains, read once per step through ``GameFlow.gains``.
-Forward, the map is the flow stage of sp2's interleave, run by the
-driver and recorder that every other pipeline uses.
+Forward, the map is the flow stage of sp2's interleave composed to order
+4, run by the stage loop and recorder every other pipeline uses.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import ConfigError, MisuseError
 from .matfun import expm_apply
 from .problem import GameProblem, hamiltonian_matrix as game_block_matrix
 from .riccati import GameFlow, backward_game, terminal_game_flow
-from .splitting import _SP2, COMPOSE4_ALPHAS, _stages, compose, integrate_forward
+from .splitting import COMPOSE4_ALPHAS, _composed, integrate_forward
 
 
 def solve_game(game, scheme="sp4", steps_backward=64, steps_forward=64):
@@ -173,20 +173,20 @@ def solve_zero_sum(game, steps_backward=32, composition_alphas=COMPOSE4_ALPHAS,
                    steps_forward=64):
     """Backward extrapolated pass, then forward composed symmetric map.
 
-    The forward base map is sp2's a/b interleave with zs_base_step as the
-    flow map: half a step of the closed loop for the state, the P-update,
-    half a step of the closed loop, run by the shared forward driver.  The
-    final-condition defect max_i |P_i(T) - Q_iT| is the reported accuracy
-    estimate.
+    The forward map is sp2's a/b interleave with zs_base_step as the flow
+    map, composed over ``composition_alphas`` as one coefficient sequence,
+    run by the shared forward driver; the step counts and weights are
+    checked first.  The final-condition defect max_i |P_i(T) - Q_iT| is the
+    reported accuracy estimate.
     """
     if not game.zero_sum:
         raise MisuseError("solve_zero_sum needs a zero-sum game")
+    if min(steps_backward, steps_forward) < 1:
+        raise ConfigError(f"zero-sum solve needs steps >= 1, got {steps_backward} "
+                          f"backward and {steps_forward} forward")
+    engine = _composed(composition_alphas, lambda g, taus, times, K:
+                       lambda j, y: zs_base_step(g, times[j], taus[j], y))
     P1, P2 = backward_zero_sum(game, steps_backward)
-
-    def base(h, state, prob):
-        return _stages(_SP2, h, state, prob,
-                       lambda tau, t, v: zs_base_step(prob, t, tau, v))
-
     return integrate_forward(game, GameFlow(U=np.eye(game.n), V=(P1, P2), t=game.t0),
-                             steps_forward, stepper=compose(base, composition_alphas),
+                             steps_forward, stepper=engine,
                              stages_per_step=len(composition_alphas))

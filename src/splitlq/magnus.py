@@ -9,8 +9,8 @@ endpoints and the midpoint,
 exact for constant M (the exponents commute and sum to h M).  Negative h
 integrates backward.
 
-Uniform steps run in chunks: a chunk samples its nodes in one call (a
-step's end node is the next step's start, so a step costs two samples),
+Uniform steps run in chunks: a chunk samples its distinct nodes in one call
+(a step's end node is the next step's start, so a step costs two samples),
 forms every exponent of the chunk as one stacked array and picks their
 Taylor degrees in one call; per step only the Horner loop of
 ``matfun.taylor_apply`` runs.
@@ -57,6 +57,22 @@ class LinearFlowProblem:
         return M
 
 
+def at_nodes(sample, times, memo):
+    """``sample(nodes)``'s stacked arrays at the distinct nodes of ``times``, in
+    one call, and each entry's index there; a first node equal to the last
+    one before, kept in ``memo``, is not sampled again."""
+    index = {}
+    pos = [index.setdefault(t, len(index)) for t in times]
+    nodes = list(index)
+    reuse = len(nodes) > 1 and nodes[0] in memo
+    arrays = sample(nodes[1:] if reuse else nodes)
+    if reuse:
+        arrays = tuple(np.concatenate(pair) for pair in zip(memo[nodes[0]], arrays))
+    memo.clear()
+    memo[times[-1]] = tuple(M[pos[-1]: pos[-1] + 1] for M in arrays)
+    return arrays, pos
+
+
 def cf4_chunks(prob, t, h, steps, y):
     """Advance y by ``steps`` CF4 steps of size h from t, a chunk at a time.
 
@@ -67,19 +83,17 @@ def cf4_chunks(prob, t, h, steps, y):
     if h == 0.0:
         raise InputError("CF4 step size must be nonzero")
     chunk = max(1, _CHUNK_BYTES // (32 * prob.dim * prob.dim))
-    carry = prob.sample([t])  # the sample at the start of the next chunk
+    memo = {}
     while steps > 0:
         m = min(chunk, steps)
         steps -= m
         nodes, times = [], []
         for _ in range(m):
-            nodes += [t + 0.5 * h, t + h]
+            nodes += [t, t + 0.5 * h, t + h]
             t += h
             times.append(t)
-        M = prob.sample(nodes)
-        mid, end = M[0::2], M[1::2]
-        start = carry if m == 1 else np.concatenate([carry, end[:-1]])
-        carry = end[-1:]
+        (M,), pos = at_nodes(lambda ts: (prob.sample(ts),), nodes, memo)
+        start, mid, end = (M[pos[k::3]] for k in range(3))
         E1 = (h / 12.0) * (3.0 * start + 4.0 * mid - end)
         E2 = (h / 12.0) * (-start + 4.0 * mid + 3.0 * end)
         norms = np.stack([norm1(E1), norm1(E2)], axis=1)

@@ -180,12 +180,18 @@ class GameProblem:
         """[S_1(t) ... S_N(t)], the row the closed loop multiplies."""
         if self.is_autonomous:
             return self._constant_derived[1]
-        return np.hstack(self.coupling_at(t))
+        return self.closed_loop_terms([t])[1][0]
+
+    def closed_loop_terms(self, times):
+        """A and the row [S_1 ... S_N] of the closed loop A - S_row V U^-1 at
+        each of ``times``, stacked; each coefficient evaluated once per node."""
+        if self.is_autonomous:
+            return tuple(np.broadcast_to(M, (len(times),) + M.shape)
+                         for M in (self.A(self.t0), self._constant_derived[1]))
+        return _sample(self.A, times), np.concatenate(self._couplings(times), axis=-1)
 
     def flow_matrix(self, t):
         """The (N+1)n x (N+1)n matrix K(t) of the stacked linear flow."""
-        if self.is_autonomous and not self.zero_sum:
-            return self._constant_derived[2]
         return self.flow_matrices([t])[0]
 
     def flow_matrices(self, times):
@@ -248,12 +254,14 @@ class GameProblem:
             raise min(failed, key=lambda exc: times.index(exc.where))
         return S
 
-    def feedback_controls(self, t, gains, x):
-        out = []
-        for i in range(self.nplayers):
-            rhs = (self.B[i](t).T @ (gains[i] @ x))[None, :, None]
-            out.append(-_solve_weight(self.R[i](t)[None], rhs, i, [t])[0, :, 0])
-        return out
+    def feedback_controls(self, times, gains, states):
+        """Each player's controls u_i = -R_i^-1 B_i^T P_i x at ``times``, from
+        P_i = ``gains[k][i]`` and x = ``states[k]``, in one stacked solve."""
+        Px = np.asarray(gains) @ np.asarray(states)[:, None, :, None]
+        return [-_solve_weight(_sample(self.R[i], times),
+                               _sample(self.B[i], times).swapaxes(-1, -2) @ Px[:, i],
+                               i, times)[..., 0]
+                for i in range(self.nplayers)]
 
     def _coupling(self, j, W, times):
         # B_j W^-1 B_j^T at each node of ``times``, stacked, for player j's

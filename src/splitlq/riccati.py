@@ -152,4 +152,4 @@ def gain_defect(flow):
 
 def control(prob, t, flow, x):
     """Optimal feedback u = -R(t)^-1 B(t)^T (V U^-1) x."""
-    return prob.feedback_controls(t, flow.gains(), np.asarray(x, dtype=float))[0]
+    return prob.feedback_controls([t], [flow.gains()], [np.asarray(x, dtype=float)])[0][0]

@@ -1,14 +1,17 @@
 """Splitting-scheme registry and the forward stepping engines.
 
-The general engines share one stage loop, the two-time-coordinate
-interleave, and differ only in the map that advances the stacked flow:
+The general engines share one stage loop.  Its clocks (t2 += a_i h, t1 +=
+b_i h) do not depend on the solution, so it plans a chunk of steps, samples
+A and S_row at the distinct a-clocks and K at the distinct b-clocks in one
+call each, then runs per stage only the closed loop (one U solve) with the
+state's exponential action, or the flow map.  The engines differ in that map:
 
 * ``step_autonomous`` -- constant coefficients, exp(b_i h K) formed once
   per stage length; the Riccati advance is exact, so integrating to T
   returns P(T) = QT to roundoff.
-* ``step_nonautonomous`` -- general time dependence, exp(b_i h K(t2)).
-* ``s2_step`` / ``compose`` -- sp2's coefficients with the cheap Cayley
-  approximation of the flow, raised to higher order by composition.
+* ``step_nonautonomous`` -- exp(b_i h K(t2)), the chunk's exponents stacked.
+* ``s2_step`` / ``s2c4`` -- sp2 with the cheap Cayley approximation of the
+  flow, composed to order 4 as one coefficient sequence for ``s2c4``.
 
 ``step_near_integrable`` is a fourth engine, for problems whose constant
 drift dominates the coupling: the drift flow is exact and the perturbation
@@ -21,12 +24,16 @@ the most negative coefficient on the state side, which helps positivity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .errors import ConfigError, InputError, MisuseError
-from .matfun import expm, expm_apply, pade2_apply, taylor_apply
+from .magnus import _CHUNK_BYTES, at_nodes
+from .matfun import expm, expm_apply, norm1, pade2_apply, taylor_apply, taylor_degrees
 from .problem import assemble_flow_matrix
 from .riccati import GameFlow, closed_loop
 
@@ -192,22 +199,92 @@ def initial_state(prob, flow):
 # ---------------------------------------------------------------------------
 
 
-def _stages(scheme, h, state, prob, flow):
-    """One step of the a/b interleave.  Per stage: advance the state by the
-    closed loop A - sum_j S_j P_j at the clock t1, move t2 by a_i h, advance
-    the stacked flow by ``flow(b_i h, t2, v)``, move t1 by b_i h."""
-    v = state.v
-    x = state.x
-    t1, t2 = state.t1, state.t2
-    for ai, bi in zip(scheme.a, scheme.b):
-        if ai != 0.0:
-            N = closed_loop(prob.A(t1), prob.coupling_row(t1), v, t1)
-            x = expm_apply(ai * h * N, x)
-        t2 += ai * h
-        if bi != 0.0:
-            v = flow(bi * h, t2, v)
-        t1 += bi * h
-    return ExtendedState(v=v, x=x, t1=t1, t2=t2)
+@dataclass(frozen=True)
+class _Engine:
+    """Coefficients and ``flow(prob, taus, times, K)``: given a chunk's b-stage
+    lengths b_i h, clocks t2 and a thunk giving ``at_nodes`` of K there, the
+    map (j, v) -> v' of b-stage j.  ``march`` yields the state after each
+    step.  A non-finite coefficient or a singular U raises at its stage,
+    after the stages before it; a singular R when its chunk is sampled."""
+
+    a: tuple
+    b: tuple
+    flow: Callable
+
+    def __call__(self, h, state, prob):  # one step
+        *_, state = self.march(h, state, prob, 1)
+        return state
+
+    def march(self, h, state, prob, steps):
+        # a chunk's exponents, d x d per b-stage, fill at most _CHUNK_BYTES
+        chunk = max(1, _CHUNK_BYTES // (8 * len(state.v) ** 2 * np.count_nonzero(self.b)))
+        v, x, t1, t2 = state.v, state.x, state.t1, state.t2
+        amemo, bmemo = {}, {}
+        for first in range(0, steps, chunk):
+            ta, tb, ends = [], [], []
+            for _ in range(min(chunk, steps - first)):
+                for ai, bi in zip(self.a, self.b):
+                    if ai != 0.0:
+                        ta.append(t1)
+                    t2 += ai * h
+                    if bi != 0.0:
+                        tb.append(t2)
+                    t1 += bi * h
+                ends.append((t1, t2))
+            # constant terms are views of one array: no carry, so no copy
+            (A, row), apos = at_nodes(prob.closed_loop_terms, ta,
+                                      {} if prob.is_autonomous else amemo)
+            closed = zip(apos, ta)
+            advance = self.flow(prob, [bi * h for bi in self.b if bi != 0.0] * len(ends), tb,
+                                lambda: at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo))
+            bstage = itertools.count()
+            for end in ends:
+                for ai, bi in zip(self.a, self.b):
+                    if ai != 0.0:
+                        p, t = next(closed)
+                        x = expm_apply(ai * h * closed_loop(A[p], row[p], v, t), x)
+                    if bi != 0.0:
+                        v = advance(next(bstage), v)
+                yield ExtendedState(v=v, x=x, t1=end[0], t2=end[1])
+
+
+def _taylor_flow(prob, taus, times, K):
+    # exp(b_i h K(t2)): the chunk's exponents stacked, their Taylor degrees
+    # picked at once; past a non-finite one, expm_apply raises at its stage
+    (K,), pos = K()
+    E = np.asarray(taus)[:, None, None] * K[pos]
+    norms = norm1(E)
+    degrees = taylor_degrees(norms) if np.isfinite(norms).all() else None
+    return lambda j, v: (expm_apply(E[j], v) if degrees is None
+                         else taylor_apply(E[j], v, degrees[j]))
+
+
+def _pade_flow(prob, taus, times, K):  # the Cayley map of b_i h K(t2)
+    (K,), pos = K()
+    return lambda j, v: pade2_apply(K[pos[j]], taus[j], v)
+
+
+def _cached_flow(cache):
+    # exp(b_i h K) of a constant K, formed once per stage length in ``cache``
+    def flow(prob, taus, times, K):
+        for tau in set(taus) - set(cache):
+            cache[tau] = expm(tau * prob.flow_matrix(prob.t0))
+        return lambda j, v: cache[taus[j]] @ v
+    return flow
+
+
+def _weights(alphas):
+    if abs(math.fsum(alphas) - 1.0) > 1e-12:
+        raise ConfigError(f"composition weights must sum to 1, got {math.fsum(alphas)}")
+    return tuple(alphas)
+
+
+def _composed(alphas, flow):
+    # sp2 composed over the substeps ``alphas`` as one engine: the half state
+    # steps that meet merge, so a = (α1/2, (α1+α2)/2, ..., αk/2), b = (α1, ..., αk, 0)
+    alphas = _weights(alphas)
+    a = tuple(0.5 * (p + q) for p, q in zip((0.0,) + alphas, alphas + (0.0,)))
+    return _Engine(a, alphas + (0.0,), flow)
 
 
 def step_autonomous(scheme, h, state, prob, cache=None):
@@ -219,27 +296,19 @@ def step_autonomous(scheme, h, state, prob, cache=None):
     if not prob.is_autonomous:
         raise MisuseError("problem is not autonomous; use step_nonautonomous")
     cache = {} if cache is None else cache
-
-    def flow(tau, t, v):
-        if tau not in cache:
-            cache[tau] = expm(tau * prob.flow_matrix(t))
-        return cache[tau] @ v
-
-    return _stages(scheme, h, state, prob, flow)
+    return _Engine(scheme.a, scheme.b, _cached_flow(cache))(h, state, prob)
 
 
 def step_nonautonomous(scheme, h, state, prob):
     """One step of the two-time-coordinate interleave: each flow stage
     applies exp(b_i h K(t2)) to the stacked blocks."""
-    return _stages(scheme, h, state, prob,
-                   lambda tau, t, v: expm_apply(tau * prob.flow_matrix(t), v))
+    return _Engine(scheme.a, scheme.b, _taylor_flow)(h, state, prob)
 
 
 def s2_step(h, state, prob):
     """Symmetric second-order map: sp2's half state step, Cayley flow update
     at the midpoint clock, half state step."""
-    return _stages(_SP2, h, state, prob,
-                   lambda tau, t, v: pade2_apply(prob.flow_matrix(t), tau, v))
+    return _composed((1.0,), _pade_flow)(h, state, prob)
 
 
 def compose(base, alphas):
@@ -248,8 +317,7 @@ def compose(base, alphas):
     ``base(h, state, prob)`` must be a one-step map; the alphas must sum
     to one.  Returns a step map of the same signature.
     """
-    if abs(math.fsum(alphas) - 1.0) > 1e-12:
-        raise ConfigError(f"composition weights must sum to 1, got {math.fsum(alphas)}")
+    alphas = _weights(alphas)
     def stepper(h, state, prob):
         for alpha in alphas:
             state = base(alpha * h, state, prob)
@@ -353,20 +421,17 @@ def make_stepper(prob, method, cache):
     A near-integrable scheme on a time-dependent A raises MisuseError here,
     before any stepping.
     """
-    if method == "s2":
-        return s2_step, 1
-    if method == "s2c4":
-        return compose(s2_step, COMPOSE4_ALPHAS), 5
+    alphas = {"s2": (1.0,), "s2c4": COMPOSE4_ALPHAS}.get(method)
+    if alphas:
+        return _composed(alphas, _pade_flow), len(alphas)
     scheme = get_scheme(method)
     if scheme.kind == "near-integrable":
         _check_near_integrable(scheme, prob)
         return (lambda h, state, p: step_near_integrable(scheme, h, state, p, cache=cache),
                 scheme.stages)
     if prob.is_autonomous:
-        return (lambda h, state, p: step_autonomous(scheme, h, state, p, cache=cache),
-                scheme.stages)
-    return (lambda h, state, p: step_nonautonomous(scheme, h, state, p),
-            scheme.stages)
+        return _Engine(scheme.a, scheme.b, _cached_flow(cache)), scheme.stages
+    return _Engine(scheme.a, scheme.b, _taylor_flow), scheme.stages
 
 
 def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
@@ -389,37 +454,36 @@ def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
 def record_trajectory(prob, stepper, state, h, steps, evaluations):
     """Take ``steps`` steps of ``stepper`` from ``state``, sampling each state.
 
-    A sample is the clock t1, the state x and the raw gains of the flow,
-    formed once; the symmetrized gains, the controls and the raw symmetry
-    defect all come from them.
+    A general engine marches in chunks; any other step map is called once
+    per step.  A sample is the clock t1, the state x and the raw gains of
+    the flow, formed once; the symmetrized gains and the raw symmetry defect
+    come from them, and every sample's controls from one batched call after
+    the last step.
     """
-    times, xs, gains, controls = [], [], [], []
+    states = (itertools.chain([state], stepper.march(h, state, prob, steps))
+              if isinstance(stepper, _Engine) else
+              itertools.accumulate(range(steps), lambda s, _: stepper(h, s, prob),
+                                   initial=state))
+    times, xs, gains = [], [], []
     max_defect = 0.0
-    for k in range(steps + 1):
-        if k:
-            state = stepper(h, state, prob)
-        t, x = state.t1, state.x
+    for state in states:
         raw = np.asarray(state.flow.gains())  # every player's raw gain, stacked
-        g = [0.5 * (P + P.T) for P in raw]
-        times.append(t)
-        xs.append(x.copy())
-        gains.append(g)
-        controls.append(prob.feedback_controls(t, g, x))
+        times.append(state.t1)
+        xs.append(state.x)
+        gains.append(0.5 * (raw + raw.swapaxes(-1, -2)))
         # one expression for all players; a non-finite gain makes it non-finite
         defect = float(np.max(np.abs(raw - raw.swapaxes(-1, -2))))
         if not math.isfinite(defect):
             raise InputError("matrix contains non-finite entries")
         max_defect = max(max_defect, defect)
 
-    terminal_defect = max(
-        float(np.max(np.abs(P - QT))) for P, QT in zip(gains[-1], prob.QT)
-    )
+    gains, xs = np.asarray(gains), np.asarray(xs)
     return Trajectory(
         times=np.asarray(times),
-        states=np.asarray(xs),
-        gains=np.asarray(gains),
-        controls=[np.asarray([c[j] for c in controls]) for j in range(len(g))],
+        states=xs,
+        gains=gains,
+        controls=prob.feedback_controls(times, gains, xs),
         evaluations=evaluations,
         max_symmetry_defect=max_defect,
-        terminal_gain_defect=terminal_defect,
+        terminal_gain_defect=float(np.max(np.abs(gains[-1] - np.asarray(prob.QT)))),
     )

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from conftest import C, random_psd, random_spd
-from splitlq import riccati
+from splitlq import games, riccati, splitting
 from splitlq.bench import build_pollution, preset, run_sweep
 from splitlq.errors import ConfigError, InputError, MisuseError, SingularityError
 from splitlq.games import (GameFlow, GameProblem, backward_game,
@@ -413,6 +413,28 @@ def test_linear_pipelines_reject_zero_sum_games(entry, A):
 def test_zero_sum_bad_step_counts_are_config_errors(call):
     with pytest.raises(ConfigError, match="steps"):
         call(zs_toy())
+
+
+@pytest.mark.parametrize("steps", [(8, 0), (0, 8), (8, -1)], ids=["forward-zero",
+                                                                 "backward-zero",
+                                                                 "forward-negative"])
+def test_zero_sum_step_counts_checked_before_the_backward_pass(monkeypatch, steps):
+    def fail(*args, **kwargs):
+        raise AssertionError("backward pass run before the step counts were checked")
+
+    monkeypatch.setattr(games, "backward_zero_sum", fail)
+    with pytest.raises(ConfigError, match="steps"):
+        solve_zero_sum(zs_toy(), steps_backward=steps[0], steps_forward=steps[1])
+
+
+def test_zero_sum_forward_forms_six_closed_loops_per_composed_step(monkeypatch):
+    # the half state steps that meet between the five substeps are merged
+    calls = []
+    real = splitting.closed_loop
+    monkeypatch.setattr(splitting, "closed_loop",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+    traj = solve_zero_sum(fig1_zero_sum(), steps_backward=8, steps_forward=16)
+    assert len(calls) == 6 * 16 and traj.evaluations == 5 * 16
 
 
 def test_zero_sum_base_step_solves_with_u_once(monkeypatch):

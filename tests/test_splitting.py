@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from conftest import C, fit_order, random_lq, random_psd, random_spd
 from splitlq.bench import build_pollution, preset
-from splitlq.errors import ConfigError, InputError, MisuseError
+from splitlq.errors import ConfigError, InputError, MisuseError, SingularityError
 from splitlq.games import backward_game
 from splitlq.matfun import min_eigenvalue_sym, pade2, symmetry_defect
 from splitlq.problem import GameProblem, LQProblem, TimeMatrix
@@ -475,3 +475,244 @@ def test_recorder_rejects_non_finite_gains():
     bad = lambda h, state, p: replace(state, v=nan_gain)
     with pytest.raises(InputError):
         record_trajectory(prob, bad, initial_state(prob, flow0), 0.5, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# Chunked stage loop
+# ---------------------------------------------------------------------------
+
+
+def _logged(fn, dims, log):
+    # a time-dependent coefficient that records every time it is evaluated at
+    def evaluator(t):
+        log.append(t)
+        return fn(t)
+    return TimeMatrix.from_function(evaluator, dims)
+
+
+def two_player_tv(logs=None, A=None, R1=None):
+    """Time-dependent two-player game, n = 2: player 1 has one input, player
+    2 two (so its R is a matrix solve).  ``logs`` collects each
+    coefficient's evaluation times by name."""
+    logs = {} if logs is None else logs
+    fns = {
+        "A": (A or (lambda t: np.array([[0.1 * np.sin(t), 1.0], [-1.0, -0.2 + 0.1 * t]])),
+              (2, 2)),
+        "B1": (lambda t: np.array([[1.0], [0.5 * np.cos(t)]]), (2, 1)),
+        "B2": (lambda t: np.array([[0.2 * t, 0.0], [1.0, 0.5]]), (2, 2)),
+        "R1": (R1 or (lambda t: np.array([[1.0 + 0.5 * t]])), (1, 1)),
+        "R2": (lambda t: np.array([[2.0, 0.3 * t], [0.3 * t, 1.0]]), (2, 2)),
+        "Q1": (lambda t: np.array([[1.0 + t, 0.2], [0.2, 0.5]]), (2, 2)),
+        "Q2": (lambda t: np.array([[0.5, 0.0], [0.0, 1.0 + np.sin(t)]]), (2, 2)),
+    }
+    tm = {k: _logged(fn, dims, logs.setdefault(k, [])) for k, (fn, dims) in fns.items()}
+    return GameProblem(A=tm["A"], B=(tm["B1"], tm["B2"]), R=(tm["R1"], tm["R2"]),
+                       Q=(tm["Q1"], tm["Q2"]),
+                       QT=(np.array([[1.0, 0.1], [0.1, 0.5]]), 0.3 * np.eye(2)),
+                       x0=[1.0, -0.5], t0=0.0, T=1.0)
+
+
+def _clocks(a, b, h, steps, t0=0.0):
+    # every step's a-clocks and b-clocks, accumulated as one step does
+    ta, tb, t1, t2 = [], [], t0, t0
+    for _ in range(steps):
+        for ai, bi in zip(a, b):
+            if ai != 0.0:
+                ta.append(t1)
+            t2 += ai * h
+            if bi != 0.0:
+                tb.append(t2)
+            t1 += bi * h
+    return ta, tb
+
+
+_COEFFS = {
+    "sp2": get_scheme("sp2"), "sp4": get_scheme("sp4"), "sp6": get_scheme("sp6"),
+    "s2": get_scheme("sp2"),
+}
+
+
+def _per_stage(prob, flow0, steps, method, seen=None):
+    """The a/b interleave written out stage by stage from the public calls:
+    (states, symmetrized gains) after every step.  ``seen`` collects the
+    clock of every closed loop formed."""
+    from splitlq.riccati import GameFlow, closed_loop
+    from splitlq.matfun import expm, expm_apply, pade2_apply
+
+    scheme = _COEFFS[method]
+    h = (prob.T - prob.t0) / steps
+    v, x, t1, t2 = flow0.stacked(), prob.x0.copy(), prob.t0, prob.t0
+
+    def sample():
+        raw = np.asarray(GameFlow.from_stacked(v, t1).gains())
+        return x, 0.5 * (raw + raw.swapaxes(-1, -2))
+
+    out = [sample()]
+    for _ in range(steps):
+        for ai, bi in zip(scheme.a, scheme.b):
+            if ai != 0.0:
+                if seen is not None:
+                    seen.append(t1)
+                N = closed_loop(prob.A(t1), prob.coupling_row(t1), v, t1)
+                x = expm_apply(ai * h * N, x)
+            t2 += ai * h
+            if bi != 0.0:
+                if method == "s2":
+                    v = pade2_apply(prob.flow_matrix(t2), bi * h, v)
+                elif prob.is_autonomous:  # the exponential is formed and cached
+                    v = expm(bi * h * prob.flow_matrix(t2)) @ v
+                else:
+                    v = expm_apply(bi * h * prob.flow_matrix(t2), v)
+            t1 += bi * h
+        out.append(sample())
+    return np.array([s[0] for s in out]), np.array([s[1] for s in out])
+
+
+@pytest.fixture(scope="module")
+def tv_setup():
+    prob = two_player_tv()
+    return prob, backward_game(prob, steps=64)
+
+
+@pytest.mark.parametrize("method", ["sp2", "sp4", "sp6", "s2"])
+@pytest.mark.parametrize("steps", [1, 7, 33, 100])
+def test_chunked_driver_is_the_per_stage_loop_bit_for_bit(tv_setup, method, steps):
+    # d = 6: sp4 runs 2 steps per chunk, sp2 and s2 14, sp6 one, so chunk
+    # edges (and the node two chunks share) fall inside the horizon.
+    prob, flow0 = tv_setup
+    traj = integrate_forward(prob, flow0, steps, method=method)
+    states, gains = _per_stage(prob, flow0, steps, method)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.gains.tobytes() == gains.tobytes()
+
+
+@pytest.mark.parametrize("method", ["sp2", "sp4", "sp6", "s2"])
+def test_autonomous_engine_is_the_per_stage_loop_bit_for_bit(fig1_setup, method):
+    # Ten players: the closed loop's row product is a BLAS dot product, so
+    # the constant terms must reach it as the same arrays at every stage.
+    prob, flow0, _ = fig1_setup
+    traj = integrate_forward(prob, flow0, 8, method=method)
+    states, gains = _per_stage(prob, flow0, 8, method)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.gains.tobytes() == gains.tobytes()
+
+
+@pytest.mark.parametrize("method", ["sp2", "sp4", "sp6", "s2"])
+def test_each_coefficient_sampled_once_per_stage_node(method):
+    logs = {}
+    prob = two_player_tv(logs)
+    steps = 33
+    flow0 = RiccatiFlow(U=np.eye(2), V=np.eye(2), t=0.0)
+    flow0 = replace(flow0, V=prob.QT)  # U = I, V_i = QT_i: no backward pass
+    for log in logs.values():
+        log.clear()  # forget the problem's own validation samples
+    traj = integrate_forward(prob, flow0, steps, method=method)
+    scheme = _COEFFS[method]
+    ta, tb = _clocks(scheme.a, scheme.b, 1.0 / steps, steps)
+    assert not set(ta) & set(tb)
+    # A and Q only in the stage loop: once per distinct node
+    assert sorted(logs["A"]) == sorted(set(ta) | set(tb))
+    for name in ("Q1", "Q2"):
+        assert sorted(logs[name]) == sorted(set(tb))
+    # B and R: once per distinct node, then once per sample for the controls
+    for name in ("B1", "B2", "R1", "R2"):
+        assert len(logs[name]) == len(set(ta) | set(tb)) + steps + 1
+        assert logs[name][-(steps + 1):] == list(traj.times)
+    # shared nodes exist (a-clocks for sp2, sp6, s2; b-clocks for sp4)
+    assert len(set(ta)) + len(set(tb)) < len(ta) + len(tb)
+
+
+@pytest.mark.parametrize("method", ["sp4", "s2"])
+def test_non_finite_drift_inside_a_chunk_runs_the_steps_before_it(monkeypatch, method):
+    # n = 2, one player (d = 4): an sp4 chunk is 4 steps of h = 0.05, so
+    # the third chunk covers [0.4, 0.6] and A turns NaN inside it.
+    import splitlq.splitting as splitting
+
+    nan_after = lambda t: (np.full((2, 2), np.nan) if t > 0.5
+                           else np.array([[-0.5, 1.0], [0.0, -1.0]]))
+    prob = LQProblem(A=TimeMatrix.from_function(nan_after, (2, 2)), B=C(np.eye(2)),
+                     Q=C(np.eye(2)), R=C(np.eye(2)), QT=np.eye(2), x0=[1.0, 1.0])
+    flow0 = RiccatiFlow(U=np.eye(2), V=np.eye(2), t=0.0)
+    want = []
+    with pytest.raises(InputError):
+        _per_stage(prob, flow0, 20, method, seen=want)
+    got = []
+    real = splitting.closed_loop
+    monkeypatch.setattr(splitting, "closed_loop",
+                        lambda A, row, y, t: got.append(t) or real(A, row, y, t))
+    with pytest.raises(InputError):
+        integrate_forward(prob, flow0, 20, method=method)
+    assert got == want and 0.4 < got[-1] < 0.55  # past the chunk start
+
+
+def test_singular_r_in_a_later_chunk_names_its_node():
+    # R_1 is singular at one a-clock of step 70 of 100; an sp4 chunk is 2
+    # steps here, so the node lies in the 36th chunk.
+    steps = 100
+    ta, _ = _clocks(get_scheme("sp4").a, get_scheme("sp4").b, 1.0 / steps, steps)
+    node = ta[6 * 70 + 2]
+    prob = two_player_tv(R1=lambda t: np.array([[0.0 if t == node else 1.0]]))
+    flow0 = backward_game(two_player_tv(), steps=64)
+    with pytest.raises(SingularityError) as ref:
+        _per_stage(prob, flow0, steps, "sp4")
+    with pytest.raises(SingularityError) as got:
+        integrate_forward(prob, flow0, steps, method="sp4")
+    assert got.value.where == ref.value.where == node
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("method", ["sp4", "s2"])
+def test_singular_u_before_a_non_finite_node_of_the_same_chunk(method):
+    # U = diag(1, 0) and no coupling keep U singular; A is NaN after
+    # t = 0.3, inside the first chunk.  The first closed loop fails first.
+    A = TimeMatrix.from_function(
+        lambda t: np.full((2, 2), np.nan) if t > 0.3 else np.zeros((2, 2)), (2, 2))
+    prob = LQProblem(A=A, B=C(np.zeros((2, 1))), Q=C(np.zeros((2, 2))), R=C([[1.0]]),
+                     QT=np.zeros((2, 2)), x0=[1.0, 1.0])
+    flow0 = RiccatiFlow(U=np.diag([1.0, 0.0]), V=np.zeros((2, 2)), t=0.0)
+    with pytest.raises(SingularityError) as ref:
+        _per_stage(prob, flow0, 10, method)
+    with pytest.raises(SingularityError) as got:
+        integrate_forward(prob, flow0, 10, method=method)
+    assert got.value.where == ref.value.where < 0.3
+
+
+def test_composed_s2_merges_the_boundary_closed_loops(monkeypatch, fig1_setup):
+    # s2c4 as one coefficient sequence: 6 closed loops per step, not 10,
+    # still counted as 5 evaluations per step.
+    import splitlq.splitting as splitting
+
+    prob, flow0, _ = fig1_setup
+    calls = []
+    real = splitting.closed_loop
+    monkeypatch.setattr(splitting, "closed_loop",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+    traj = integrate_forward(prob, flow0, 8, method="s2c4")
+    assert len(calls) == 6 * 8 and traj.evaluations == 5 * 8
+
+
+def test_controls_are_the_feedback_law_at_every_sample(tv_setup):
+    prob, flow0 = tv_setup
+    traj = integrate_forward(prob, flow0, 16, method="sp4")
+    for j in range(2):
+        assert traj.controls[j].shape == (17, prob.B[j].dims[1])
+        for k, t in enumerate(traj.times):
+            u = -np.linalg.solve(prob.R[j](t), prob.B[j](t).T @ traj.gains[k, j]
+                                 @ traj.states[k])
+            assert_allclose(traj.controls[j][k], u, rtol=1e-13, atol=1e-15)
+
+
+def test_singular_r_at_a_recorded_time_names_it():
+    # The batched control evaluation after the last step still reports the
+    # time of a singular R, here one that no stage samples.
+    steps = 16
+    scheme = get_scheme("sp4")
+    ta, tb = _clocks(scheme.a, scheme.b, 1.0 / steps, steps)
+    times = integrate_forward(two_player_tv(), backward_game(two_player_tv(), steps=64),
+                              steps, method="sp4").times
+    bad = next(t for t in times[5:] if t not in set(ta) | set(tb))
+    prob = two_player_tv(R1=lambda t: np.array([[0.0 if t == bad else 1.0]]))
+    with pytest.raises(SingularityError, match="player 1") as err:
+        integrate_forward(prob, backward_game(two_player_tv(), steps=64), steps,
+                          method="sp4")
+    assert err.value.where == bad
