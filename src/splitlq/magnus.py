@@ -60,7 +60,9 @@ class LinearFlowProblem:
 def at_nodes(sample, times, memo):
     """``sample(nodes)``'s stacked arrays at the distinct nodes of ``times``, in
     one call, and each entry's index there; a first node equal to the last
-    one before, kept in ``memo``, is not sampled again."""
+    one before, kept in ``memo``, is not sampled again.  Arrays that are all
+    one matrix broadcast over the nodes (a stride of 0) cost nothing to
+    sample, so such a chunk keeps no carry."""
     index = {}
     pos = [index.setdefault(t, len(index)) for t in times]
     nodes = list(index)
@@ -69,7 +71,8 @@ def at_nodes(sample, times, memo):
     if reuse:
         arrays = tuple(np.concatenate(pair) for pair in zip(memo[nodes[0]], arrays))
     memo.clear()
-    memo[times[-1]] = tuple(M[pos[-1]: pos[-1] + 1] for M in arrays)
+    if any(M.strides[0] for M in arrays):
+        memo[times[-1]] = tuple(M[pos[-1]: pos[-1] + 1] for M in arrays)
     return arrays, pos
 
 

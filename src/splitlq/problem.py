@@ -5,9 +5,10 @@ A problem bundles the time-dependent dynamics A(t), the per-player
 coefficients B_i(t), Q_i(t), R_i(t) and terminal weights, the initial
 state and the horizon, and knows how to assemble the derived matrices: the
 control-weight images S_i(t) = B_i R_i^-1 B_i^T and their row, the stacked
-flow matrix (formed once, read-only, when every coefficient is constant)
-and the closed-loop state matrix.  ``LQProblem(...)`` builds the
-one-player game of a control problem.
+flow matrix and the closed-loop state matrix.  Every coefficient is sampled
+over a whole list of nodes at once, and a derived matrix whose inputs are
+all constant is formed once, read-only, and broadcast.  ``LQProblem(...)``
+builds the one-player game of a control problem.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .matfun import min_eigenvalue_sym, solve_checked, symmetry_defect
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
+VECTORIZED_TOL = 1e-12  # relative agreement of a vectorized form with its evaluator
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,14 +32,18 @@ class TimeMatrix:
     """A time-parameterized matrix coefficient with a declared constancy flag.
 
     ``evaluator`` must be a pure function of t returning an array of shape
-    ``dims`` for every t in the problem horizon.  When ``constant`` is true
-    the value of the first call is frozen, as a read-only copy, and reused;
-    ``GameProblem`` checks it against the evaluator on its horizon.
+    ``dims`` for every t in the problem horizon.  The optional ``vectorized``
+    form maps an array of k times to the (k, *dims) stack, so a chunk of
+    nodes is sampled in one call.  When ``constant`` is true the value of
+    the first call is frozen, as a read-only copy, and broadcast over the
+    nodes.  ``GameProblem`` checks both declarations against the evaluator
+    on its horizon.
     """
 
     evaluator: Callable[[float], np.ndarray]
     dims: tuple[int, int]
     constant: bool = False
+    vectorized: Callable[[np.ndarray], np.ndarray] | None = None
     _frozen_value: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -49,8 +55,8 @@ class TimeMatrix:
                    _frozen_value=value)
 
     @classmethod
-    def from_function(cls, fn, dims):
-        return cls(evaluator=fn, dims=tuple(dims), constant=False)
+    def from_function(cls, fn, dims, vectorized=None):
+        return cls(evaluator=fn, dims=tuple(dims), constant=False, vectorized=vectorized)
 
     def _evaluate(self, t):
         value = np.atleast_2d(np.asarray(self.evaluator(t), dtype=float))
@@ -76,11 +82,11 @@ def _read_only(M):
 
 
 def _check_weight(name, tm, t_samples, positive_definite=False):
-    for t in t_samples:
-        W = tm(t)
-        if symmetry_defect(W) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(W)))):
-            raise InputError(f"{name}({t}) is not symmetric")
-        lam = min_eigenvalue_sym(W)
+    for t, W in zip(t_samples, _sample(tm, t_samples)):
+        try:  # one scan: finite, and symmetric to SYMMETRY_TOL * max(1, |W|)
+            lam = min_eigenvalue_sym(W, tol=SYMMETRY_TOL)
+        except InputError as exc:
+            raise InputError(f"{name}({t}): {exc}") from None
         if positive_definite and lam <= 0.0:
             raise InputError(f"{name}({t}) is not positive definite (min eig {lam:.3e})")
         if not positive_definite and lam < -PSD_TOL:
@@ -119,6 +125,7 @@ class GameProblem:
         object.__setattr__(self, "QT", tuple(_read_only(np.array(Z, dtype=float, ndmin=2))
                                              for Z in self.QT))
         object.__setattr__(self, "x0", _read_only(np.array(self.x0, dtype=float, ndmin=1)))
+        object.__setattr__(self, "_constants", {})  # data derived from constant coefficients
         if self.x0.shape != (n,):
             raise DimensionError("x0 must have length n")
         if not self.t0 < self.T:
@@ -143,13 +150,20 @@ class GameProblem:
             for key in ((1, 2), (2, 1)):
                 if key not in self.cross_R:
                     raise InputError(f"zero-sum mode needs cross weight R_{key}")
+        for name, tm in self._named():  # a declared form must match the evaluator
+            if tm.constant or tm.vectorized:
+                scalar = np.array([tm._evaluate(t) for t in samples])
+                miss = np.max(np.abs(_sample(tm, samples) - scalar))
+                if not miss <= (0.0 if tm.constant else
+                                VECTORIZED_TOL * max(1.0, np.max(np.abs(scalar)))):
+                    form = "constant" if tm.constant else "vectorized"
+                    raise InputError(f"{name} declared {form} but differs from its "
+                                     f"evaluator on [{self.t0}, {self.T}]")
+
+    def _named(self):
         named = [("A", self.A)] + [(f"{k}[{i}]", tm) for k in ("B", "R", "Q")
                                    for i, tm in enumerate(getattr(self, k))]
-        named += [(f"cross_R{k}", tm) for k, tm in (self.cross_R or {}).items()]
-        for name, tm in named:  # a declared constant must hold on the horizon
-            if tm.constant and any(not np.array_equal(tm._evaluate(t), tm(t))
-                                   for t in samples):
-                raise InputError(f"{name} declared constant but varies on [{self.t0}, {self.T}]")
+        return named + [(f"cross_R{k}", tm) for k, tm in (self.cross_R or {}).items()]
 
     @property
     def n(self):
@@ -165,30 +179,21 @@ class GameProblem:
 
     @cached_property
     def is_autonomous(self):
-        tms = [self.A, *self.B, *self.R, *self.Q]
-        if self.cross_R:
-            tms.extend(self.cross_R.values())
-        return all(tm.constant for tm in tms)
+        return all(tm.constant for _, tm in self._named())
 
     def coupling_at(self, t):
         """(S_1(t), ..., S_N(t)) with S_i = B_i R_i^-1 B_i^T, symmetrized."""
-        if self.is_autonomous:
-            return self._constant_derived[0]
-        return tuple(S[0] for S in self._couplings([t]))
+        return self._derived("S", (*self.B, *self.R),
+                             lambda: tuple(np.hsplit(self.coupling_row(t), self.nplayers)))
 
     def coupling_row(self, t):
         """[S_1(t) ... S_N(t)], the row the closed loop multiplies."""
-        if self.is_autonomous:
-            return self._constant_derived[1]
-        return self.closed_loop_terms([t])[1][0]
+        return self._row([t])[0]
 
     def closed_loop_terms(self, times):
         """A and the row [S_1 ... S_N] of the closed loop A - S_row V U^-1 at
-        each of ``times``, stacked; each coefficient evaluated once per node."""
-        if self.is_autonomous:
-            return tuple(np.broadcast_to(M, (len(times),) + M.shape)
-                         for M in (self.A(self.t0), self._constant_derived[1]))
-        return _sample(self.A, times), np.concatenate(self._couplings(times), axis=-1)
+        each of ``times``, stacked; each coefficient sampled once per call."""
+        return _sample(self.A, times), self._row(times)
 
     def flow_matrix(self, t):
         """The (N+1)n x (N+1)n matrix K(t) of the stacked linear flow."""
@@ -196,58 +201,58 @@ class GameProblem:
 
     def flow_matrices(self, times):
         """K at each of ``times``, stacked over a leading node axis.  Every
-        coefficient is evaluated once per node.  A zero-sum game has no
-        linear flow, so every linear pipeline stops here for it."""
+        coefficient is sampled once per call.  A zero-sum game has no linear
+        flow, so every linear pipeline stops here for it."""
         if self.zero_sum:
             raise MisuseError("a zero-sum game has no linear Riccati flow; "
                               "solve it with solve_zero_sum")
-        if self.is_autonomous:
-            K = self._constant_derived[2]
-            return np.broadcast_to(K, (len(times),) + K.shape)
-        return self._assemble(times, self._couplings(times))
+        return self._stacked("K", (self.A, *self.B, *self.R, *self.Q), times,
+                             lambda ts: self._assemble(ts, self._row(ts)))
 
     def zero_sum_terms(self, t):
         """(K0, S22, S11) of a zero-sum game at t: the stacked flow matrix
         with no coupling, and the cross couplings S22 = B_2 R_12^-1 B_2^T,
         S11 = B_1 R_21^-1 B_1^T."""
-        if self.is_autonomous:
-            return self._constant_zero_sum
-        return self._zero_sum_terms([t])
+        cross = ((1, self.cross_R[(1, 2)]), (0, self.cross_R[(2, 1)]))
+        return self._derived("zero-sum", (self.A, *self.B, *self.Q, *self.cross_R.values()),
+                             lambda: tuple(_read_only(M[0].copy()) for M in (
+                                 self._assemble([t], 0.0),
+                                 *self._couplings([t], cross))))
 
-    @cached_property
-    def _constant_derived(self):
-        # S_i (views of their row), the row and K of an autonomous problem,
-        # sampled once on first use; read-only, so no caller can make them
-        # stale.
-        t = [self.t0]
-        S = self._couplings(t)
-        row = _read_only(np.hstack([Si[0] for Si in S]))
-        return (tuple(np.hsplit(row, self.nplayers)), row,
-                _read_only(self._assemble(t, S)[0]))
+    def _derived(self, key, inputs, make):
+        # make(), data derived at one node; kept under ``key`` when every
+        # coefficient in ``inputs`` is constant, so it is formed only once
+        value = self._constants.get(key)
+        if value is None:
+            value = make()
+            if all(tm.constant for tm in inputs):
+                self._constants[key] = value
+        return value
 
-    @cached_property
-    def _constant_zero_sum(self):
-        # copies, so the memo does not keep the stacked arrays they index
-        return tuple(_read_only(M.copy()) for M in self._zero_sum_terms([self.t0]))
+    def _stacked(self, key, inputs, times, form):
+        # form(times), stacked over the nodes of ``times``; of constant inputs,
+        # the matrix at the first node, derived once (read-only) and broadcast
+        if not all(tm.constant for tm in inputs):
+            return form(times)
+        return _broadcast(self._derived(key, inputs, lambda: _read_only(
+            form(times[:1])[0].copy())), len(times))
 
-    def _zero_sum_terms(self, times):
-        K0 = self._assemble(times, [0.0] * self.nplayers)
-        S22 = self._coupling(1, self.cross_R[(1, 2)], times)
-        S11 = self._coupling(0, self.cross_R[(2, 1)], times)
-        return K0[0], S22[0], S11[0]
-
-    def _assemble(self, times, S):
-        return assemble_flow_matrix(self.n, _sample(self.A, times), S,
+    def _assemble(self, times, S_row):
+        return assemble_flow_matrix(self.n, _sample(self.A, times), S_row,
                                     [_sample(Q, times) for Q in self.Q])
 
-    def _couplings(self, times):
-        # Every player's S_i at each node of ``times``.  A singular R is
-        # reported at its first node in the order of ``times``, for the
-        # first player singular there.
+    def _row(self, times):
+        return self._stacked("row", (*self.B, *self.R), times, lambda ts: np.concatenate(
+            self._couplings(ts, enumerate(self.R)), axis=-1))
+
+    def _couplings(self, times, weights):
+        # B_j W^-1 B_j^T at each node of ``times`` for each (j, W) of
+        # ``weights``.  A singular W is reported at its first node in the
+        # order of ``times``, for the first player singular there.
         S, failed = [], []
-        for i in range(self.nplayers):
+        for j, W in weights:
             try:
-                S.append(self._coupling(i, self.R[i], times))
+                S.append(self._coupling(j, W, times))
             except SingularityError as exc:
                 failed.append(exc)
         if failed:
@@ -273,10 +278,23 @@ class GameProblem:
 
 
 def _sample(tm, times):
-    # tm at each node of ``times``, stacked over a leading node axis.
-    if len(times) == 1:
-        return tm(times[0])[None]
-    return np.array([tm(t) for t in times])
+    # tm at each node of ``times``, stacked over a leading node axis: a
+    # constant's frozen value broadcast, read-only; a vectorized form in one
+    # call; a scalar evaluator once per node.
+    if tm.constant:
+        return _broadcast(tm(times[0]), len(times))
+    if tm.vectorized is None:
+        return np.array([tm(t) for t in times])
+    M = np.asarray(tm.vectorized(np.asarray(times, dtype=float)), dtype=float)
+    if M.shape != (len(times),) + tm.dims:
+        raise DimensionError(f"vectorized evaluator returned shape {M.shape} "
+                             f"for {len(times)} times, declared {tm.dims}")
+    return M
+
+
+def _broadcast(M, k):
+    # M over k nodes as a read-only view with a 0 stride (M[None]: one node, cheaply)
+    return M[None] if k == 1 else np.broadcast_to(M, (k,) + M.shape)
 
 
 def _solve_weight(R, rhs, player, times):
@@ -316,14 +334,15 @@ def hamiltonian_matrix(prob, t):
     return prob.flow_matrix(t)
 
 
-def assemble_flow_matrix(n, A, S_list, Q_list):
-    """Stack [[A, -S_1 .. -S_N], [-Q_i down, -A^T diagonal]], at one node or
-    over a leading node axis shared by the blocks."""
-    N = len(S_list)
+def assemble_flow_matrix(n, A, S_row, Q_list):
+    """Stack [[A, -S_1 .. -S_N], [-Q_i down, -A^T diagonal]] from the row
+    [S_1 ... S_N], at one node or over a leading node axis shared by the
+    blocks."""
+    N = len(Q_list)
     K = np.zeros(A.shape[:-2] + ((N + 1) * n, (N + 1) * n))
     K[..., :n, :n] = A
+    K[..., :n, n:] = -S_row
     for i in range(N):
-        K[..., :n, n * (1 + i): n * (2 + i)] = -S_list[i]
         K[..., n * (1 + i): n * (2 + i), :n] = -Q_list[i]
         K[..., n * (1 + i): n * (2 + i), n * (1 + i): n * (2 + i)] = -A.swapaxes(-1, -2)
     return K

@@ -231,9 +231,7 @@ class _Engine:
                         tb.append(t2)
                     t1 += bi * h
                 ends.append((t1, t2))
-            # constant terms are views of one array: no carry, so no copy
-            (A, row), apos = at_nodes(prob.closed_loop_terms, ta,
-                                      {} if prob.is_autonomous else amemo)
+            (A, row), apos = at_nodes(prob.closed_loop_terms, ta, amemo)
             closed = zip(apos, ta)
             advance = self.flow(prob, [bi * h for bi in self.b if bi != 0.0] * len(ends), tb,
                                 lambda: at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo))
@@ -350,8 +348,7 @@ def step_near_integrable(scheme, h, state, prob, cache=None):
     v = state.v
     x = state.x
     t = state.t1
-    zero = [np.zeros((n, n))] * prob.nplayers
-    D = assemble_flow_matrix(n, A, zero, zero)  # the drift part of K
+    D = assemble_flow_matrix(n, A, 0.0, [0.0] * prob.nplayers)  # the drift part of K
 
     for ai, bi in zip(scheme.a, scheme.b):
         if ai != 0.0:

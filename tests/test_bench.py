@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from splitlq.bench import (PollutionConfig, TimeFunction, backward_pass,
                            build_pollution, emit_csv, preset,
                            reference_endpoint, run_sweep, SweepResult)
 from splitlq.errors import ConfigError, InputError
+from splitlq.problem import TimeMatrix
 from splitlq.reference import flatten_pipeline, rk4_solve, unflatten
+from splitlq.splitting import integrate_forward
 
 
 def test_time_function_catalog():
@@ -198,3 +201,39 @@ def test_backward_pass_transient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, f"backward pass peak {peak} B"
+
+
+def _with_coefficients(prob, change):
+    # prob with change(tm) in place of each coefficient TimeMatrix
+    return replace(prob, A=change(prob.A),
+                   **{k: tuple(map(change, getattr(prob, k))) for k in ("B", "R", "Q")})
+
+
+def test_pollution_solve_samples_through_the_vectorized_form(monkeypatch):
+    # A pollution-tv-sp4-shaped solve on fig3a: the backward pass, then 256
+    # sp4 steps, call the scalar evaluators, and TimeMatrix.__call__ (which
+    # the constant B answers), far less than once per node.
+    calls, lookups = [], []
+
+    def counted(tm):
+        fn = tm.evaluator
+        return replace(tm, evaluator=lambda t: calls.append(t) or fn(t))
+
+    prob = _with_coefficients(build_pollution(preset("fig3a")), counted)
+    assert prob.A.vectorized is not None and prob.R[0].vectorized is not None
+    assert prob.B[0].constant
+    call = TimeMatrix.__call__
+    monkeypatch.setattr(TimeMatrix, "__call__", lambda tm, t: lookups.append(t) or call(tm, t))
+    calls.clear()
+    integrate_forward(prob, backward_pass(prob), 256, method="sp4")
+    assert len(calls) < 1000 and len(lookups) < 1000
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b"])
+def test_vectorized_form_gives_the_scalar_trajectory(name):
+    prob = build_pollution(preset(name))
+    scalar = _with_coefficients(prob, lambda tm: replace(tm, vectorized=None))
+    a, b = (integrate_forward(p, backward_pass(p), 64, method="sp4") for p in (prob, scalar))
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.gains.tobytes() == b.gains.tobytes()
+    assert np.asarray(a.controls).tobytes() == np.asarray(b.controls).tobytes()

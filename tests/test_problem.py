@@ -288,3 +288,74 @@ def test_zero_sum_constant_terms_formed_once(monkeypatch):
     for M in (K0, S22, S11):
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
+
+
+def _lq_with_drift(A):
+    return LQProblem(A=A, B=C([[1.0]]), Q=C([[1.0]]), R=C([[1.0]]), QT=[[0.0]], x0=[1.0])
+
+
+def _drift(vectorized):
+    # A(t) = -1 - t, with the declared vectorized form ``vectorized``
+    return TimeMatrix.from_function(lambda t: np.array([[-1.0 - t]]), (1, 1),
+                                    vectorized=vectorized)
+
+
+def test_vectorized_form_checked_against_its_evaluator():
+    prob = _lq_with_drift(_drift(lambda ts: (-1.0 - ts)[:, None, None]))
+    assert prob.flow_matrices([0.25, 0.5])[:, 0, 0].tolist() == [-1.25, -1.5]
+    with pytest.raises(InputError, match=r"^A declared vectorized but differs"):
+        _lq_with_drift(_drift(lambda ts: (-1.0 - 2.0 * ts)[:, None, None]))
+
+
+@pytest.mark.parametrize("batch", [
+    lambda ts: np.ones((len(ts), 1, 2)),
+    lambda ts: np.array([[-1.0]]),  # one matrix, not a stack over the times
+], ids=["wrong-dims", "not-stacked"])
+def test_vectorized_form_shape_checked(batch):
+    with pytest.raises(DimensionError, match="vectorized evaluator returned shape"):
+        _lq_with_drift(_drift(batch))
+
+
+def test_partly_constant_game_samples_its_constants_once(monkeypatch):
+    # B and R constant, A time dependent: a backward pass and two forward
+    # engines call neither constant's evaluator again and form each S_i
+    # once, with the numbers of the same game declared time dependent.
+    rng = np.random.default_rng(62)
+    n = 2
+    calls = {}
+
+    def logged(name, value):
+        def evaluator(t):
+            calls[name] = calls.get(name, 0) + 1
+            return value
+        return TimeMatrix(evaluator, value.shape, constant=True)
+
+    def game(declare):
+        coefficients = {"B": (rng.standard_normal((n, 1)), rng.standard_normal((n, 2))),
+                        "R": (random_spd(rng, 1), random_spd(rng, 2))}
+        return GameProblem(
+            A=TimeMatrix.from_function(
+                lambda t: np.array([[0.1 * np.sin(t), 1.0], [-1.0, -0.2 + 0.1 * t]]), (n, n)),
+            Q=(C(random_psd(rng, n)), C(random_psd(rng, n))),
+            QT=(random_psd(rng, n), random_psd(rng, n)), x0=np.ones(n),
+            **{k: tuple(declare(f"{k}{i}", M) for i, M in enumerate(Ms))
+               for k, Ms in coefficients.items()})
+
+    partly = game(logged)
+    rng = np.random.default_rng(62)
+    varying = game(lambda name, M: TimeMatrix.from_function(lambda t: M, M.shape))
+    formed = []
+    coupling = GameProblem._coupling
+    monkeypatch.setattr(GameProblem, "_coupling",
+                        lambda self, j, W, t: formed.append(j) or coupling(self, j, W, t))
+    calls.clear()
+    runs = []
+    for prob in (partly, varying):
+        flow0 = backward_game(prob, steps=16)
+        runs.append([integrate_forward(prob, flow0, 16, method=m) for m in ("sp4", "s2c4")])
+        if prob is partly:
+            assert all(count <= 1 for count in calls.values())
+            assert sorted(formed) == [0, 1]
+    for a, b in zip(*runs):
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.gains.tobytes() == b.gains.tobytes()

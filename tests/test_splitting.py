@@ -597,6 +597,24 @@ def test_autonomous_engine_is_the_per_stage_loop_bit_for_bit(fig1_setup, method)
     assert traj.gains.tobytes() == gains.tobytes()
 
 
+@pytest.mark.parametrize("method", ["sp2", "s2"])
+def test_constant_terms_cross_chunk_edges_as_one_array(monkeypatch, fig1_setup, method):
+    # d = 11: one step per chunk, and each chunk's first a-clock is the last
+    # one of the chunk before.  The constant A and row still reach every
+    # closed loop as views of the problem's one cached array, never copies.
+    import splitlq.splitting as splitting
+
+    prob, flow0, _ = fig1_setup
+    seen = []
+    real = splitting.closed_loop
+    monkeypatch.setattr(splitting, "closed_loop",
+                        lambda A, row, y, t: seen.append((A, row)) or real(A, row, y, t))
+    integrate_forward(prob, flow0, 12, method=method)
+    A0, row0 = prob.A(0.0), prob.coupling_row(0.0)
+    assert len(seen) == 2 * 12
+    assert all(np.shares_memory(A, A0) and np.shares_memory(row, row0) for A, row in seen)
+
+
 @pytest.mark.parametrize("method", ["sp2", "sp4", "sp6", "s2"])
 def test_each_coefficient_sampled_once_per_stage_node(method):
     logs = {}
