@@ -154,12 +154,9 @@ def build_pollution(config):
     def scalar_tm(fn, sign=1.0, discount=False):
         if fn.is_constant and not (discount and discounted):
             return TimeMatrix.from_constant([[sign * fn(0.0)]])
-
-        def value(t):  # the catalog's functions are numpy expressions of t
-            return sign * fn(t) * (np.exp(-rho * t) if discount else 1.0)
-
-        return TimeMatrix.from_function(lambda t: np.array([[value(t)]]), (1, 1),
-                                        vectorized=lambda ts: value(ts)[:, None, None])
+        return TimeMatrix.from_function(  # numpy expressions of t, or of many times at once
+            lambda t: np.reshape(sign * fn(t) * (np.exp(-rho * t) if discount else 1.0),
+                                 np.shape(t) + (1, 1)), (1, 1), vectorized=True)
 
     A = scalar_tm(config.a, sign=-1.0)
     B = tuple(scalar_tm(config.b) for _ in range(config.N))

@@ -59,10 +59,8 @@ class LinearFlowProblem:
 
 def at_nodes(sample, times, memo):
     """``sample(nodes)``'s stacked arrays at the distinct nodes of ``times``, in
-    one call, and each entry's index there; a first node equal to the last
-    one before, kept in ``memo``, is not sampled again.  Arrays that are all
-    one matrix broadcast over the nodes (a stride of 0) cost nothing to
-    sample, so such a chunk keeps no carry."""
+    one call, and each entry's index there.  The last node is kept in ``memo``
+    and not sampled again, unless a broadcast (0 stride) would be copied."""
     index = {}
     pos = [index.setdefault(t, len(index)) for t in times]
     nodes = list(index)
@@ -71,7 +69,7 @@ def at_nodes(sample, times, memo):
     if reuse:
         arrays = tuple(np.concatenate(pair) for pair in zip(memo[nodes[0]], arrays))
     memo.clear()
-    if any(M.strides[0] for M in arrays):
+    if all(M.strides[0] for M in arrays):
         memo[times[-1]] = tuple(M[pos[-1]: pos[-1] + 1] for M in arrays)
     return arrays, pos
 

@@ -128,15 +128,16 @@ def expm(M):
 
 
 def taylor_degrees(norms):
-    """Taylor degree of exp(M) @ Y for each 1-norm ||M||_1 in ``norms``, in
-    one call: the smallest m with ||M||_1 <= theta_m, or 0 above theta_30,
-    where the exponential is formed instead.  A non-finite norm raises
-    InputError."""
-    norms = np.asarray(norms, dtype=float)
-    if not np.isfinite(norms).all():
-        raise InputError("matrix contains non-finite entries")
-    degrees = np.searchsorted(_TAYLOR_THETA, norms, side="left") + 1
-    return np.where(norms <= _TAYLOR_THETA[-1], degrees, 0).tolist()
+    """Taylor degree of exp(M) @ Y for each 1-norm ||M||_1 in ``norms``: the
+    smallest m with ||M||_1 <= theta_m, or 0 above theta_30, where the
+    exponential is formed instead.  A non-finite norm raises InputError."""
+    degrees = []
+    for norm in norms:
+        if not math.isfinite(norm):
+            raise InputError("matrix contains non-finite entries")
+        degrees.append(bisect.bisect_left(_TAYLOR_THETA, norm) + 1
+                       if norm <= _TAYLOR_THETA[-1] else 0)
+    return degrees
 
 
 def taylor_apply(M, Y, degree):
@@ -164,11 +165,7 @@ def expm_apply(M, Y):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {M.shape}")
     norm = abs(M[0, 0]) if M.shape == (1, 1) else norm1(M)
-    if not math.isfinite(norm):
-        raise InputError("matrix contains non-finite entries")
-    # taylor_degrees' rule for one norm, without numpy's per-call cost
-    return taylor_apply(M, Y, bisect.bisect_left(_TAYLOR_THETA, norm) + 1
-                        if norm <= _TAYLOR_THETA[-1] else 0)
+    return taylor_apply(M, Y, taylor_degrees((norm,))[0])
 
 
 def pade2(M, h):
@@ -194,10 +191,7 @@ def pade2_apply(M, h, Y):
 
 def symmetry_defect(M):
     """max_ij |M_ij - M_ji|, zero exactly for symmetric input."""
-    return _symmetry_defect(_as_square(M))
-
-
-def _symmetry_defect(M):  # of a matrix that _as_square has checked
+    M = _as_square(M)
     return float(np.max(np.abs(M - M.T))) if M.size else 0.0
 
 
@@ -207,8 +201,8 @@ def min_eigenvalue_sym(M, tol=1e-8):
     The input is symmetrized as (M + M^T)/2 before the eigen-solve; an
     asymmetry defect above ``tol * max(1, |M|_max)`` is rejected.
     """
-    M = _as_square(M)
-    defect = _symmetry_defect(M)
+    M = np.asarray(M, dtype=float)
+    defect = symmetry_defect(M)  # also checks that M is square and finite
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
     if defect > tol * scale:
         raise InputError(

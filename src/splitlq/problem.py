@@ -5,10 +5,10 @@ A problem bundles the time-dependent dynamics A(t), the per-player
 coefficients B_i(t), Q_i(t), R_i(t) and terminal weights, the initial
 state and the horizon, and knows how to assemble the derived matrices: the
 control-weight images S_i(t) = B_i R_i^-1 B_i^T and their row, the stacked
-flow matrix and the closed-loop state matrix.  Every coefficient is sampled
-over a whole list of nodes at once, and a derived matrix whose inputs are
-all constant is formed once, read-only, and broadcast.  ``LQProblem(...)``
-builds the one-player game of a control problem.
+flow matrix and the closed-loop state matrix.  The row and the flow
+matrices are vectorized ``TimeMatrix`` objects too, constant (formed once,
+read-only, and broadcast where sampled) exactly when their inputs are.
+``LQProblem(...)`` builds the one-player game of a control problem.
 """
 
 from __future__ import annotations
@@ -24,26 +24,24 @@ from .matfun import min_eigenvalue_sym, solve_checked, symmetry_defect
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
-VECTORIZED_TOL = 1e-12  # relative agreement of a vectorized form with its evaluator
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TimeMatrix:
     """A time-parameterized matrix coefficient with a declared constancy flag.
 
     ``evaluator`` must be a pure function of t returning an array of shape
-    ``dims`` for every t in the problem horizon.  The optional ``vectorized``
-    form maps an array of k times to the (k, *dims) stack, so a chunk of
+    ``dims`` for every t in the problem horizon; a ``vectorized`` evaluator
+    instead maps an array of k times to the (k, *dims) stack, so a chunk of
     nodes is sampled in one call.  When ``constant`` is true the value of
     the first call is frozen, as a read-only copy, and broadcast over the
-    nodes.  ``GameProblem`` checks both declarations against the evaluator
-    on its horizon.
+    nodes; ``GameProblem`` checks it against the evaluator on its horizon.
     """
 
-    evaluator: Callable[[float], np.ndarray]
+    evaluator: Callable
     dims: tuple[int, int]
     constant: bool = False
-    vectorized: Callable[[np.ndarray], np.ndarray] | None = None
+    vectorized: bool = False
     _frozen_value: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -55,11 +53,12 @@ class TimeMatrix:
                    _frozen_value=value)
 
     @classmethod
-    def from_function(cls, fn, dims, vectorized=None):
+    def from_function(cls, fn, dims, vectorized=False):
         return cls(evaluator=fn, dims=tuple(dims), constant=False, vectorized=vectorized)
 
     def _evaluate(self, t):
-        value = np.atleast_2d(np.asarray(self.evaluator(t), dtype=float))
+        value = self.evaluator(np.array([t]))[0] if self.vectorized else self.evaluator(t)
+        value = np.atleast_2d(np.asarray(value, dtype=float))
         if value.shape != self.dims:
             raise DimensionError(
                 f"evaluator returned shape {value.shape}, declared {self.dims}"
@@ -125,7 +124,6 @@ class GameProblem:
         object.__setattr__(self, "QT", tuple(_read_only(np.array(Z, dtype=float, ndmin=2))
                                              for Z in self.QT))
         object.__setattr__(self, "x0", _read_only(np.array(self.x0, dtype=float, ndmin=1)))
-        object.__setattr__(self, "_constants", {})  # data derived from constant coefficients
         if self.x0.shape != (n,):
             raise DimensionError("x0 must have length n")
         if not self.t0 < self.T:
@@ -150,15 +148,10 @@ class GameProblem:
             for key in ((1, 2), (2, 1)):
                 if key not in self.cross_R:
                     raise InputError(f"zero-sum mode needs cross weight R_{key}")
-        for name, tm in self._named():  # a declared form must match the evaluator
-            if tm.constant or tm.vectorized:
-                scalar = np.array([tm._evaluate(t) for t in samples])
-                miss = np.max(np.abs(_sample(tm, samples) - scalar))
-                if not miss <= (0.0 if tm.constant else
-                                VECTORIZED_TOL * max(1.0, np.max(np.abs(scalar)))):
-                    form = "constant" if tm.constant else "vectorized"
-                    raise InputError(f"{name} declared {form} but differs from its "
-                                     f"evaluator on [{self.t0}, {self.T}]")
+        for name, tm in self._named():  # a declared constant must hold on the horizon
+            if tm.constant and any(not np.array_equal(tm._evaluate(t), tm(t))
+                                   for t in samples):
+                raise InputError(f"{name} declared constant but varies on [{self.t0}, {self.T}]")
 
     def _named(self):
         named = [("A", self.A)] + [(f"{k}[{i}]", tm) for k in ("B", "R", "Q")
@@ -183,17 +176,16 @@ class GameProblem:
 
     def coupling_at(self, t):
         """(S_1(t), ..., S_N(t)) with S_i = B_i R_i^-1 B_i^T, symmetrized."""
-        return self._derived("S", (*self.B, *self.R),
-                             lambda: tuple(np.hsplit(self.coupling_row(t), self.nplayers)))
+        return tuple(self.coupling_row(t).reshape(self.n, self.nplayers, -1).swapaxes(0, 1))
 
     def coupling_row(self, t):
         """[S_1(t) ... S_N(t)], the row the closed loop multiplies."""
-        return self._row([t])[0]
+        return self._row(t)
 
     def closed_loop_terms(self, times):
         """A and the row [S_1 ... S_N] of the closed loop A - S_row V U^-1 at
         each of ``times``, stacked; each coefficient sampled once per call."""
-        return _sample(self.A, times), self._row(times)
+        return _sample(self.A, times), _sample(self._row, times)
 
     def flow_matrix(self, t):
         """The (N+1)n x (N+1)n matrix K(t) of the stacked linear flow."""
@@ -206,58 +198,49 @@ class GameProblem:
         if self.zero_sum:
             raise MisuseError("a zero-sum game has no linear Riccati flow; "
                               "solve it with solve_zero_sum")
-        return self._stacked("K", (self.A, *self.B, *self.R, *self.Q), times,
-                             lambda ts: self._assemble(ts, self._row(ts)))
+        return _sample(self._flow, times)
 
     def zero_sum_terms(self, t):
         """(K0, S22, S11) of a zero-sum game at t: the stacked flow matrix
         with no coupling, and the cross couplings S22 = B_2 R_12^-1 B_2^T,
         S11 = B_1 R_21^-1 B_1^T."""
-        cross = ((1, self.cross_R[(1, 2)]), (0, self.cross_R[(2, 1)]))
-        return self._derived("zero-sum", (self.A, *self.B, *self.Q, *self.cross_R.values()),
-                             lambda: tuple(_read_only(M[0].copy()) for M in (
-                                 self._assemble([t], 0.0),
-                                 *self._couplings([t], cross))))
+        K0, S22, S11 = self._zero_sum
+        return K0(t), S22(t), S11(t)
 
-    def _derived(self, key, inputs, make):
-        # make(), data derived at one node; kept under ``key`` when every
-        # coefficient in ``inputs`` is constant, so it is formed only once
-        value = self._constants.get(key)
-        if value is None:
-            value = make()
-            if all(tm.constant for tm in inputs):
-                self._constants[key] = value
-        return value
+    # The derived matrices, each listed with every coefficient it reads.
+    @cached_property
+    def _row(self):
+        return _derived(self._form_row, (self.n, self.nplayers * self.n), *self.B, *self.R)
 
-    def _stacked(self, key, inputs, times, form):
-        # form(times), stacked over the nodes of ``times``; of constant inputs,
-        # the matrix at the first node, derived once (read-only) and broadcast
-        if not all(tm.constant for tm in inputs):
-            return form(times)
-        return _broadcast(self._derived(key, inputs, lambda: _read_only(
-            form(times[:1])[0].copy())), len(times))
+    @cached_property
+    def _flow(self):
+        return _derived(lambda ts: self._assemble(ts, _sample(self._row, ts)),
+                        ((self.nplayers + 1) * self.n,) * 2, self.A, self._row, *self.Q)
+
+    @cached_property
+    def _zero_sum(self):
+        n, W12, W21 = self.n, self.cross_R[(1, 2)], self.cross_R[(2, 1)]
+        return (_derived(lambda ts: self._assemble(ts, 0.0), (3 * n, 3 * n), self.A, *self.Q),
+                _derived(lambda ts: self._coupling(1, W12, ts), (n, n), self.B[1], W12),
+                _derived(lambda ts: self._coupling(0, W21, ts), (n, n), self.B[0], W21))
 
     def _assemble(self, times, S_row):
         return assemble_flow_matrix(self.n, _sample(self.A, times), S_row,
                                     [_sample(Q, times) for Q in self.Q])
 
-    def _row(self, times):
-        return self._stacked("row", (*self.B, *self.R), times, lambda ts: np.concatenate(
-            self._couplings(ts, enumerate(self.R)), axis=-1))
-
-    def _couplings(self, times, weights):
-        # B_j W^-1 B_j^T at each node of ``times`` for each (j, W) of
-        # ``weights``.  A singular W is reported at its first node in the
-        # order of ``times``, for the first player singular there.
+    def _form_row(self, times):
+        # [S_1 ... S_N] at each node of ``times``.  A singular R is reported
+        # at its first node in the order of ``times``, for the first player
+        # singular there.
         S, failed = [], []
-        for j, W in weights:
+        for i in range(self.nplayers):
             try:
-                S.append(self._coupling(j, W, times))
+                S.append(self._coupling(i, self.R[i], times))
             except SingularityError as exc:
                 failed.append(exc)
         if failed:
-            raise min(failed, key=lambda exc: times.index(exc.where))
-        return S
+            raise min(failed, key=lambda exc: list(times).index(exc.where))
+        return np.concatenate(S, axis=-1)
 
     def feedback_controls(self, times, gains, states):
         """Each player's controls u_i = -R_i^-1 B_i^T P_i x at ``times``, from
@@ -278,23 +261,24 @@ class GameProblem:
 
 
 def _sample(tm, times):
-    # tm at each node of ``times``, stacked over a leading node axis: a
-    # constant's frozen value broadcast, read-only; a vectorized form in one
-    # call; a scalar evaluator once per node.
+    # tm at each node of ``times``, stacked over a leading node axis: a constant
+    # broadcast (read-only), a vectorized evaluator in one call, else one per node
     if tm.constant:
-        return _broadcast(tm(times[0]), len(times))
-    if tm.vectorized is None:
+        M = tm(times[0])
+        return M[None] if len(times) == 1 else np.broadcast_to(M, (len(times),) + M.shape)
+    if not tm.vectorized:
         return np.array([tm(t) for t in times])
-    M = np.asarray(tm.vectorized(np.asarray(times, dtype=float)), dtype=float)
+    M = np.asarray(tm.evaluator(np.asarray(times, dtype=float)), dtype=float)
     if M.shape != (len(times),) + tm.dims:
         raise DimensionError(f"vectorized evaluator returned shape {M.shape} "
                              f"for {len(times)} times, declared {tm.dims}")
     return M
 
 
-def _broadcast(M, k):
-    # M over k nodes as a read-only view with a 0 stride (M[None]: one node, cheaply)
-    return M[None] if k == 1 else np.broadcast_to(M, (k,) + M.shape)
+def _derived(make, dims, *inputs):
+    # The vectorized TimeMatrix ``make`` of a matrix derived from the
+    # TimeMatrix ``inputs``: constant (formed once, then broadcast) when they are
+    return TimeMatrix(make, dims, vectorized=True, constant=all(tm.constant for tm in inputs))
 
 
 def _solve_weight(R, rhs, player, times):
@@ -336,8 +320,7 @@ def hamiltonian_matrix(prob, t):
 
 def assemble_flow_matrix(n, A, S_row, Q_list):
     """Stack [[A, -S_1 .. -S_N], [-Q_i down, -A^T diagonal]] from the row
-    [S_1 ... S_N], at one node or over a leading node axis shared by the
-    blocks."""
+    [S_1 .. S_N], at one node or over a leading node axis shared by the blocks."""
     N = len(Q_list)
     K = np.zeros(A.shape[:-2] + ((N + 1) * n, (N + 1) * n))
     K[..., :n, :n] = A

@@ -211,8 +211,8 @@ def _with_coefficients(prob, change):
 
 def test_pollution_solve_samples_through_the_vectorized_form(monkeypatch):
     # A pollution-tv-sp4-shaped solve on fig3a: the backward pass, then 256
-    # sp4 steps, call the scalar evaluators, and TimeMatrix.__call__ (which
-    # the constant B answers), far less than once per node.
+    # sp4 steps, call the evaluators, and TimeMatrix.__call__ (which the
+    # constant B answers), far less than once per node.
     calls, lookups = [], []
 
     def counted(tm):
@@ -220,7 +220,7 @@ def test_pollution_solve_samples_through_the_vectorized_form(monkeypatch):
         return replace(tm, evaluator=lambda t: calls.append(t) or fn(t))
 
     prob = _with_coefficients(build_pollution(preset("fig3a")), counted)
-    assert prob.A.vectorized is not None and prob.R[0].vectorized is not None
+    assert prob.A.vectorized and prob.R[0].vectorized
     assert prob.B[0].constant
     call = TimeMatrix.__call__
     monkeypatch.setattr(TimeMatrix, "__call__", lambda tm, t: lookups.append(t) or call(tm, t))
@@ -232,7 +232,7 @@ def test_pollution_solve_samples_through_the_vectorized_form(monkeypatch):
 @pytest.mark.parametrize("name", ["fig3a", "fig3b"])
 def test_vectorized_form_gives_the_scalar_trajectory(name):
     prob = build_pollution(preset(name))
-    scalar = _with_coefficients(prob, lambda tm: replace(tm, vectorized=None))
+    scalar = _with_coefficients(prob, lambda tm: replace(tm, vectorized=False))
     a, b = (integrate_forward(p, backward_pass(p), 64, method="sp4") for p in (prob, scalar))
     assert a.states.tobytes() == b.states.tobytes()
     assert a.gains.tobytes() == b.gains.tobytes()

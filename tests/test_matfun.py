@@ -6,9 +6,8 @@ from scipy.sparse.linalg import expm_multiply
 from conftest import canonical_j, random_hamiltonian, taylor_expm
 from splitlq.errors import DimensionError, InputError, SingularityError
 from splitlq.matfun import (_TAYLOR_THETA, expm, expm_apply, first_singular,
-                            min_eigenvalue_sym, norm1, pade2, pade2_apply, rcond,
-                            solve_checked, symmetry_defect, taylor_apply,
-                            taylor_degrees)
+                            min_eigenvalue_sym, pade2, pade2_apply, rcond,
+                            solve_checked, symmetry_defect, taylor_degrees)
 
 
 def test_expm_zero_is_identity():
@@ -215,32 +214,6 @@ def test_taylor_degrees_rule():
         == [1, 5, 6, 30, 0]
     with pytest.raises(InputError):
         taylor_degrees(np.array([0.1, np.nan]))
-
-
-def _bisect_degree(norm):
-    # the reference rule: the smallest m with norm <= theta_m, 0 above theta_30
-    import bisect
-    return bisect.bisect_left(_TAYLOR_THETA, norm) + 1 if norm <= _TAYLOR_THETA[-1] else 0
-
-
-def test_taylor_degrees_match_the_bisect_rule_around_every_threshold():
-    norms = [0.0, 10.0] + [x for theta in _TAYLOR_THETA for x in
-                           (np.nextafter(theta, 0.0), theta, np.nextafter(theta, np.inf))]
-    want = [_bisect_degree(x) for x in norms]
-    assert taylor_degrees(norms) == taylor_degrees(np.array(norms)) == want
-    assert want[-3:] == [30, 30, 0]
-
-
-@pytest.mark.parametrize("m", [1, 5, 12, 30])
-def test_expm_apply_picks_the_degree_taylor_degrees_picks(m):
-    # On either side of theta_m the two degrees differ, and so do the results.
-    rng = np.random.default_rng(91)
-    X, Y = rng.standard_normal((2, 3, 3))
-    for norm in (np.nextafter(_TAYLOR_THETA[m - 1], 0.0), _TAYLOR_THETA[m - 1],
-                 np.nextafter(_TAYLOR_THETA[m - 1], np.inf)):
-        M = X * (norm / norm1(X))
-        want = taylor_apply(M, Y, taylor_degrees([norm1(M)])[0])
-        assert expm_apply(M, Y).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("call", [

@@ -294,32 +294,34 @@ def _lq_with_drift(A):
     return LQProblem(A=A, B=C([[1.0]]), Q=C([[1.0]]), R=C([[1.0]]), QT=[[0.0]], x0=[1.0])
 
 
-def _drift(vectorized):
-    # A(t) = -1 - t, with the declared vectorized form ``vectorized``
-    return TimeMatrix.from_function(lambda t: np.array([[-1.0 - t]]), (1, 1),
-                                    vectorized=vectorized)
-
-
-def test_vectorized_form_checked_against_its_evaluator():
-    prob = _lq_with_drift(_drift(lambda ts: (-1.0 - ts)[:, None, None]))
-    assert prob.flow_matrices([0.25, 0.5])[:, 0, 0].tolist() == [-1.25, -1.5]
-    with pytest.raises(InputError, match=r"^A declared vectorized but differs"):
-        _lq_with_drift(_drift(lambda ts: (-1.0 - 2.0 * ts)[:, None, None]))
+def test_vectorized_evaluator_samples_many_times_in_one_call():
+    calls = []
+    A = TimeMatrix.from_function(lambda ts: calls.append(ts) or (-1.0 - ts)[:, None, None],
+                                 (1, 1), vectorized=True)
+    prob = _lq_with_drift(A)
+    calls.clear()
+    assert prob.flow_matrices([0.25, 0.5, 1.0])[:, 0, 0].tolist() == [-1.25, -1.5, -2.0]
+    assert len(calls) == 1 and A(0.25).tolist() == [[-1.25]]
 
 
 @pytest.mark.parametrize("batch", [
     lambda ts: np.ones((len(ts), 1, 2)),
     lambda ts: np.array([[-1.0]]),  # one matrix, not a stack over the times
 ], ids=["wrong-dims", "not-stacked"])
-def test_vectorized_form_shape_checked(batch):
+def test_vectorized_evaluator_shape_checked(batch):
+    prob = _lq_with_drift(TimeMatrix.from_function(batch, (1, 1), vectorized=True))
     with pytest.raises(DimensionError, match="vectorized evaluator returned shape"):
-        _lq_with_drift(_drift(batch))
+        prob.flow_matrices([0.25, 0.5])
 
 
 def test_partly_constant_game_samples_its_constants_once(monkeypatch):
     # B and R constant, A time dependent: a backward pass and two forward
     # engines call neither constant's evaluator again and form each S_i
-    # once, with the numbers of the same game declared time dependent.
+    # once, with the numbers of the same game declared time dependent.  The
+    # row [S_1 S_2] reaches every closed loop, across chunk edges, as a view
+    # of its one cached array, never a copy.
+    import splitlq.splitting as splitting
+
     rng = np.random.default_rng(62)
     n = 2
     calls = {}
@@ -348,6 +350,10 @@ def test_partly_constant_game_samples_its_constants_once(monkeypatch):
     coupling = GameProblem._coupling
     monkeypatch.setattr(GameProblem, "_coupling",
                         lambda self, j, W, t: formed.append(j) or coupling(self, j, W, t))
+    rows = []
+    closed_loop = splitting.closed_loop
+    monkeypatch.setattr(splitting, "closed_loop",
+                        lambda A, row, y, t: rows.append(row) or closed_loop(A, row, y, t))
     calls.clear()
     runs = []
     for prob in (partly, varying):
@@ -356,6 +362,48 @@ def test_partly_constant_game_samples_its_constants_once(monkeypatch):
         if prob is partly:
             assert all(count <= 1 for count in calls.values())
             assert sorted(formed) == [0, 1]
+            row = prob.coupling_row(0.0)
+            assert len(rows) > 64 and all(np.shares_memory(r, row) for r in rows)
     for a, b in zip(*runs):
         assert a.states.tobytes() == b.states.tobytes()
         assert a.gains.tobytes() == b.gains.tobytes()
+
+
+def _one_varying(varying, **coefficients):
+    # each coefficient constant, except ``varying``, which is (1 + t) times it
+    def declare(k, M):
+        M = np.asarray(M, dtype=float)
+        return (TimeMatrix.from_function(lambda t: (1.0 + t) * M, M.shape) if k == varying
+                else C(M))
+    return {k: declare(k, M) if k in ("A", "cross") else tuple(declare(k, Mi) for Mi in M)
+            for k, M in coefficients.items()}
+
+
+@pytest.mark.parametrize("varying", ["A", "B", "R", "Q"])
+def test_derived_matrices_follow_each_input(varying):
+    # With one coefficient time dependent, K and the row are not frozen at
+    # their first node: each follows that coefficient as it would alone.
+    c = _one_varying(varying, A=[[0.0, 1.0], [-1.0, 0.0]], B=[[[0.0], [1.0]]], R=[[[2.0]]],
+                     Q=[np.eye(2)])
+    prob = GameProblem(QT=(np.zeros((2, 2)),), x0=np.ones(2), T=1.0, **c)
+    K = prob.flow_matrices([0.0, 1.0])
+    assert not prob.is_autonomous and not np.array_equal(K[0], K[1])
+    for Kk, t in zip(K, (0.0, 1.0)):
+        S = prob.B[0](t) @ np.linalg.solve(prob.R[0](t), prob.B[0](t).T)
+        assert_allclose(Kk[:2], np.hstack([prob.A(t), -S]), rtol=1e-15)
+        assert_allclose(prob.coupling_row(t), S, rtol=1e-15)
+
+
+@pytest.mark.parametrize("varying", ["A", "B", "Q", "cross"])
+def test_zero_sum_terms_follow_each_input(varying):
+    c = _one_varying(varying, A=[[-1.0]], B=[[[1.0]], [[0.5]]], R=[[[1.0]], [[1.0]]],
+                     Q=[[[1.0]], [[2.0]]], cross=[[20.0]])
+    W = c.pop("cross")
+    prob = GameProblem(QT=(np.zeros((1, 1)),) * 2, x0=[1.0], cross_R={(1, 2): W, (2, 1): W},
+                       **c)
+    for t in (0.0, 1.0):
+        (K0, S22, S11), s = prob.zero_sum_terms(t), 1.0 + t
+        a, b, q, w = ((s if k == varying else 1.0) for k in ("A", "B", "Q", "cross"))
+        assert_allclose(K0, [[-a, 0, 0], [-q, a, 0], [-2 * q, 0, a]], rtol=1e-15)
+        assert_allclose((S22, S11), [[[(0.5 * b) ** 2 / (20 * w)]], [[b ** 2 / (20 * w)]]],
+                        rtol=1e-15)
