@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 import time as _time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InputError, SingularityError
 from .games import GameFlow, GameProblem, backward_game
-from .magnus import integrate
+from .magnus import integrate, richardson
 from .matfun import solve_checked
 from .problem import TimeMatrix
 from .reference import adaptive_solve, flatten_pipeline, rk4_solve, unflatten
@@ -186,7 +187,14 @@ class SweepResult:
     symmetry_defect: float
 
 
-BACKWARD_STEPS = 2048  # CF4 backward budget for non-autonomous problems
+# Cap of the CF4 doubling ladder 16, 32, ... of the backward pass and of the
+# reference; a problem that reaches it gets the plain run at this many steps.
+BACKWARD_STEPS = 2048
+BACKWARD_AGREEMENT = 1e-12
+# CF4's error expands in even powers of h, so in its asymptotic range each
+# halving of h divides the step-to-step difference by 16.
+_LADDER_RATE = (10.0, 24.0)
+_ROUNDOFF = 1e-14
 
 
 def check_methods(prob, methods):
@@ -196,10 +204,57 @@ def check_methods(prob, methods):
             make_stepper(prob, method, {})
 
 
+def _settled(runs, agreement):
+    # Four judged runs at s, 2s, 4s, 8s steps: the extrapolant of the last two
+    # is accepted when it agrees with the one before to ``agreement``,
+    # relative, and each of the last two halvings shrank the step-to-step
+    # difference at CF4's rate (unless that difference is at roundoff already).
+    last = richardson(runs[2], runs[3], 4)
+    scale = max(1.0, float(np.max(np.abs(last))))
+    gap = float(np.max(np.abs(last - richardson(runs[1], runs[2], 4))))
+    d = [float(np.max(np.abs(runs[k + 1] - runs[k]))) for k in range(3)]
+    lo, hi = _LADDER_RATE
+    return gap <= agreement * scale and all(
+        fine <= _ROUNDOFF * scale or lo * fine <= coarse <= hi * fine
+        for coarse, fine in zip(d, d[1:]))
+
+
+def _cf4_ladder(run, judged, agreement):
+    """CF4 at 16, 32, ... BACKWARD_STEPS steps, ``run(s)`` each, judged by the
+    array ``judged(run(s))``; at most the last four judged arrays are kept.
+
+    Returns (settled, coarse, fine), with coarse and fine the last two runs.
+    ``settled`` tells whether the ladder accepted their Richardson
+    extrapolant below the cap (see ``_settled``); when it did not, fine is
+    the run at BACKWARD_STEPS.
+    """
+    runs = deque(maxlen=4)
+    coarse = fine = None
+    steps = 16
+    while steps < BACKWARD_STEPS:
+        coarse, fine = fine, run(steps)
+        runs.append(np.asarray(judged(fine)))
+        if len(runs) == 4 and _settled(runs, agreement):
+            return True, coarse, fine
+        steps *= 2
+    return False, fine, run(BACKWARD_STEPS)
+
+
 def backward_pass(prob):
-    """Backward pass at roundoff/1e-12 accuracy (one exponential when autonomous,
-    CF4 otherwise); its cost is excluded from forward evaluation counts."""
-    return backward_game(prob, steps=BACKWARD_STEPS)
+    """The flow at t0: one exponential when the data are autonomous, CF4
+    otherwise, on the doubling ladder of ``_cf4_ladder``, judged by the gains
+    P(t0) to BACKWARD_AGREEMENT.  An accepted ladder returns the Richardson
+    extrapolant of its last two stacked flows; at the cap, the plain
+    BACKWARD_STEPS-step flow.  Every ladder run condition-checks U after
+    each step.  Its cost is excluded from forward evaluation counts.
+    """
+    if prob.is_autonomous:
+        return backward_game(prob)
+    settled, coarse, fine = _cf4_ladder(lambda s: backward_game(prob, steps=s),
+                                        GameFlow.gains, BACKWARD_AGREEMENT)
+    if not settled:
+        return fine
+    return GameFlow.from_stacked(richardson(coarse.stacked(), fine.stacked(), 4), prob.t0)
 
 
 def reference_endpoint(prob, flow0):
@@ -207,21 +262,34 @@ def reference_endpoint(prob, flow0):
 
     Under the optimal feedback U' = (A - sum_j S_j P_j) U, so U is the
     closed-loop fundamental matrix (Radon's lemma).  U(T) comes from CF4 on
-    y' = K(t) y from ``flow0``: 1 and 2 steps for constant K (where one step
-    is exact), BACKWARD_STEPS / 2 and BACKWARD_STEPS otherwise.  The run is
-    accepted only when the two endpoints agree to 1e-11.
+    y' = K(t) y from ``flow0``.  For constant K one step is exact, and the
+    1- and 2-step endpoints must agree to REFERENCE_AGREEMENT.  Otherwise
+    the endpoint is the extrapolant that ``_cf4_ladder`` accepts to
+    REFERENCE_AGREEMENT, relative; at the ladder's cap, the plain
+    BACKWARD_STEPS-step endpoint, when it agrees with the run at half as
+    many steps to REFERENCE_AGREEMENT.  A reference that fails its check
+    raises ConfigError naming the finest step count and the drift.
     """
     lin = linear_flow(prob)
-    s = 1 if prob.is_autonomous else BACKWARD_STEPS // 2
     z0 = solve_checked(flow0.U, prob.x0)
-    ends = [integrate(lin, prob.t0, prob.T, k * s, flow0.stacked())[: prob.n] @ z0
-            for k in (2, 1)]
-    drift = float(np.max(np.abs(ends[0] - ends[1])))
+
+    def endpoint(steps):
+        return integrate(lin, prob.t0, prob.T, steps, flow0.stacked())[: prob.n] @ z0
+
+    if prob.is_autonomous:
+        coarse, fine, steps = endpoint(1), endpoint(2), 2
+    else:
+        settled, coarse, fine = _cf4_ladder(endpoint, np.asarray, REFERENCE_AGREEMENT)
+        if settled:
+            return richardson(coarse, fine, 4)
+        steps = BACKWARD_STEPS
+    drift = float(np.max(np.abs(fine - coarse)))
     if drift > REFERENCE_AGREEMENT:
         raise ConfigError(
-            f"reference self-consistency failure: endpoints differ by {drift:.3e}"
+            f"reference self-consistency failure at {steps} CF4 steps: "
+            f"endpoints differ by {drift:.3e}"
         )
-    return ends[0]
+    return fine
 
 
 def _terminal_min_gain(traj):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, MisuseError
+from .magnus import richardson
 from .matfun import expm_apply
 from .problem import GameProblem, hamiltonian_matrix as game_block_matrix
 from .riccati import GameFlow, backward_game, terminal_game_flow
@@ -164,9 +165,8 @@ def backward_zero_sum(game, steps):
             f"zero-sum extrapolation defects non-monotone ({d1:.3e} -> {d2:.3e}); "
             "reduce the base step"
         )
-    t22 = (4.0 * runs[1] - runs[0]) / 3.0
-    t32 = (4.0 * runs[2] - runs[1]) / 3.0
-    return tuple((16.0 * t32 - t22) / 15.0)
+    return tuple(richardson(richardson(runs[0], runs[1], 2),
+                            richardson(runs[1], runs[2], 2), 4))
 
 
 def solve_zero_sum(game, steps_backward=32, composition_alphas=COMPOSE4_ALPHAS,

@@ -131,3 +131,9 @@ def integrate(prob, t0, t1, steps, y0):
     if steps < 1:
         raise InputError("steps must be >= 1")
     return _advance(prob, t0, (t1 - t0) / steps, steps, np.asarray(y0, dtype=float))
+
+
+def richardson(coarse, fine, p):
+    """Richardson extrapolation of an order-p result: ``fine`` at step h/2
+    and ``coarse`` at step h give a result whose h^p error term cancels."""
+    return (2**p * fine - coarse) / (2**p - 1)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from splitlq import magnus, riccati
 from splitlq.bench import (PollutionConfig, TimeFunction, backward_pass,
                            build_pollution, emit_csv, preset,
                            reference_endpoint, run_sweep, SweepResult)
@@ -81,13 +82,89 @@ def test_reference_endpoint_matches_flat_rk4(name):
 
 
 def test_reference_endpoint_self_check_rejects_steep_drift():
-    # a drift ramp 400x steeper than fig3a's: CF4 at 1024 and 2048 steps
-    # disagree by about 3e-9
+    # a drift ramp 400x steeper than fig3a's: no extrapolant settles below the
+    # ladder's cap, where CF4 at 1024 and 2048 steps disagree by about 3e-9
     prob = build_pollution(PollutionConfig(
         N=1, a=TimeFunction.tanh_ramp(2.0, 1.0, rate=2000.0, center=0.5),
         b=1.0, c=(5.5,), d=(1.0 / 5.5,), rho=0.1))
     with pytest.raises(ConfigError, match="self-consistency"):
         reference_endpoint(prob, backward_pass(prob))
+
+
+def _ramp(rate, c1):
+    # the fig3a/fig3b family with a drift ramp of the given steepness
+    return PollutionConfig(N=1, a=TimeFunction.tanh_ramp(2.0, 1.0, rate=rate, center=0.5),
+                           b=1.0, c=(c1,), d=(1.0 / c1,), rho=0.1)
+
+
+def _dop853_oracle(cfg):
+    # (P(t0), x(T)) of a one-player pollution game from DOP853 on the scalar
+    # Riccati equation, backward from P(T) = 0, then on the closed-loop
+    # state with the dense gain; written out from the model.
+    from scipy.integrate import solve_ivp
+
+    a, c1, d1, rho = cfg.a, cfg.c[0](0.0), cfg.d[0](0.0), cfg.rho
+    S = lambda t: np.exp(rho * t) / c1
+    tight = dict(method="DOP853", rtol=3e-14, atol=1e-22)
+    back = solve_ivp(lambda t, p: -d1 * np.exp(-rho * t) + 2.0 * a(t) * p + S(t) * p**2,
+                     [cfg.T, 0.0], [0.0], dense_output=True, **tight)
+    fwd = solve_ivp(lambda t, x: (-a(t) - S(t) * back.sol(t)[0]) * x,
+                    [0.0, cfg.T], [cfg.x0], **tight)
+    return back.y[0, -1], fwd.y[0, -1]
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b"])
+def test_backward_pass_and_reference_match_dop853(name):
+    cfg = preset(name)
+    P0, xT = _dop853_oracle(cfg)
+    prob = build_pollution(cfg)
+    flow0 = backward_pass(prob)
+    assert abs(flow0.gains()[0][0, 0] - P0) <= 1e-13 * abs(P0)
+    assert abs(reference_endpoint(prob, flow0)[0] - xT) <= 1e-11 * max(1.0, abs(xT))
+
+
+def test_fig3a_backward_pass_and_reference_take_at_most_240_cf4_steps(monkeypatch):
+    # The ladder accepts fig3a's extrapolant at 16 + 32 + 64 + 128 steps;
+    # a fixed budget of 2048 would fail this.
+    steps = []
+    chunks = magnus.cf4_chunks
+
+    def counted(prob, t, h, n, y):
+        steps.append(n)
+        return chunks(prob, t, h, n, y)
+
+    monkeypatch.setattr(magnus, "cf4_chunks", counted)
+    monkeypatch.setattr(riccati, "cf4_chunks", counted)
+    prob = build_pollution(preset("fig3a"))
+    flow0 = backward_pass(prob)
+    assert 0 < sum(steps) <= 240
+    steps.clear()
+    reference_endpoint(prob, flow0)
+    assert 0 < sum(steps) <= 240
+
+
+def test_reference_rate_guard_refuses_pre_asymptotic_agreement():
+    # On this ramp the extrapolants from 64/128 and 128/256 steps agree to
+    # 2.3e-12, yet both are 7.2e-10 from the oracle: CF4 is not yet in its
+    # asymptotic range, and only the rate guard tells.
+    cfg = _ramp(rate=2000.0, c1=50.5)
+    prob = build_pollution(cfg)
+    try:
+        x = reference_endpoint(prob, backward_pass(prob))[0]
+    except ConfigError as exc:
+        assert "self-consistency" in str(exc)
+    else:
+        xT = _dop853_oracle(cfg)[1]
+        assert abs(x - xT) <= 1e-11 * max(1.0, abs(xT))
+
+
+def test_reference_accepts_at_the_cap_what_the_guard_refuses():
+    # No extrapolant passes the rate guard below the cap, but the 1024- and
+    # 2048-step endpoints agree, so the plain 2048-step endpoint stands.
+    cfg = _ramp(rate=500.0, c1=5.5)
+    prob = build_pollution(cfg)
+    xT = _dop853_oracle(cfg)[1]
+    assert abs(reference_endpoint(prob, backward_pass(prob))[0] - xT) <= 1e-11 * max(1.0, abs(xT))
 
 
 def test_run_sweep_rows_and_determinism():
@@ -188,7 +265,7 @@ def test_positivity_flag_terminal_criterion():
 
 def test_backward_pass_transient_memory_is_bounded():
     # The CF4 chunks keep their stacked samples and exponents small: the
-    # tracemalloc peak of the 2048-step fig3a backward pass stays under
+    # tracemalloc peak of the fig3a backward pass's CF4 ladder stays under
     # 64 KB, below the forward pass's own peak.
     import tracemalloc
 

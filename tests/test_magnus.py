@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import canonical_j, fit_order, random_hamiltonian
 from splitlq.errors import InputError
-from splitlq.magnus import LinearFlowProblem, cf4_chunks, cf4_step, integrate
+from splitlq.magnus import LinearFlowProblem, cf4_chunks, cf4_step, integrate, richardson
 from splitlq.matfun import expm, expm_apply
 
 
@@ -43,6 +43,31 @@ def test_cf4_fourth_order_on_noncommuting_problem():
             for k in steps_list]
     order = fit_order([2.0 / k for k in steps_list], errs)
     assert order == pytest.approx(4.0, abs=0.2)
+
+
+def test_richardson_of_cf4_is_sixth_order():
+    # CF4 is symmetric, so its error has only even powers of h: one
+    # Richardson step on a halving removes the h^4 term and leaves h^6.
+    A0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    A1 = np.array([[0.5, 0.2], [0.0, -0.5]])
+    matrix = lambda t: A0 + np.cos(3.0 * t) * A1
+    prob = LinearFlowProblem(matrix=matrix, dim=2)
+    y0 = np.array([1.0, 0.3])
+    ref = solve_ivp(lambda t, y: matrix(t) @ y, [0.0, 2.0], y0, method="DOP853",
+                    rtol=3e-14, atol=1e-16).y[:, -1]
+    steps_list = [8, 16, 32]
+    errs = [np.max(np.abs(richardson(integrate(prob, 0.0, 2.0, k, y0),
+                                     integrate(prob, 0.0, 2.0, 2 * k, y0), 4) - ref))
+            for k in steps_list]
+    order = fit_order([2.0 / k for k in steps_list], errs)
+    assert order == pytest.approx(6.0, abs=0.2), errs
+
+
+def test_richardson_cancels_the_named_power():
+    # a + b h^p at h and h/2 extrapolates to a exactly (in exact arithmetic)
+    a, b, h = 0.75, 3.0, 0.5
+    for p in (2, 4):
+        assert richardson(a + b * h**p, a + b * (h / 2)**p, p) == pytest.approx(a, abs=1e-15)
 
 
 def test_integrate_single_step_equals_cf4():
