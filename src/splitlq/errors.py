@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the step-count check."""
+
+import numbers
 
 
 class DimensionError(ValueError):
@@ -29,3 +31,10 @@ class MisuseError(TypeError):
 class ConfigError(ValueError):
     """A configuration value (scheme coefficients, benchmark preset,
     config file entry) is invalid."""
+
+
+def check_steps(steps, what="steps"):
+    """``steps`` as an int >= 1, numpy integers included; else ConfigError."""
+    if isinstance(steps, numbers.Integral) and steps >= 1:
+        return int(steps)
+    raise ConfigError(f"{what} must be an integer >= 1, got {steps!r}")

@@ -12,9 +12,11 @@ Zero-sum games couple the Riccati equations quadratically through the
 cross weights, so no linearization exists; they are solved with a
 symmetric second-order map on the stacked flow [U; V_1; V_2] (exact linear
 part, Taylor quadratic part) plus Richardson extrapolation backward
-(order 5) and composition forward.  The linear part is the stacked flow
-with no coupling, applied with ``expm_apply``; the quadratic part is one
-bilinear form on the gains, read once per step through ``GameFlow.gains``.
+(order 5) and composition forward.  The linear half-flow exp(h/2 K0) is
+formed once per step, and once per step length for the whole pass when
+K0 is constant.  The quadratic part is c M(c) on the row of gains
+c = [P_1 P_2], with M formed by one product with the problem's coupling
+stack C, so its Taylor coefficients follow a Cauchy-product recurrence.
 Forward, the map is the flow stage of sp2's interleave composed to order
 4, run by the stage loop and recorder every other pipeline uses.
 """
@@ -23,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, MisuseError
+from .errors import ConfigError, DimensionError, MisuseError, check_steps
 from .magnus import richardson
-from .matfun import expm_apply
+from .matfun import expm
 from .problem import GameProblem, hamiltonian_matrix as game_block_matrix
 from .riccati import GameFlow, backward_game, terminal_game_flow
 from .splitting import COMPOSE4_ALPHAS, _composed, integrate_forward
@@ -51,82 +53,65 @@ def zero_sum_rhs(game, t, P1, P2):
 
     P1' = -Q1 - A^T P1 - P1 A + P1 S1 P1 + P1 S2 P2 + P2 S22 P2 and the
     same with roles exchanged, where S_i are the self matrices and S22,
-    S11 come from the cross weights (S22 = B2 R12^-1 B2^T).
+    S11 come from the cross weights (S22 = B2 R12^-1 B2^T).  Gains that
+    are not n x n raise DimensionError.
     """
     if not game.zero_sum:
         raise MisuseError("zero_sum_rhs needs a game in zero-sum mode")
-    A = game.A(t)
-    y = tuple(np.atleast_2d(np.asarray(P, dtype=float)) for P in (P1, P2))
-    q = _zs_bilinear(*game.coupling_at(t), *game.zero_sum_terms(t)[1:])(y, y)
-    return tuple(-game.Q[k](t) - A.T @ y[k] - y[k] @ A + 0.5 * q[k]
-                 for k in range(2))
+    n, A = game.n, game.A(t)
+    y = [np.atleast_2d(np.asarray(P, dtype=float)) for P in (P1, P2)]
+    if any(P.shape != (n, n) for P in y):
+        raise DimensionError(f"P1 and P2 must be {n} x {n}, got {[P.shape for P in y]}")
+    q = _zs_taylor(game._zero_sum[1](t), np.vstack(y), 1)[1].reshape(2, n, n)
+    return tuple(-game.Q[k](t) - A.T @ y[k] - y[k] @ A + q[k] for k in range(2))
 
 
-def _zs_quadratic_taylor4(bil, tau, y):
-    # Degree-4 Taylor of y' = bil(y, y)/2, the homogeneous quadratic part
-    # with coefficients frozen.  By the chain rule
-    #   y2 = bil(y, y1),  y3 = bil(y1, y1) + bil(y, y2),
-    #   y4 = 3 bil(y1, y2) + bil(y, y3).
-    y1 = tuple(0.5 * b for b in bil(y, y))
-    y2 = bil(y, y1)
-    b11 = bil(y1, y1)
-    by2 = bil(y, y2)
-    y3 = (b11[0] + by2[0], b11[1] + by2[1])
-    b12 = bil(y1, y2)
-    by3 = bil(y, y3)
-    y4 = (3.0 * b12[0] + by3[0], 3.0 * b12[1] + by3[1])
-    return [
-        y[k] + tau * y1[k] + tau**2 / 2.0 * y2[k]
-        + tau**3 / 6.0 * y3[k] + tau**4 / 24.0 * y4[k]
-        for k in range(2)
-    ]
+def _zs_taylor(C, P, degree):
+    # Taylor coefficients c_0 = [P_1 P_2], ..., c_degree, each as a column
+    # [c_k1; c_k2], of the quadratic flow c' = c M(c), coefficients frozen.
+    # The block columns of M(c) = [[G, S11 c1], [S22 c2, G]], G = S1 c1 +
+    # S2 c2, are the halves of C [c1; c2], so M is linear and the Cauchy
+    # product gives (Jorba & Zou, Experimental Math. 2005)
+    #   c_{k+1} = [c_0 ... c_k] [M(c_k); ...; M(c_0)] / (k + 1):
+    # two small products per degree, one with C and one for the sum.
+    n = P.shape[1]
+    col = np.empty((degree + 1, 2 * n, n))
+    MC = np.empty((2, degree, 2 * n, n))  # the block columns of M(c_k), k descending
+    col[0] = P
+    for k in range(degree):
+        np.matmul(C.reshape(2, 2 * n, 2 * n), col[k], out=MC[:, degree - 1 - k])
+        row = col[:k + 1].reshape(k + 1, 2, n, n).transpose(2, 0, 1, 3).reshape(n, -1)
+        col[k + 1] = (row @ MC[:, degree - 1 - k:].reshape(2, -1, n)).reshape(2 * n, n) / (k + 1)
+    return col
 
 
-def _zs_bilinear(S1, S2, S22, S11):
-    # The symmetric bilinear form bil with bil(y, y)/2 the quadratic part
-    # of the zero-sum right sides, for y = (P1, P2).
-    def bil(U, V):
-        U1, U2 = U
-        V1, V2 = V
-        b1 = (U1 @ S1 @ V1 + V1 @ S1 @ U1
-              + U1 @ S2 @ V2 + V1 @ S2 @ U2
-              + U2 @ S22 @ V2 + V2 @ S22 @ U2)
-        b2 = (U2 @ S2 @ V2 + V2 @ S2 @ U2
-              + U2 @ S1 @ V1 + V2 @ S1 @ U1
-              + U1 @ S11 @ V1 + V1 @ S11 @ U1)
-        return b1, b2
-
-    return bil
-
-
-def zs_base_step(game, tmid, h, y):
+def zs_base_step(game, tmid, h, y, cache=None):
     """Symmetric second-order map for the coupled zero-sum RDE, on the
     stacked flow y = [U; V_1; V_2] with P_i = V_i U^-1.
 
     Strang split with data frozen at the step midpoint ``tmid``: exact
     linear half-flow, degree-4 Taylor of the quadratic flow, exact linear
     half-flow.  The linear part P_i' = -Q_i - A^T P_i - P_i A is the
-    stacked flow with no coupling, y -> exp(h/2 K0) y with
+    stacked flow with no coupling, y -> E y with E = exp(h/2 K0) and
     K0 = [[A, 0, 0], [-Q_1, -A^T, 0], [-Q_2, 0, -A^T]]; it acts on any
-    representative of P, so both half-flows apply to y as it stands.  The
-    gains are read once, with one U solve, for the quadratic step, and the
-    second half-flow starts from [I; P_1; P_2].  Works for signed h.
+    representative of P, so both half-flows apply E, formed once, to y as
+    it stands.  When K0 is constant, ``cache`` (a dict kept for one pass)
+    holds E per step length h.  The gains are read once, with one U solve;
+    the quadratic step is the Taylor-coefficient recurrence through the
+    coupling stack C = [[S1, S2], [0, S22], [S11, 0], [S1, S2]] (8 small
+    products), and the second half-flow starts from [I; P_1; P_2].  Works
+    for signed h.
     """
-    K0, S22, S11 = game.zero_sum_terms(tmid)
-    K0 = 0.5 * h * K0
-    P = GameFlow.from_stacked(expm_apply(K0, y), tmid).gains()
-    P = _zs_quadratic_taylor4(_zs_bilinear(*game.coupling_at(tmid), S22, S11), h, P)
-    return expm_apply(K0, np.vstack([np.eye(game.n), *P]))
-
-
-def _zs_integrate(game, t_start, t_end, steps, y):
-    # ``steps`` base steps from t_start to t_end; P is read at the end only.
-    h = (t_end - t_start) / steps
-    t = t_start
-    for _ in range(steps):
-        y = zs_base_step(game, t + 0.5 * h, h, y)
-        t += h
-    return GameFlow.from_stacked(y, t_end).gains()
+    K0, C = game._zero_sum
+    cache = cache if K0.constant and cache is not None else {}
+    if h not in cache:
+        cache[h] = expm(0.5 * h * K0(tmid))
+    E, n = cache[h], game.n
+    cs = _zs_taylor(C(tmid), np.vstack(GameFlow.from_stacked(E @ y, tmid).gains()), 4)
+    P = cs[4]
+    for c in cs[3::-1]:  # Horner's rule in h
+        P = c + h * P
+    return E[:, :n] + E[:, n:] @ P
 
 
 def backward_zero_sum(game, steps):
@@ -137,20 +122,22 @@ def backward_zero_sum(game, steps):
     time-symmetric, so the base map's error keeps an h^5 term (the error
     falls by about 35 per halving of h).
 
-    Raises ConfigError when ``steps`` < 1, when a ladder solution is not
-    finite (the solution escapes on the horizon, or the step is too
-    coarse) or when the ladder is non-monotone (the step differences must
-    shrink for the even-power expansion to hold).
+    Raises ConfigError when ``steps`` is not an integer >= 1, when a ladder
+    solution is not finite (the solution escapes on the horizon, or the
+    step is too coarse) or when the ladder is non-monotone (the step
+    differences must shrink for the even-power expansion to hold).
     """
     if not game.zero_sum:
         raise MisuseError("backward_zero_sum needs a zero-sum game")
-    if steps < 1:
-        raise ConfigError(f"zero-sum backward pass needs steps >= 1, got {steps}")
-    yT = terminal_game_flow(game).stacked()
-    sols = []
-    for mult in (1, 2, 4):
+    steps = check_steps(steps, "zero-sum backward steps")
+    yT, sols = terminal_game_flow(game).stacked(), []
+    for mult in (1, 2, 4):  # each run forms its half-flow once when K0 is constant
+        h, t, y, cache = (game.t0 - game.T) / (steps * mult), game.T, yT, {}
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            sols.append(_zs_integrate(game, game.T, game.t0, steps * mult, yT))
+            for _ in range(steps * mult):
+                y = zs_base_step(game, t + 0.5 * h, h, y, cache)
+                t += h
+            sols.append(GameFlow.from_stacked(y, game.t0).gains())
         for k in range(2):
             if not np.all(np.isfinite(sols[-1][k])):
                 raise ConfigError(
@@ -181,11 +168,11 @@ def solve_zero_sum(game, steps_backward=32, composition_alphas=COMPOSE4_ALPHAS,
     """
     if not game.zero_sum:
         raise MisuseError("solve_zero_sum needs a zero-sum game")
-    if min(steps_backward, steps_forward) < 1:
-        raise ConfigError(f"zero-sum solve needs steps >= 1, got {steps_backward} "
-                          f"backward and {steps_forward} forward")
+    steps_backward = check_steps(steps_backward, "zero-sum backward steps")
+    steps_forward = check_steps(steps_forward, "zero-sum forward steps")
+    cache = {}  # exp(tau/2 K0) per composed substep length tau, for this pass
     engine = _composed(composition_alphas, lambda g, taus, times, K:
-                       lambda j, y: zs_base_step(g, times[j], taus[j], y))
+                       lambda j, y: zs_base_step(g, times[j], taus[j], y, cache))
     P1, P2 = backward_zero_sum(game, steps_backward)
     return integrate_forward(game, GameFlow(U=np.eye(game.n), V=(P1, P2), t=game.t0),
                              steps_forward, stepper=engine,

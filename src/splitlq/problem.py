@@ -203,9 +203,12 @@ class GameProblem:
     def zero_sum_terms(self, t):
         """(K0, S22, S11) of a zero-sum game at t: the stacked flow matrix
         with no coupling, and the cross couplings S22 = B_2 R_12^-1 B_2^T,
-        S11 = B_1 R_21^-1 B_1^T."""
-        K0, S22, S11 = self._zero_sum
-        return K0(t), S22(t), S11(t)
+        S11 = B_1 R_21^-1 B_1^T, as views of the coupling stack
+        C = [[S1, S2], [0, S22], [S11, 0], [S1, S2]]: for y = (P1, P2),
+        C [V1; V2] = [G; S22 V2; S11 V1; G] with G = S1 V1 + S2 V2."""
+        n, (K0, C) = self.n, self._zero_sum
+        C = C(t)
+        return K0(t), C[n:2 * n, n:], C[2 * n:3 * n, :n]
 
     # The derived matrices, each listed with every coefficient it reads.
     @cached_property
@@ -219,10 +222,14 @@ class GameProblem:
 
     @cached_property
     def _zero_sum(self):
+        # K0 and the coupling stack C of zero_sum_terms
         n, W12, W21 = self.n, self.cross_R[(1, 2)], self.cross_R[(2, 1)]
+        def stack(ts):
+            row, zero = _sample(self._row, ts), np.zeros((len(ts), n, n))
+            return np.block([[row], [zero, self._coupling(1, W12, ts)],
+                             [self._coupling(0, W21, ts), zero], [row]])
         return (_derived(lambda ts: self._assemble(ts, 0.0), (3 * n, 3 * n), self.A, *self.Q),
-                _derived(lambda ts: self._coupling(1, W12, ts), (n, n), self.B[1], W12),
-                _derived(lambda ts: self._coupling(0, W21, ts), (n, n), self.B[0], W21))
+                _derived(stack, (4 * n, 2 * n), self._row, W12, W21))
 
     def _assemble(self, times, S_row):
         return assemble_flow_matrix(self.n, _sample(self.A, times), S_row,

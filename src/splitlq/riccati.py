@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MisuseError, SingularityError
+from .errors import MisuseError, SingularityError, check_steps
 from .magnus import LinearFlowProblem, cf4_chunks
 from .matfun import expm_apply, first_singular, symmetry_defect
 
@@ -117,8 +117,7 @@ def backward_nonautonomous(prob, steps):
     steps; a singular U raises with the first failing time.  No
     intermediate results are kept beyond a chunk.
     """
-    if steps is None or steps < 1:
-        raise MisuseError("non-autonomous backward pass needs steps >= 1")
+    steps = check_steps(steps, "non-autonomous backward steps")
     n = prob.n
     y = terminal_game_flow(prob).stacked()
     for times, ys in cf4_chunks(linear_flow(prob), prob.T, (prob.t0 - prob.T) / steps,

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InputError, MisuseError
+from .errors import ConfigError, InputError, MisuseError, check_steps
 from .magnus import _CHUNK_BYTES, at_nodes
 from .matfun import expm, expm_apply, norm1, pade2_apply, taylor_apply, taylor_degrees
 from .problem import assemble_flow_matrix
@@ -65,10 +65,9 @@ class SplittingScheme:
     def __post_init__(self):
         if len(self.a) != len(self.b):
             raise ConfigError(f"{self.name}: a and b must have equal length")
-        if abs(math.fsum(self.a) - 1.0) > CONSISTENCY_TOL:
-            raise ConfigError(f"{self.name}: sum(a) != 1")
-        if abs(math.fsum(self.b) - 1.0) > CONSISTENCY_TOL:
-            raise ConfigError(f"{self.name}: sum(b) != 1")
+        for key in ("a", "b"):  # written so that a NaN sum fails too
+            if not abs(math.fsum(getattr(self, key)) - 1.0) <= CONSISTENCY_TOL:
+                raise ConfigError(f"{self.name}: {key} = {getattr(self, key)} must sum to 1")
 
     def interleaved(self):
         """Nonzero coefficients in execution order (a_1, b_1, a_2, ...)."""
@@ -272,8 +271,8 @@ def _cached_flow(cache):
 
 
 def _weights(alphas):
-    if abs(math.fsum(alphas) - 1.0) > 1e-12:
-        raise ConfigError(f"composition weights must sum to 1, got {math.fsum(alphas)}")
+    if not abs(math.fsum(alphas) - 1.0) <= 1e-12:  # a NaN sum fails too
+        raise ConfigError(f"composition weights {tuple(alphas)} must sum to 1")
     return tuple(alphas)
 
 
@@ -438,8 +437,7 @@ def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
     ``flow0`` is the backward-pass result at t0.  Either a ``method`` name
     or an explicit (stepper, stages_per_step) pair selects the engine.
     """
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
+    steps = check_steps(steps)
     cache = {}
     if stepper is None:
         stepper, stages_per_step = make_stepper(prob, method, cache)

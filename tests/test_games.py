@@ -6,10 +6,12 @@ from scipy.integrate import solve_ivp
 from conftest import C, random_psd, random_spd
 from splitlq import games, riccati, splitting
 from splitlq.bench import build_pollution, preset, run_sweep
-from splitlq.errors import ConfigError, InputError, MisuseError, SingularityError
+from splitlq.errors import (ConfigError, DimensionError, InputError, MisuseError,
+                             SingularityError)
 from splitlq.games import (GameFlow, GameProblem, backward_game,
                            backward_zero_sum, game_block_matrix, solve_game,
                            solve_zero_sum, zero_sum_rhs, zs_base_step)
+from splitlq.matfun import expm
 from splitlq.problem import LQProblem, TimeMatrix
 from splitlq.riccati import backward_autonomous
 from splitlq.problem import hamiltonian_matrix
@@ -231,6 +233,12 @@ def test_zero_sum_rhs_term_by_term_oracle():
     assert np.max(np.abs(r2 - want2)) < 1e-14
 
 
+def test_zero_sum_rhs_rejects_mismatched_gain_shapes():
+    game = scalar_game(cross={(1, 2): C([[5.0]]), (2, 1): C([[4.0]])})
+    with pytest.raises(DimensionError, match="1 x 1"):
+        zero_sum_rhs(game, 0.0, np.zeros((2, 2)), np.zeros((1, 1)))
+
+
 def test_zero_sum_rhs_requires_zero_sum_mode():
     with pytest.raises(MisuseError):
         zero_sum_rhs(scalar_game(), 0.0, np.zeros((1, 1)), np.zeros((1, 1)))
@@ -409,7 +417,11 @@ def test_linear_pipelines_reject_zero_sum_games(entry, A):
     lambda g: backward_zero_sum(g, 0),
     lambda g: solve_zero_sum(g, steps_backward=8, steps_forward=0),
     lambda g: solve_zero_sum(g, steps_backward=8, steps_forward=-1),
-], ids=["backward-zero", "forward-zero", "forward-negative"])
+    lambda g: backward_zero_sum(g, "8"),
+    lambda g: solve_zero_sum(g, steps_backward=2.5),
+    lambda g: solve_zero_sum(g, steps_backward=8, steps_forward=np.float64(16.0)),
+], ids=["backward-zero", "forward-zero", "forward-negative", "backward-string",
+        "solve-backward-float", "solve-forward-numpy-float"])
 def test_zero_sum_bad_step_counts_are_config_errors(call):
     with pytest.raises(ConfigError, match="steps"):
         call(zs_toy())
@@ -451,6 +463,105 @@ def test_zero_sum_base_step_solves_with_u_once(monkeypatch):
     y = zs_base_step(game, 0.75, -0.5, y)
     assert calls == [0.75]
     assert y.shape == (3, 1) and np.all(np.isfinite(y))
+
+
+def _chain_rule_taylor4(S1, S2, S22, S11, tau, y):
+    # The degree-4 Taylor polynomial of the zero-sum quadratic flow
+    # y' = bil(y, y)/2 by the chain rule, each derivative from the
+    # symmetric bilinear form bil term by term.
+    def bil(U, V):
+        (U1, U2), (V1, V2) = U, V
+        return (U1 @ S1 @ V1 + V1 @ S1 @ U1 + U1 @ S2 @ V2 + V1 @ S2 @ U2
+                + U2 @ S22 @ V2 + V2 @ S22 @ U2,
+                U2 @ S2 @ V2 + V2 @ S2 @ U2 + U2 @ S1 @ V1 + V2 @ S1 @ U1
+                + U1 @ S11 @ V1 + V1 @ S11 @ U1)
+
+    def add(a, b, wa=1.0):
+        return tuple(wa * p + q for p, q in zip(a, b))
+
+    y1 = tuple(0.5 * b for b in bil(y, y))
+    y2 = bil(y, y1)
+    y3 = add(bil(y1, y1), bil(y, y2))
+    y4 = add(bil(y1, y2), bil(y, y3), 3.0)
+    return [y[k] + tau * y1[k] + tau**2 / 2 * y2[k] + tau**3 / 6 * y3[k]
+            + tau**4 / 24 * y4[k] for k in range(2)]
+
+
+@pytest.mark.parametrize("h", [0.25, -0.125])
+def test_zero_sum_base_step_matches_chain_rule_oracle(h):
+    # The Cauchy-product recurrence on the coupling stack gives the same
+    # degree-4 quadratic substep as the chain-rule derivatives; both half
+    # flows are the same exponential, so only roundoff may differ.
+    rng = np.random.default_rng(68)
+    n = 2
+    game = GameProblem(
+        A=C(0.4 * rng.standard_normal((n, n))),
+        B=tuple(C(rng.standard_normal((n, 2))) for _ in range(2)),
+        R=tuple(C(random_spd(rng, 2, shift=2.0)) for _ in range(2)),
+        Q=tuple(C(random_psd(rng, n)) for _ in range(2)),
+        QT=tuple(random_psd(rng, n) for _ in range(2)), x0=np.ones(n),
+        cross_R={(1, 2): C(random_spd(rng, 2, shift=3.0)),
+                 (2, 1): C(random_spd(rng, 2, shift=4.0))},
+    )
+    y = np.vstack([np.eye(n) + 0.1 * rng.standard_normal((n, n)),
+                   *(random_psd(rng, n) for _ in range(2))])
+    tmid = 0.4
+    K0, S22, S11 = game.zero_sum_terms(tmid)
+    E = expm(0.5 * h * K0)
+    P = GameFlow.from_stacked(E @ y, tmid).gains()
+    P = _chain_rule_taylor4(*game.coupling_at(tmid), S22, S11, h, P)
+    want = E @ np.vstack([np.eye(n), *P])
+    got = zs_base_step(game, tmid, h, y)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_zero_sum_half_flow_formed_once_per_step_length(monkeypatch):
+    # Autonomous: one exp(h/2 K0) per backward ladder run (h, h/2, h/4) and
+    # one per distinct composed substep length forward (two for the
+    # (a1, a1, a2, a1, a1) weights).  The caches live for one solve, so a
+    # second solve forms them again; a time-dependent K0 forms one per step.
+    lengths = []
+    monkeypatch.setattr(games, "expm", lambda M: lengths.append(M.copy()) or expm(M))
+    game = zs_toy()
+    backward_zero_sum(game, 8)
+    assert len(lengths) == 3
+    for _ in range(2):
+        lengths.clear()
+        solve_zero_sum(game, steps_backward=8, steps_forward=16)
+        assert len(lengths) == 3 + 2
+        assert len({M.tobytes() for M in lengths}) == 5
+    varying = GameProblem(A=TimeMatrix.from_function(lambda t: np.array([[-1.0]]), (1, 1)),
+                          B=game.B, R=game.R, Q=game.Q, QT=game.QT, x0=game.x0,
+                          cross_R=game.cross_R)
+    lengths.clear()
+    solve_zero_sum(varying, steps_backward=8, steps_forward=16)
+    assert len(lengths) == 8 + 16 + 32 + 5 * 16
+
+
+def test_zero_sum_nan_composition_weights_are_config_errors():
+    with pytest.raises(ConfigError, match=r"composition weights \(nan,\)"):
+        solve_zero_sum(zs_toy(), composition_alphas=(float("nan"),))
+
+
+def fig1_tv():
+    base = build_pollution(preset("fig1"))
+    return GameProblem(A=TimeMatrix.from_function(lambda t: np.array([[-0.5 - t]]), (1, 1)),
+                       B=base.B, R=base.R, Q=base.Q, QT=base.QT, x0=base.x0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_game(scalar_game(), steps_forward=2.5),
+    lambda: solve_game(fig1_tv(), steps_backward=2.5),
+], ids=["forward", "time-dependent-backward"])
+def test_solve_game_non_integer_step_counts_are_config_errors(call):
+    with pytest.raises(ConfigError, match="integer"):
+        call()
+
+
+def test_numpy_integer_step_counts_are_accepted():
+    a = solve_zero_sum(zs_toy(), steps_backward=np.int64(8), steps_forward=np.int32(16))
+    b = solve_zero_sum(zs_toy(), steps_backward=8, steps_forward=16)
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_game_flow_round_trip():

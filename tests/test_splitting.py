@@ -14,7 +14,7 @@ from splitlq.problem import GameProblem, LQProblem, TimeMatrix
 from splitlq.riccati import (RiccatiFlow, backward_autonomous,
                              backward_nonautonomous)
 from splitlq.reference import flatten_pipeline, rk4_solve, unflatten
-from splitlq.splitting import (COMPOSE4_ALPHAS, builtin_schemes, compose,
+from splitlq.splitting import (COMPOSE4_ALPHAS, SplittingScheme, builtin_schemes, compose,
                                get_scheme, initial_state, integrate_forward,
                                make_stepper, record_trajectory, s2_step,
                                step_autonomous, step_near_integrable,
@@ -274,6 +274,33 @@ def test_compose_weights():
     assert 4.0 * a1 + a2 == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ConfigError):
         compose(s2_step, (0.5, 0.6))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: compose(s2_step, (math.nan,)),
+    lambda: SplittingScheme(name="bad", a=(math.nan,), b=(1.0,), order=1, stages=1,
+                            symmetric=False, fsal=False, kind="general"),
+    lambda: SplittingScheme(name="bad", a=(1.0,), b=(math.nan,), order=1, stages=1,
+                            symmetric=False, fsal=False, kind="general"),
+], ids=["compose", "scheme-a", "scheme-b"])
+def test_nan_weights_are_config_errors(make):
+    # abs(nan - 1) > tol is False, so a NaN sum must be rejected explicitly
+    with pytest.raises(ConfigError, match="nan"):
+        make()
+
+
+@pytest.mark.parametrize("steps", [2.5, "8", None, np.float64(4.0)])
+def test_non_integer_forward_steps_are_config_errors(coupled_setup, steps):
+    prob, flow0, _ = coupled_setup
+    with pytest.raises(ConfigError, match="integer"):
+        integrate_forward(prob, flow0, steps)
+
+
+def test_numpy_integer_forward_steps_are_accepted(coupled_setup):
+    prob, flow0, _ = coupled_setup
+    a = integrate_forward(prob, flow0, np.int64(8))
+    b = integrate_forward(prob, flow0, 8)
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_compose_single_alpha_is_base(coupled_setup):
