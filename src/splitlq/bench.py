@@ -297,12 +297,15 @@ def _terminal_min_gain(traj):
 
 
 def run_single(prob, flow0, method, resolution, x_ref, measure_time=False):
-    """One sweep row.  ``resolution`` is h for fixed-step methods and the
-    absolute tolerance for the adaptive baseline (rel_tol = 10 * abs_tol)."""
+    """One sweep row.  ``resolution`` is h for fixed-step methods (the row
+    reports the h it ran, span / steps) and the absolute tolerance for the
+    adaptive baseline (rel_tol = 10 * abs_tol)."""
     span = prob.T - prob.t0
+    if method in FIXED_STEP_METHODS:
+        steps = max(1, round(span / resolution))
+        resolution = span / steps
     start = _time.perf_counter() if measure_time else 0.0
     if method in SPLITTING_METHODS:
-        steps = max(1, round(span / resolution))
         traj = integrate_forward(prob, flow0, steps, method=method)
         evaluations = traj.evaluations
         x_end = traj.terminal_state
@@ -310,7 +313,6 @@ def run_single(prob, flow0, method, resolution, x_ref, measure_time=False):
         sym_defect = traj.max_symmetry_defect
         min_gain = _terminal_min_gain(traj)
     elif method == "rk4":
-        steps = max(1, round(span / resolution))
         ode, y0 = flatten_pipeline(prob, flow0)
         y = rk4_solve(ode, prob.t0, prob.T, steps, y0)
         evaluations = ode.evaluations

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_steps
 from .matfun import norm1, taylor_apply, taylor_degrees
 
 # A chunk holds two samples and two exponents, four d x d arrays, per step;
@@ -128,8 +128,7 @@ def integrate(prob, t0, t1, steps, y0):
 
     Costs 2*steps + 1 matrix samples and 2*steps exponential actions.
     """
-    if steps < 1:
-        raise InputError("steps must be >= 1")
+    steps = check_steps(steps)
     return _advance(prob, t0, (t1 - t0) / steps, steps, np.asarray(y0, dtype=float))
 
 

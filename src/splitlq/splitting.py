@@ -1,10 +1,10 @@
 """Splitting-scheme registry and the forward stepping engines.
 
-The general engines share one stage loop.  Its clocks (t2 += a_i h, t1 +=
-b_i h) do not depend on the solution, so it plans a chunk of steps, samples
-A and S_row at the distinct a-clocks and K at the distinct b-clocks in one
-call each, then runs per stage only the closed loop (one U solve) with the
-state's exponential action, or the flow map.  The engines differ in that map:
+Every built-in method is an engine on one stage loop.  Its clocks (t2 +=
+a_i h, t1 += b_i h) do not depend on the solution, so it plans a chunk of
+steps, samples A and S_row at the a-stage nodes and K at the b-clocks in one
+call each, then runs per stage only an a-stage map (by default the closed loop
+at t1 and the state's exponential action) or a flow map.  The engines differ:
 
 * ``step_autonomous`` -- constant coefficients, exp(b_i h K) formed once
   per stage length; the Riccati advance is exact, so integrating to T
@@ -12,10 +12,9 @@ state's exponential action, or the flow map.  The engines differ in that map:
 * ``step_nonautonomous`` -- exp(b_i h K(t2)), the chunk's exponents stacked.
 * ``s2_step`` / ``s2c4`` -- sp2 with the cheap Cayley approximation of the
   flow, composed to order 4 as one coefficient sequence for ``s2c4``.
-
-``step_near_integrable`` is a fourth engine, for problems whose constant
-drift dominates the coupling: the drift flow is exact and the perturbation
-is advanced with frozen time.
+* ``step_near_integrable`` -- a constant drift D that dominates the coupling:
+  the a-stage advances v by exp(a_i h D) and x by one CF4 step, closed loops
+  at t2 + {0, 1/2, 1} a_i h; the flow is a degree-4 Taylor of b_i h (K - D).
 
 State update uses the a-coefficients and the Riccati flow the
 b-coefficients; for the shipped 6-stage order-4 scheme this ordering keeps
@@ -198,17 +197,30 @@ def initial_state(prob, flow):
 # ---------------------------------------------------------------------------
 
 
+def _closed_loop_stage(prob, plan, terms):
+    # the default a-stage: the closed loop at t1, its exponential action on x
+    (A, row), pos = terms([t1 for _, t1, _ in plan])
+    def stage(j, v, x):
+        (tau, t1, _), p = plan[j], pos[j]
+        return v, expm_apply(tau * closed_loop(A[p], row[p], v, t1), x)
+    return stage
+
+
 @dataclass(frozen=True)
 class _Engine:
-    """Coefficients and ``flow(prob, taus, times, K)``: given a chunk's b-stage
-    lengths b_i h, clocks t2 and a thunk giving ``at_nodes`` of K there, the
-    map (j, v) -> v' of b-stage j.  ``march`` yields the state after each
-    step.  A non-finite coefficient or a singular U raises at its stage,
-    after the stages before it; a singular R when its chunk is sampled."""
+    """Coefficients and two stage maps.  ``flow(prob, taus, times, K)``, given
+    a chunk's b-stage lengths b_i h, clocks t2 and a thunk giving ``at_nodes``
+    of K there, is the map (j, v) -> v' of b-stage j; ``stage(prob, plan,
+    terms)``, given its a-stages as (a_i h, t1, t2) with the clocks at their
+    start and ``terms(nodes)``, ``at_nodes`` of (A, S_row), is the map (j, v,
+    x) -> (v', x') of a-stage j.  ``march`` yields the state after each step.
+    A non-finite coefficient or a singular U raises at its stage, after the
+    stages before it; a singular R when its chunk is sampled."""
 
     a: tuple
     b: tuple
     flow: Callable
+    stage: Callable = _closed_loop_stage
 
     def __call__(self, h, state, prob):  # one step
         *_, state = self.march(h, state, prob, 1)
@@ -219,29 +231,29 @@ class _Engine:
         chunk = max(1, _CHUNK_BYTES // (8 * len(state.v) ** 2 * np.count_nonzero(self.b)))
         v, x, t1, t2 = state.v, state.x, state.t1, state.t2
         amemo, bmemo = {}, {}
+        ah = [ai * h for ai in self.a]  # one float per a_i h, shared by the plan entries
         for first in range(0, steps, chunk):
-            ta, tb, ends = [], [], []
+            plan, tb, ends = [], [], []
             for _ in range(min(chunk, steps - first)):
-                for ai, bi in zip(self.a, self.b):
+                for ai, bi, tau in zip(self.a, self.b, ah):
                     if ai != 0.0:
-                        ta.append(t1)
-                    t2 += ai * h
+                        plan.append((tau, t1, t2))
+                    t2 += tau
                     if bi != 0.0:
                         tb.append(t2)
                     t1 += bi * h
                 ends.append((t1, t2))
-            (A, row), apos = at_nodes(prob.closed_loop_terms, ta, amemo)
-            closed = zip(apos, ta)
+            astage = self.stage(prob, plan,
+                                lambda nodes: at_nodes(prob.closed_loop_terms, nodes, amemo))
             advance = self.flow(prob, [bi * h for bi in self.b if bi != 0.0] * len(ends), tb,
                                 lambda: at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo))
-            bstage = itertools.count()
+            astep, bstep = itertools.count(), itertools.count()
             for end in ends:
                 for ai, bi in zip(self.a, self.b):
                     if ai != 0.0:
-                        p, t = next(closed)
-                        x = expm_apply(ai * h * closed_loop(A[p], row[p], v, t), x)
+                        v, x = astage(next(astep), v, x)
                     if bi != 0.0:
-                        v = advance(next(bstage), v)
+                        v = advance(next(bstep), v)
                 yield ExtendedState(v=v, x=x, t1=end[0], t2=end[1])
 
 
@@ -292,8 +304,8 @@ def step_autonomous(scheme, h, state, prob, cache=None):
     """
     if not prob.is_autonomous:
         raise MisuseError("problem is not autonomous; use step_nonautonomous")
-    cache = {} if cache is None else cache
-    return _Engine(scheme.a, scheme.b, _cached_flow(cache))(h, state, prob)
+    flow = _cached_flow({} if cache is None else cache)
+    return _Engine(scheme.a, scheme.b, flow)(h, state, prob)
 
 
 def step_nonautonomous(scheme, h, state, prob):
@@ -322,55 +334,45 @@ def compose(base, alphas):
     return stepper
 
 
-def _check_near_integrable(scheme, prob):
+def _near_integrable(scheme, prob, cache):
+    # The engine of a near-integrable scheme: D, the drift part of K, formed
+    # once, and exp(τD/2), exp(τD) once per a-stage length τ in ``cache``
     if scheme.kind != "near-integrable":
         raise MisuseError(f"scheme {scheme.name} is not a near-integrable scheme")
     if not prob.A.constant:
         raise MisuseError("near-integrable stepping requires a constant A")
+    D = assemble_flow_matrix(prob.n, prob.A(prob.t0), 0.0, [0.0] * prob.nplayers)
+
+    def flow(prob, taus, times, K):  # degree-4 Taylor of the frozen coupling b_i h (K - D)
+        (K,), pos = K()
+        return lambda j, v: taylor_apply(taus[j] * (K[pos[j]] - D), v, 4)
+
+    def stage(prob, plan, terms):
+        # v by the drift flow, x by CF4 with closed loops at t2 + {0, 1/2, 1} τ
+        for key in {("ni", tau) for tau, _, _ in plan} - set(cache):  # apart from exp(τK)
+            cache[key] = (expm(0.5 * key[1] * D), expm(key[1] * D))
+        (A, row), pos = terms([t2 + dt for tau, _, t2 in plan for dt in (0.0, 0.5 * tau, tau)])
+
+        def advance(j, v, x):
+            tau, _, t2 = plan[j]
+            Gh, G1 = cache["ni", tau]
+            vend = G1 @ v
+            M0, Mmid, M1 = (closed_loop(A[p], row[p], y, t2 + dt) for p, dt, y in
+                            zip(pos[3 * j: 3 * j + 3], (0.0, 0.5 * tau, tau), (v, Gh @ v, vend)))
+            x = expm_apply((tau / 12.0) * (3.0 * M0 + 4.0 * Mmid - M1), x)
+            return vend, expm_apply((tau / 12.0) * (-M0 + 4.0 * Mmid + 3.0 * M1), x)
+        return advance
+    return _Engine(scheme.a, scheme.b, flow, stage)
 
 
 def step_near_integrable(scheme, h, state, prob, cache=None):
     """One step for a large constant drift plus small coupling.
 
-    The a-stages propagate U, V by the exact drift exponentials and the
-    state by one CF4 step of its linear equation (the needed nodal drift
-    exponentials are cached per stage length); the b-stages apply a
-    degree-4 Taylor of the frozen coupling flow.  Time enters as a single
-    extra coordinate, advanced during the a-stages only.
+    The a-stages propagate U, V by the exact drift exponentials, cached per
+    stage length, and the state by one CF4 step of its linear equation; the
+    b-stages apply a degree-4 Taylor of the coupling flow frozen at t2.
     """
-    _check_near_integrable(scheme, prob)
-    if cache is None:
-        cache = {}
-
-    n = prob.n
-    A = prob.A(prob.t0)
-    v = state.v
-    x = state.x
-    t = state.t1
-    D = assemble_flow_matrix(n, A, 0.0, [0.0] * prob.nplayers)  # the drift part of K
-
-    for ai, bi in zip(scheme.a, scheme.b):
-        if ai != 0.0:
-            tau = ai * h
-            ekey = ("ni-exp", h, ai)
-            if ekey not in cache:
-                cache[ekey] = (expm(0.5 * tau * D), expm(tau * D))
-            Gh, G1 = cache[ekey]
-
-            # CF4 on x' = (A - sum_j S_j(s) P_j(s)) x over [t, t + tau],
-            # with the gain blocks evolved by the exact drift flow.
-            vend = G1 @ v
-            M0, Mmid, M1 = (
-                closed_loop(A, prob.coupling_row(t + dt), y, t + dt)
-                for dt, y in ((0.0, v), (0.5 * tau, Gh @ v), (tau, vend)))
-            x = expm_apply((tau / 12.0) * (3.0 * M0 + 4.0 * Mmid - M1), x)
-            x = expm_apply((tau / 12.0) * (-M0 + 4.0 * Mmid + 3.0 * M1), x)
-            v = vend
-            t += tau
-        if bi != 0.0:
-            W = prob.flow_matrix(t) - D
-            v = taylor_apply(bi * h * W, v, 4)
-    return ExtendedState(v=v, x=x, t1=t, t2=t)
+    return _near_integrable(scheme, prob, {} if cache is None else cache)(h, state, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -410,24 +412,20 @@ class Trajectory:
 
 
 def make_stepper(prob, method, cache):
-    """Resolve a method name to (step map, stages per step).
+    """Resolve a method name to (engine, stages per step).
 
     ``sp*``/``ni*`` pick the engine from the scheme kind and the problem's
     constancy; ``s2`` and ``s2c4`` use the Cayley-based symmetric map.
-    A near-integrable scheme on a time-dependent A raises MisuseError here,
-    before any stepping.
+    A near-integrable scheme on a time-dependent A raises MisuseError here.
     """
     alphas = {"s2": (1.0,), "s2c4": COMPOSE4_ALPHAS}.get(method)
     if alphas:
         return _composed(alphas, _pade_flow), len(alphas)
     scheme = get_scheme(method)
     if scheme.kind == "near-integrable":
-        _check_near_integrable(scheme, prob)
-        return (lambda h, state, p: step_near_integrable(scheme, h, state, p, cache=cache),
-                scheme.stages)
-    if prob.is_autonomous:
-        return _Engine(scheme.a, scheme.b, _cached_flow(cache)), scheme.stages
-    return _Engine(scheme.a, scheme.b, _taylor_flow), scheme.stages
+        return _near_integrable(scheme, prob, cache), scheme.stages
+    flow = _cached_flow(cache) if prob.is_autonomous else _taylor_flow
+    return _Engine(scheme.a, scheme.b, flow), scheme.stages
 
 
 def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
@@ -449,11 +447,11 @@ def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
 def record_trajectory(prob, stepper, state, h, steps, evaluations):
     """Take ``steps`` steps of ``stepper`` from ``state``, sampling each state.
 
-    A general engine marches in chunks; any other step map is called once
-    per step.  A sample is the clock t1, the state x and the raw gains of
-    the flow, formed once; the symmetrized gains and the raw symmetry defect
-    come from them, and every sample's controls from one batched call after
-    the last step.
+    An engine (every built-in method) marches in chunks; a ``compose()`` or
+    user step map is called once per step.  A sample is the clock t1, the
+    state x and the raw gains of the flow, formed once; the symmetrized gains
+    and the raw symmetry defect come from them, and every sample's controls
+    from one batched call after the last step.
     """
     states = (itertools.chain([state], stepper.march(h, state, prob, steps))
               if isinstance(stepper, _Engine) else

@@ -182,6 +182,14 @@ def test_run_sweep_rows_and_determinism():
     assert all(r.seconds == 0.0 for r in rows1)
 
 
+def test_run_sweep_rows_report_the_step_size_they_ran():
+    # h = 0.3 and 0.7 on T = 1 run 3 steps and 1 step: the rows say so
+    prob = build_pollution(preset("fig1"))
+    rows = run_sweep(prob, ("sp2", "rk4"), h_ladder=(0.3, 0.7))
+    assert [(r.method, r.resolution, r.evaluations) for r in rows] == [
+        ("sp2", 1.0 / 3, 3), ("sp2", 1.0, 1), ("rk4", 1.0 / 3, 12), ("rk4", 1.0, 4)]
+
+
 def test_run_sweep_adaptive_rows():
     prob = build_pollution(preset("fig1"))
     rows = run_sweep(prob, ("dopri",), h_ladder=(1.0 / 4,),

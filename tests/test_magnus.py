@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from conftest import canonical_j, fit_order, random_hamiltonian
-from splitlq.errors import InputError
+from splitlq.errors import ConfigError, InputError
 from splitlq.magnus import LinearFlowProblem, cf4_chunks, cf4_step, integrate, richardson
 from splitlq.matfun import expm, expm_apply
 
@@ -113,8 +113,11 @@ def test_cf4_rejects_zero_step_and_bad_counts():
     prob = _constant_problem(np.eye(2))
     with pytest.raises(InputError):
         cf4_step(prob, 0.0, 0.0, np.ones(2))
-    with pytest.raises(InputError):
-        integrate(prob, 0.0, 1.0, 0, np.ones(2))
+    for steps in (0, 2.5):
+        with pytest.raises(ConfigError):
+            integrate(prob, 0.0, 1.0, steps, np.ones(2))
+    assert_allclose(integrate(prob, 0.0, 1.0, np.int64(3), np.ones(2)), np.e * np.ones(2),
+                    rtol=1e-14)
 
 
 def _per_step(prob, t0, h, steps, y):

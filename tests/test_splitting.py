@@ -398,6 +398,19 @@ def test_near_integrable_misuse_errors(fig2_setup):
         step_near_integrable(get_scheme("ni42"), 0.1, rstate, ramp)
 
 
+def test_near_integrable_and_autonomous_steps_can_share_one_cache(fig2_setup):
+    # sp1 at h' = a_1 h caches exp(a_1 h K) under the float a_1 h, the length
+    # of ni42's first a-stage; the drift exponentials must not be read from it
+    prob, flow0, _ = fig2_setup
+    state = initial_state(prob, flow0)
+    scheme, h, cache = get_scheme("ni42"), 0.25, {}
+    step_autonomous(get_scheme("sp1"), scheme.a[0] * h, state, prob, cache=cache)
+    shared = step_near_integrable(scheme, h, state, prob, cache=cache)
+    alone = step_near_integrable(scheme, h, state, prob)
+    assert shared.v.tobytes() == alone.v.tobytes()
+    assert shared.x.tobytes() == alone.x.tobytes()
+
+
 def test_near_integrable_time_symmetry(fig2_setup):
     prob, flow0, _ = fig2_setup
     state = initial_state(prob, flow0)
@@ -595,6 +608,43 @@ def _per_stage(prob, flow0, steps, method, seen=None):
     return np.array([s[0] for s in out]), np.array([s[1] for s in out])
 
 
+def _ni_per_stage(prob, flow0, steps, method):
+    """A near-integrable scheme written out stage by stage from the public
+    calls, every coefficient sampled at its own node: (states, symmetrized
+    gains) after every step."""
+    from splitlq.matfun import expm, expm_apply, taylor_apply
+    from splitlq.problem import assemble_flow_matrix
+    from splitlq.riccati import GameFlow, closed_loop
+
+    scheme = get_scheme(method)
+    h = (prob.T - prob.t0) / steps
+    A = prob.A(prob.t0)
+    D = assemble_flow_matrix(prob.n, A, 0.0, [0.0] * prob.nplayers)
+    v, x, t = flow0.stacked(), prob.x0.copy(), prob.t0
+
+    def sample():
+        raw = np.asarray(GameFlow.from_stacked(v, t).gains())
+        return x, 0.5 * (raw + raw.swapaxes(-1, -2))
+
+    out = [sample()]
+    for _ in range(steps):
+        for ai, bi in zip(scheme.a, scheme.b):
+            if ai != 0.0:  # drift flow for v, one CF4 step for x
+                tau = ai * h
+                Gh, G1 = expm(0.5 * tau * D), expm(tau * D)
+                vend = G1 @ v
+                M0, Mmid, M1 = (closed_loop(A, prob.coupling_row(t + dt), y, t + dt)
+                                for dt, y in ((0.0, v), (0.5 * tau, Gh @ v), (tau, vend)))
+                x = expm_apply((tau / 12.0) * (3.0 * M0 + 4.0 * Mmid - M1), x)
+                x = expm_apply((tau / 12.0) * (-M0 + 4.0 * Mmid + 3.0 * M1), x)
+                v = vend
+                t += tau
+            if bi != 0.0:  # frozen coupling flow at the a-clock
+                v = taylor_apply(bi * h * (prob.flow_matrix(t) - D), v, 4)
+        out.append(sample())
+    return np.array([s[0] for s in out]), np.array([s[1] for s in out])
+
+
 @pytest.fixture(scope="module")
 def tv_setup():
     prob = two_player_tv()
@@ -622,6 +672,42 @@ def test_autonomous_engine_is_the_per_stage_loop_bit_for_bit(fig1_setup, method)
     states, gains = _per_stage(prob, flow0, 8, method)
     assert traj.states.tobytes() == states.tobytes()
     assert traj.gains.tobytes() == gains.tobytes()
+
+
+@pytest.fixture(scope="module")
+def ni_tv_setup():
+    # constant A, time-dependent B and R: S_row moves inside each a-stage
+    prob = replace(two_player_tv(), A=C([[0.1, 1.0], [-1.0, -0.2]]))
+    return prob, backward_game(prob, steps=64)
+
+
+@pytest.mark.parametrize("method", ["ni42", "ni84"])
+@pytest.mark.parametrize("steps", [1, 7, 33])
+@pytest.mark.parametrize("setup", ["fig1_setup", "ni_tv_setup"])
+def test_near_integrable_engine_is_the_per_stage_loop_bit_for_bit(request, setup, method,
+                                                                   steps):
+    # fig1 (d = 11) runs one step per chunk; the n = 2 game (d = 6) runs 7
+    # ni42 or 2 ni84 steps per chunk, and samples S_row at t2 + {0, 1/2, 1} a_i h.
+    prob, flow0 = request.getfixturevalue(setup)[:2]
+    traj = integrate_forward(prob, flow0, steps, method=method)
+    states, gains = _ni_per_stage(prob, flow0, steps, method)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.gains.tobytes() == gains.tobytes()
+
+
+@pytest.mark.parametrize("method, formed", [("ni42", 4), ("ni84", 6)])
+@pytest.mark.parametrize("steps", [8, 64])
+def test_near_integrable_drift_exponentials_formed_once_per_stage_length(
+        monkeypatch, fig1_setup, method, formed, steps):
+    # two exponentials, exp(τD/2) and exp(τD), per distinct a_i h
+    import splitlq.splitting as splitting
+
+    prob, flow0, _ = fig1_setup
+    calls = []
+    real = splitting.expm
+    monkeypatch.setattr(splitting, "expm", lambda M: calls.append(M) or real(M))
+    integrate_forward(prob, flow0, steps, method=method)
+    assert len(calls) == formed
 
 
 @pytest.mark.parametrize("method", ["sp2", "s2"])
