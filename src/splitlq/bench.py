@@ -296,14 +296,19 @@ def _terminal_min_gain(traj):
     return float(min(np.linalg.eigvalsh(P)[0] for P in traj.terminal_gains))
 
 
+def _fixed_steps(prob, h):
+    # a fixed-step row's step count and the h it runs, span / steps
+    span = prob.T - prob.t0
+    steps = max(1, round(span / h))
+    return steps, span / steps
+
+
 def run_single(prob, flow0, method, resolution, x_ref, measure_time=False):
     """One sweep row.  ``resolution`` is h for fixed-step methods (the row
     reports the h it ran, span / steps) and the absolute tolerance for the
     adaptive baseline (rel_tol = 10 * abs_tol)."""
-    span = prob.T - prob.t0
     if method in FIXED_STEP_METHODS:
-        steps = max(1, round(span / resolution))
-        resolution = span / steps
+        steps, resolution = _fixed_steps(prob, resolution)
     start = _time.perf_counter() if measure_time else 0.0
     if method in SPLITTING_METHODS:
         traj = integrate_forward(prob, flow0, steps, method=method)
@@ -358,7 +363,8 @@ def run_sweep(prob, methods, h_ladder=None, tol_ladder=None,
     deterministic unless ``measure_time`` is set (wall-clock is then filled
     in, at the cost of reproducibility).  A row that fails numerically
     (InputError, SingularityError) is recorded with a NaN error instead of
-    aborting; any other error propagates.
+    aborting, and with the resolution it would have run; any other error
+    propagates.
     """
     if h_ladder is None:
         h_ladder = tuple(1.0 / 2**k for k in range(2, 9))
@@ -380,6 +386,8 @@ def run_sweep(prob, methods, h_ladder=None, tol_ladder=None,
                 results.append(run_single(prob, flow0, method, resolution,
                                           x_ref, measure_time=measure_time))
             except (InputError, SingularityError):
+                if method in FIXED_STEP_METHODS:
+                    resolution = _fixed_steps(prob, resolution)[1]
                 results.append(SweepResult(
                     method=method, resolution=resolution, evaluations=0,
                     seconds=0.0, x_error=float("nan"), gain_defect=float("nan"),

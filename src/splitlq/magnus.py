@@ -10,10 +10,11 @@ exact for constant M (the exponents commute and sum to h M).  Negative h
 integrates backward.
 
 Uniform steps run in chunks: a chunk samples its distinct nodes in one call
-(a step's end node is the next step's start, so a step costs two samples),
-forms every exponent of the chunk as one stacked array and picks their
-Taylor degrees in one call; per step only the Horner loop of
-``matfun.taylor_apply`` runs.
+(a step's end node is the next step's start, so a step costs two samples)
+and forms every exponent of the chunk as one stacked array.  Where the
+chunk spans more than one step (d <= 8) their exponentials are formed as
+one stack and a step costs two products; otherwise the Horner loop runs on
+the block (``matfun.expm_actions``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, check_steps
-from .matfun import norm1, taylor_apply, taylor_degrees
+from .matfun import expm_actions, norm1
 
 # A chunk holds two samples and two exponents, four d x d arrays, per step;
 # its length keeps them under this many bytes (32 steps at d = 2, one step
@@ -95,16 +96,15 @@ def cf4_chunks(prob, t, h, steps, y):
             times.append(t)
         (M,), pos = at_nodes(lambda ts: (prob.sample(ts),), nodes, memo)
         start, mid, end = (M[pos[k::3]] for k in range(3))
-        E1 = (h / 12.0) * (3.0 * start + 4.0 * mid - end)
-        E2 = (h / 12.0) * (-start + 4.0 * mid + 3.0 * end)
-        norms = np.stack([norm1(E1), norm1(E2)], axis=1)
-        finite = np.isfinite(norms).all(axis=1)
+        E = np.empty((m, 2) + start.shape[1:])  # step j's two exponents
+        E[:, 0] = (h / 12.0) * (3.0 * start + 4.0 * mid - end)
+        E[:, 1] = (h / 12.0) * (-start + 4.0 * mid + 3.0 * end)
+        finite = np.isfinite(norm1(E)).all(axis=1)
         ok = m if finite.all() else int(np.argmin(finite))
-        degrees = taylor_degrees(norms[:ok].ravel())
+        act = expm_actions(E[:ok].reshape(-1, *E.shape[2:]))
         ys = []
         for j in range(ok):
-            y = taylor_apply(E1[j], y, degrees[2 * j])
-            y = taylor_apply(E2[j], y, degrees[2 * j + 1])
+            y = act(2 * j + 1, act(2 * j, y))
             ys.append(y)
         if ok:
             yield times[:ok], ys

@@ -4,15 +4,12 @@ Matrix exponential by scaling and squaring with a degree-6 diagonal Pade
 kernel, its action on a block of vectors by a truncated Taylor series, the
 Cayley / Pade(1,1) map, and structural checks (symmetry defect, smallest
 eigenvalue of a symmetric matrix).  Everything here is a pure function of
-its inputs; matrices are plain ``numpy`` arrays.  An exponential is formed
-only where the matrix is reused; a single product exp(M) @ Y goes through
-``expm_apply``.
+its inputs; matrices are plain ``numpy`` arrays.  An action exp(M) @ Y
+follows one rule, ``expm_actions``: exp(M) formed in a stack up to d = 8,
+the Horner loop on the block Y above.
 """
 
 from __future__ import annotations
-
-import bisect
-import math
 
 import numpy as np
 
@@ -33,6 +30,10 @@ _TAYLOR_THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.4e-4, 2.4e-3, 9.07e-3, 2.38e-2,
                  5.0e-2, 8.96e-2, 0.144, 0.214, 0.3, 0.4, 0.514, 0.641, 0.781,
                  0.931, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64,
                  2.86, 3.08, 3.31, 3.54)
+
+# Up to this d a CF4 chunk spans more than one step and a call costs more
+# than its flops: exp(M) @ Y forms exp(M), one stack per chunk.
+_FORM_DIM = 8
 
 # 1/cond below this means the solve result cannot be trusted.
 RCOND_FLOOR = 1e-12
@@ -131,21 +132,17 @@ def taylor_degrees(norms):
     """Taylor degree of exp(M) @ Y for each 1-norm ||M||_1 in ``norms``: the
     smallest m with ||M||_1 <= theta_m, or 0 above theta_30, where the
     exponential is formed instead.  A non-finite norm raises InputError."""
-    degrees = []
-    for norm in norms:
-        if not math.isfinite(norm):
-            raise InputError("matrix contains non-finite entries")
-        degrees.append(bisect.bisect_left(_TAYLOR_THETA, norm) + 1
-                       if norm <= _TAYLOR_THETA[-1] else 0)
-    return degrees
+    norms = np.asarray(norms, dtype=float)
+    if not np.isfinite(norms).all():
+        raise InputError("matrix contains non-finite entries")
+    return np.where(norms <= _TAYLOR_THETA[-1],
+                    np.searchsorted(_TAYLOR_THETA, norms) + 1, 0).tolist()
 
 
 def taylor_apply(M, Y, degree):
     """exp(M) @ Y for the ``degree`` that taylor_degrees picks for M: Horner
-    evaluation of the Taylor polynomial, the scalar exponential for a 1 x 1
-    M, and the formed exponential for degree 0."""
-    if M.shape == (1, 1):
-        return np.exp(M[0, 0]) * Y
+    evaluation of the Taylor polynomial, and the formed exponential for
+    degree 0."""
     if degree == 0:
         return expm(M) @ Y
     acc = Y
@@ -154,18 +151,54 @@ def taylor_apply(M, Y, degree):
     return acc
 
 
-def expm_apply(M, Y):
-    """exp(M) @ Y without forming exp(M).
+def expm_stack(E):
+    """exp(E_j) for each matrix of the stack E (k, d, d): the Taylor
+    polynomial of each member's own taylor_degrees degree (never the stack's
+    largest, so a member's bits do not depend on the stack), ``np.exp`` for
+    d = 1, expm past theta_30.  A non-finite member raises InputError."""
+    E = np.asarray(E, dtype=float)
+    if E.shape[-1] == 1:
+        if not np.isfinite(E).all():
+            raise InputError("matrix contains non-finite entries")
+        return np.exp(E)
+    degrees = np.array(taylor_degrees(norm1(E)), dtype=int)
+    order = np.argsort(-degrees, kind="stable")  # the members still to go: a prefix
+    left = np.cumsum(np.bincount(degrees)[::-1])[::-1].tolist()  # left[k]: degree >= k
+    eye = np.eye(E.shape[-1])
+    S, acc = E[order], np.broadcast_to(eye, E.shape).copy()
+    for k in range(len(left) - 1, 0, -1):
+        c = left[k]
+        acc[:c] = eye + (S[:c] @ acc[:c]) / k
+    F = np.empty_like(E)
+    F[order] = acc
+    for j in np.flatnonzero(degrees == 0):
+        F[j] = expm(E[j])
+    return F
 
-    Horner evaluation of the Taylor polynomial of the smallest degree m
-    with ||M||_1 <= theta_m; above theta_30 the exponential is formed and
-    applied, which keeps the work logarithmic in ||M||.
-    """
+
+def expm_actions(E):
+    """The map (j, Y) -> exp(E[j]) @ Y over a stack E (k, d, d): up to d = 8
+    one expm_stack call and one product per action, above the Horner loop
+    on Y.  A non-finite member raises InputError."""
+    if E.shape[-1] == 1:
+        F = expm_stack(E)[:, 0, 0]
+        return lambda j, Y: F[j] * Y
+    if E.shape[-1] <= _FORM_DIM:
+        F = expm_stack(E)
+        return lambda j, Y: F[j] @ Y
+    degrees = taylor_degrees(norm1(E))
+    return lambda j, Y: taylor_apply(E[j], Y, degrees[j])
+
+
+def expm_apply(M, Y):
+    """exp(M) @ Y by the rule of expm_actions: exp(M) formed up to d = 8,
+    above the Horner loop on Y of the smallest degree m with ||M||_1 <=
+    theta_m, and past theta_30 the formed exponential (work logarithmic in
+    ||M||)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {M.shape}")
-    norm = abs(M[0, 0]) if M.shape == (1, 1) else norm1(M)
-    return taylor_apply(M, Y, taylor_degrees((norm,))[0])
+    return expm_actions(M[None])(0, Y)
 
 
 def pade2(M, h):

@@ -82,6 +82,26 @@ def closed_loop(A, S_row, y, t):
     return A - _gain_raw(y[:n], S_row @ y[n:], t)
 
 
+def closed_loops(A, S_row, Y, times):
+    """closed_loop at each member of the stacks A (k, n, n), S_row
+    (k, n, Nn) and Y (k, (N+1)n, n), from one batched U solve (a division
+    for n = 1); a matrix that every member shares may come as one (1, ...)
+    layer.  A singular U raises SingularityError naming the first failing
+    time of ``times``, as closed_loop would there."""
+    n = A.shape[-1]
+    U, W = Y[:, :n], S_row @ Y[:, n:]
+    try:
+        if n > 1:  # contiguous transposes: the same bits, and LAPACK reads them faster
+            Ut, Wt = (np.ascontiguousarray(M.swapaxes(-1, -2)) for M in (U, W))
+            return A - np.linalg.solve(Ut, Wt).swapaxes(-1, -2)
+        if U.all():
+            return A - W / U
+    except np.linalg.LinAlgError:
+        pass
+    # member by member, the same solves: the first singular U raises
+    return A - np.array([_gain_raw(U[k], W[k], times[k]) for k in range(len(Y))])
+
+
 def terminal_game_flow(game):
     """The final condition y(T) = [I; QT_1; ...; QT_N]."""
     return GameFlow(U=np.eye(game.n), V=tuple(Z.copy() for Z in game.QT), t=game.T)

@@ -2,9 +2,10 @@
 
 Every built-in method is an engine on one stage loop.  Its clocks (t2 +=
 a_i h, t1 += b_i h) do not depend on the solution, so it plans a chunk of
-steps, samples A and S_row at the a-stage nodes and K at the b-clocks in one
-call each, then runs per stage only an a-stage map (by default the closed loop
-at t1 and the state's exponential action) or a flow map.  The engines differ:
+steps and samples A and S_row at the closed-loop nodes and K at the b-clocks
+in one call each.  The Riccati flow never reads the state, so the chunk runs
+its Riccati half first, then all its closed loops in one batched solve, and
+per stage only the state's exponential actions.  The engines differ:
 
 * ``step_autonomous`` -- constant coefficients, exp(b_i h K) formed once
   per stage length; the Riccati advance is exact, so integrating to T
@@ -30,11 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InputError, MisuseError, check_steps
+from .errors import ConfigError, InputError, MisuseError, SingularityError, check_steps
 from .magnus import _CHUNK_BYTES, at_nodes
-from .matfun import expm, expm_apply, norm1, pade2_apply, taylor_apply, taylor_degrees
+from .matfun import expm, expm_actions, expm_apply, norm1, pade2_apply, taylor_apply
 from .problem import assemble_flow_matrix
-from .riccati import GameFlow, closed_loop
+from .riccati import GameFlow, closed_loops
 
 # ---------------------------------------------------------------------------
 # Scheme registry
@@ -197,25 +198,30 @@ def initial_state(prob, flow):
 # ---------------------------------------------------------------------------
 
 
-def _closed_loop_stage(prob, plan, terms):
-    # the default a-stage: the closed loop at t1, its exponential action on x
-    (A, row), pos = terms([t1 for _, t1, _ in plan])
-    def stage(j, v, x):
-        (tau, t1, _), p = plan[j], pos[j]
-        return v, expm_apply(tau * closed_loop(A[p], row[p], v, t1), x)
-    return stage
+def _closed_loop_stage(prob, taus, t1, t2):
+    # the default a-stage: v unchanged, one closed loop at t1, exp(a_i h N) on x
+    return (t1, lambda j, v, out: np.copyto(out[0], v) or v,
+            lambda N: taus[:len(N), None, None, None] * N)
+
+
+def _rows(M, pos):
+    # M[pos]; a constant M (0 stride) goes as one layer, a view of its one array
+    return M[:1] if M.strides[0] == 0 else M[pos]
 
 
 @dataclass(frozen=True)
 class _Engine:
     """Coefficients and two stage maps.  ``flow(prob, taus, times, K)``, given
     a chunk's b-stage lengths b_i h, clocks t2 and a thunk giving ``at_nodes``
-    of K there, is the map (j, v) -> v' of b-stage j; ``stage(prob, plan,
-    terms)``, given its a-stages as (a_i h, t1, t2) with the clocks at their
-    start and ``terms(nodes)``, ``at_nodes`` of (A, S_row), is the map (j, v,
-    x) -> (v', x') of a-stage j.  ``march`` yields the state after each step.
-    A non-finite coefficient or a singular U raises at its stage, after the
-    stages before it; a singular R when its chunk is sampled."""
+    of K there, is the map (j, v) -> v' of b-stage j.  ``stage(prob, taus, t1,
+    t2)``, given the a-stage lengths a_i h (an array) and clocks at their
+    start (lists), returns the closed-loop nodes (q per a-stage), the map
+    (j, v, out) -> v' of a-stage j, which writes its q closed-loop inputs into
+    ``out``, and the map from the closed loops (c, q, n, n) of the first c
+    a-stages to their exponents (c, e, n, n), which act on x in order.
+    ``march`` yields the state after each step.  A non-finite coefficient or
+    a singular U raises for the first failing stage, after the steps before
+    it; a singular R when its chunk is sampled."""
 
     a: tuple
     b: tuple
@@ -229,43 +235,89 @@ class _Engine:
     def march(self, h, state, prob, steps):
         # a chunk's exponents, d x d per b-stage, fill at most _CHUNK_BYTES
         chunk = max(1, _CHUNK_BYTES // (8 * len(state.v) ** 2 * np.count_nonzero(self.b)))
+        ah = [ai * h for ai in self.a]  # one float per a_i h
+        na = np.count_nonzero(self.a)  # a-stages per step
+        tau_a = np.array([tau for ai, tau in zip(self.a, ah) if ai != 0.0] * chunk)
         v, x, t1, t2 = state.v, state.x, state.t1, state.t2
         amemo, bmemo = {}, {}
-        ah = [ai * h for ai in self.a]  # one float per a_i h, shared by the plan entries
         for first in range(0, steps, chunk):
-            plan, tb, ends = [], [], []
-            for _ in range(min(chunk, steps - first)):
+            m = min(chunk, steps - first)
+            t1a, t2a, tb, ends = [], [], [], []  # the clocks at each stage's start
+            for _ in range(m):
                 for ai, bi, tau in zip(self.a, self.b, ah):
                     if ai != 0.0:
-                        plan.append((tau, t1, t2))
+                        t1a.append(t1)
+                        t2a.append(t2)
                     t2 += tau
                     if bi != 0.0:
                         tb.append(t2)
                     t1 += bi * h
                 ends.append((t1, t2))
-            astage = self.stage(prob, plan,
-                                lambda nodes: at_nodes(prob.closed_loop_terms, nodes, amemo))
-            advance = self.flow(prob, [bi * h for bi in self.b if bi != 0.0] * len(ends), tb,
+            taus = tau_a[:na * m]
+            nodes, vmap, exponents = self.stage(prob, taus, t1a, t2a)
+            (A, row), pos = at_nodes(prob.closed_loop_terms, nodes, amemo)
+            advance = self.flow(prob, [bi * h for bi in self.b if bi != 0.0] * m, tb,
                                 lambda: at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo))
-            astep, bstep = itertools.count(), itertools.count()
-            for end in ends:
-                for ai, bi in zip(self.a, self.b):
-                    if ai != 0.0:
-                        v, x = astage(next(astep), v, x)
-                    if bi != 0.0:
-                        v = advance(next(bstep), v)
-                yield ExtendedState(v=v, x=x, t1=end[0], t2=end[1])
+
+            # 1. the Riccati half, up to a stage that fails; each closed
+            # loop's input goes into one stack
+            q = len(nodes) // len(taus)
+            Yq = np.empty((len(taus), q) + v.shape)
+            vs, fail, ja, jb = [], None, 0, 0
+            try:
+                for _ in range(m):
+                    for ai, bi in zip(self.a, self.b):
+                        if ai != 0.0:
+                            v = vmap(ja, v, Yq[ja])
+                            ja += 1
+                        if bi != 0.0:
+                            v = advance(jb, v)
+                            jb += 1
+                    vs.append(v)
+            except (InputError, SingularityError) as exc:
+                fail = exc
+            done = len(vs)  # steps complete before the first failure
+
+            # 2. the closed loops of the a-stages before it, through the first
+            # one whose coefficients are not finite, from one batched solve.
+            # A failure found here or in 3 lies at an earlier stage.
+            k = q * ja  # constants (0 stride) were checked finite when the problem was built
+            if not all(M.strides[0] == 0 or np.isfinite(M).all() for M in (A, row)):
+                bad = np.flatnonzero(~(np.isfinite(A).all(axis=(1, 2))
+                                       & np.isfinite(row).all(axis=(1, 2)))[pos[:k]])
+                k = q * (bad[0] // q + 1) if bad.size else k
+            Y = Yq.reshape(-1, *v.shape)
+            try:
+                N = closed_loops(_rows(A, pos[:k]), _rows(row, pos[:k]), Y[:k], nodes[:k])
+            except SingularityError as exc:  # at the first a-stage of the failing time
+                k = q * (nodes.index(exc.where) // q)
+                fail, done = exc, k // q // na
+                N = closed_loops(_rows(A, pos[:k]), _rows(row, pos[:k]), Y[:k], nodes[:k])
+
+            # 3. the actions on x, for the steps complete before the failure
+            E = exponents(N.reshape(-1, q, *N.shape[1:]))
+            if not np.isfinite(E).all():
+                bad = np.argmin(np.isfinite(E).all(axis=(1, 2, 3)))
+                fail, done = InputError("matrix contains non-finite entries"), bad // na
+            e = na * E.shape[1]  # exponents per step
+            act = expm_actions(E[:done * na].reshape(-1, *E.shape[2:]))
+            for s in range(done):
+                for j in range(s * e, s * e + e):
+                    x = act(j, x)
+                yield ExtendedState(v=vs[s], x=x, t1=ends[s][0], t2=ends[s][1])
+            if fail is not None:
+                raise fail
 
 
 def _taylor_flow(prob, taus, times, K):
-    # exp(b_i h K(t2)): the chunk's exponents stacked, their Taylor degrees
-    # picked at once; past a non-finite one, expm_apply raises at its stage
+    # exp(b_i h K(t2)): the chunk's exponents stacked, their actions from one
+    # expm_actions call up to a non-finite one, where expm_apply raises
     (K,), pos = K()
     E = np.asarray(taus)[:, None, None] * K[pos]
-    norms = norm1(E)
-    degrees = taylor_degrees(norms) if np.isfinite(norms).all() else None
-    return lambda j, v: (expm_apply(E[j], v) if degrees is None
-                         else taylor_apply(E[j], v, degrees[j]))
+    finite = np.isfinite(norm1(E))
+    ok = len(E) if finite.all() else int(np.argmin(finite))
+    act = expm_actions(E[:ok])
+    return act if ok == len(E) else lambda j, v: act(j, v) if j < ok else expm_apply(E[j], v)
 
 
 def _pade_flow(prob, taus, times, K):  # the Cayley map of b_i h K(t2)
@@ -347,21 +399,25 @@ def _near_integrable(scheme, prob, cache):
         (K,), pos = K()
         return lambda j, v: taylor_apply(taus[j] * (K[pos[j]] - D), v, 4)
 
-    def stage(prob, plan, terms):
+    def stage(prob, taus, t1, t2):
         # v by the drift flow, x by CF4 with closed loops at t2 + {0, 1/2, 1} τ
-        for key in {("ni", tau) for tau, _, _ in plan} - set(cache):  # apart from exp(τK)
+        keys = taus.tolist()
+        for key in {("ni", tau) for tau in keys} - set(cache):  # apart from exp(τK)
             cache[key] = (expm(0.5 * key[1] * D), expm(key[1] * D))
-        (A, row), pos = terms([t2 + dt for tau, _, t2 in plan for dt in (0.0, 0.5 * tau, tau)])
 
-        def advance(j, v, x):
-            tau, _, t2 = plan[j]
-            Gh, G1 = cache["ni", tau]
+        def advance(j, v, out):
+            Gh, G1 = cache["ni", keys[j]]
             vend = G1 @ v
-            M0, Mmid, M1 = (closed_loop(A[p], row[p], y, t2 + dt) for p, dt, y in
-                            zip(pos[3 * j: 3 * j + 3], (0.0, 0.5 * tau, tau), (v, Gh @ v, vend)))
-            x = expm_apply((tau / 12.0) * (3.0 * M0 + 4.0 * Mmid - M1), x)
-            return vend, expm_apply((tau / 12.0) * (-M0 + 4.0 * Mmid + 3.0 * M1), x)
-        return advance
+            out[0], out[1], out[2] = v, Gh @ v, vend
+            return vend
+
+        def exponents(N):
+            M0, Mmid, M1 = N[:, 0], N[:, 1], N[:, 2]
+            tau = taus[:len(N), None, None] / 12.0
+            return np.stack([tau * (3.0 * M0 + 4.0 * Mmid - M1),
+                             tau * (-M0 + 4.0 * Mmid + 3.0 * M1)], axis=1)
+        nodes = np.array(t2)[:, None] + taus[:, None] * np.array([0.0, 0.5, 1.0])
+        return nodes.ravel().tolist(), advance, exponents
     return _Engine(scheme.a, scheme.b, flow, stage)
 
 
@@ -449,33 +505,34 @@ def record_trajectory(prob, stepper, state, h, steps, evaluations):
 
     An engine (every built-in method) marches in chunks; a ``compose()`` or
     user step map is called once per step.  A sample is the clock t1, the
-    state x and the raw gains of the flow, formed once; the symmetrized gains
-    and the raw symmetry defect come from them, and every sample's controls
-    from one batched call after the last step.
+    state x and the raw gains of the flow, formed once and written into
+    arrays allocated for the steps + 1 samples; the symmetrized gains and the
+    raw symmetry defect come from them, and every sample's controls from one
+    batched call after the last step.
     """
     states = (itertools.chain([state], stepper.march(h, state, prob, steps))
               if isinstance(stepper, _Engine) else
               itertools.accumulate(range(steps), lambda s, _: stepper(h, s, prob),
                                    initial=state))
-    times, xs, gains = [], [], []
+    n = state.v.shape[1]
+    times, xs = np.empty(steps + 1), np.empty((steps + 1,) + state.x.shape)
+    gains = np.empty((steps + 1, len(state.v) // n - 1, n, n))
     max_defect = 0.0
-    for state in states:
+    for k, state in enumerate(states):
         raw = np.asarray(state.flow.gains())  # every player's raw gain, stacked
-        times.append(state.t1)
-        xs.append(state.x)
-        gains.append(0.5 * (raw + raw.swapaxes(-1, -2)))
+        times[k], xs[k] = state.t1, state.x
+        gains[k] = 0.5 * (raw + raw.swapaxes(-1, -2))
         # one expression for all players; a non-finite gain makes it non-finite
         defect = float(np.max(np.abs(raw - raw.swapaxes(-1, -2))))
         if not math.isfinite(defect):
             raise InputError("matrix contains non-finite entries")
         max_defect = max(max_defect, defect)
 
-    gains, xs = np.asarray(gains), np.asarray(xs)
     return Trajectory(
-        times=np.asarray(times),
+        times=times,
         states=xs,
         gains=gains,
-        controls=prob.feedback_controls(times, gains, xs),
+        controls=prob.feedback_controls(times.tolist(), gains, xs),
         evaluations=evaluations,
         max_symmetry_defect=max_defect,
         terminal_gain_defect=float(np.max(np.abs(gains[-1] - np.asarray(prob.QT)))),

@@ -8,7 +8,7 @@ from splitlq import magnus, riccati
 from splitlq.bench import (PollutionConfig, TimeFunction, backward_pass,
                            build_pollution, emit_csv, preset,
                            reference_endpoint, run_sweep, SweepResult)
-from splitlq.errors import ConfigError, InputError
+from splitlq.errors import ConfigError, InputError, SingularityError
 from splitlq.problem import TimeMatrix
 from splitlq.reference import flatten_pipeline, rk4_solve, unflatten
 from splitlq.splitting import integrate_forward
@@ -188,6 +188,22 @@ def test_run_sweep_rows_report_the_step_size_they_ran():
     rows = run_sweep(prob, ("sp2", "rk4"), h_ladder=(0.3, 0.7))
     assert [(r.method, r.resolution, r.evaluations) for r in rows] == [
         ("sp2", 1.0 / 3, 3), ("sp2", 1.0, 1), ("rk4", 1.0 / 3, 12), ("rk4", 1.0, 4)]
+
+
+def test_run_sweep_failed_rows_report_the_step_size_they_would_run(monkeypatch):
+    # a fixed-step row that fails numerically records span / steps, as a row
+    # that runs does (a failed adaptive row keeps its tolerance: see below)
+    import splitlq.bench as bench
+
+    def fail(*args, **kwargs):
+        raise SingularityError("forced", where=0.0)
+
+    monkeypatch.setattr(bench, "integrate_forward", fail)
+    prob = build_pollution(preset("fig1"))
+    rows = run_sweep(prob, ("sp2", "rk4"), h_ladder=(0.3, 0.7))
+    assert [(r.method, r.resolution, np.isnan(r.x_error)) for r in rows] == [
+        ("sp2", 1.0 / 3, True), ("sp2", 1.0, True), ("rk4", 1.0 / 3, False),
+        ("rk4", 1.0, False)]
 
 
 def test_run_sweep_adaptive_rows():

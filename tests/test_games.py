@@ -442,9 +442,9 @@ def test_zero_sum_step_counts_checked_before_the_backward_pass(monkeypatch, step
 def test_zero_sum_forward_forms_six_closed_loops_per_composed_step(monkeypatch):
     # the half state steps that meet between the five substeps are merged
     calls = []
-    real = splitting.closed_loop
-    monkeypatch.setattr(splitting, "closed_loop",
-                        lambda *args: calls.append(args[-1]) or real(*args))
+    real = splitting.closed_loops
+    monkeypatch.setattr(splitting, "closed_loops",
+                        lambda *args: calls.extend(args[-1]) or real(*args))
     traj = solve_zero_sum(fig1_zero_sum(), steps_backward=8, steps_forward=16)
     assert len(calls) == 6 * 16 and traj.evaluations == 5 * 16
 

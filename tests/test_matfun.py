@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm as scipy_expm
 from scipy.sparse.linalg import expm_multiply
 
 from conftest import canonical_j, random_hamiltonian, taylor_expm
 from splitlq.errors import DimensionError, InputError, SingularityError
-from splitlq.matfun import (_TAYLOR_THETA, expm, expm_apply, first_singular,
-                            min_eigenvalue_sym, pade2, pade2_apply, rcond,
-                            solve_checked, symmetry_defect, taylor_degrees)
+from splitlq.matfun import (_TAYLOR_THETA, expm, expm_apply, expm_stack, first_singular,
+                            min_eigenvalue_sym, norm1, pade2, pade2_apply, rcond,
+                            solve_checked, symmetry_defect, taylor_apply,
+                            taylor_degrees)
 
 
 def test_expm_zero_is_identity():
@@ -158,6 +160,53 @@ def test_expm_apply_above_theta30_forms_the_exponential():
     M *= 1.01 * _TAYLOR_THETA[-1] / np.linalg.norm(M, 1)
     Y = rng.standard_normal((5, 2))
     assert_allclose(expm_apply(M, Y), expm(M) @ Y, rtol=0.0, atol=0.0)
+
+
+def _stack(rng, d, norms):
+    # members of the given 1-norms, past theta_30 included
+    E = rng.standard_normal((len(norms), d, d))
+    return E * (np.asarray(norms) / norm1(E))[:, None, None]
+
+
+_STACK_NORMS = (0.3, 1e-6, 2.0, 0.05, 1.01 * _TAYLOR_THETA[-1], 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 6, 8])
+def test_expm_stack_member_is_the_member_alone_bit_for_bit(d):
+    # the members need Taylor degrees from 2 to 30 and the formed fallback.
+    # A kernel that ran every member at the stack's largest degree adds
+    # terms below roundoff, which still move the last bits of some members
+    # at d = 6 and 8, so a result would depend on where chunk edges fall.
+    norms = (*np.geomspace(1e-8, 3.5, 24), 1.01 * _TAYLOR_THETA[-1])
+    E = _stack(np.random.default_rng(80 + d), d, norms)
+    assert set(taylor_degrees(norm1(E))) >= {2, 30, 0}
+    F = expm_stack(E)
+    for j in range(len(E)):
+        assert F[j].tobytes() == expm_stack(E[j:j + 1])[0].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 8])
+def test_expm_stack_agrees_with_expm_apply_and_the_horner_loop(d):
+    # against expm_apply, against the Horner loop on the block that runs
+    # above d = 8, and against scipy
+    rng = np.random.default_rng(90 + d)
+    E = _stack(rng, d, _STACK_NORMS)
+    Y = rng.standard_normal((d, 3))
+    F = expm_stack(E)
+    for M, m, FM in zip(E, taylor_degrees(norm1(E)), F):
+        got = FM @ Y
+        assert _relerr(got, expm_apply(M, Y)) <= 1e-14
+        assert _relerr(got, taylor_apply(M, Y, m)) <= 1e-14
+        assert _relerr(FM, scipy_expm(M)) <= (1e-14 if m else 1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("d", [1, 3])
+def test_expm_stack_rejects_a_non_finite_member(d, bad):
+    E = _stack(np.random.default_rng(7), d, (0.1, 0.2, 0.3))
+    E[1, 0, -1] = bad
+    with pytest.raises(InputError):
+        expm_stack(E)
 
 
 def test_expm_apply_zero_matrix_is_identity():

@@ -351,9 +351,9 @@ def test_partly_constant_game_samples_its_constants_once(monkeypatch):
     monkeypatch.setattr(GameProblem, "_coupling",
                         lambda self, j, W, t: formed.append(j) or coupling(self, j, W, t))
     rows = []
-    closed_loop = splitting.closed_loop
-    monkeypatch.setattr(splitting, "closed_loop",
-                        lambda A, row, y, t: rows.append(row) or closed_loop(A, row, y, t))
+    closed_loops = splitting.closed_loops
+    monkeypatch.setattr(splitting, "closed_loops",
+                        lambda A, row, Y, t: rows.extend([row] * len(t)) or closed_loops(A, row, Y, t))
     calls.clear()
     runs = []
     for prob in (partly, varying):

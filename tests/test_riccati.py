@@ -11,7 +11,7 @@ from splitlq.magnus import LinearFlowProblem, cf4_step
 from splitlq.problem import GameProblem, LQProblem, TimeMatrix, s_matrix
 from splitlq.riccati import (GameFlow, RiccatiFlow, backward_autonomous,
                              backward_nonautonomous, check_nonsingular,
-                             closed_loop, control, gain, gain_defect,
+                             closed_loop, closed_loops, control, gain, gain_defect,
                              terminal_game_flow)
 
 
@@ -272,4 +272,37 @@ def test_backward_pass_singular_matrix_r_names_player_and_first_node():
     with pytest.raises(SingularityError) as got:
         backward_nonautonomous(game, 64)
     assert "player 2" in str(got.value) and got.value.where == 0.75
+    assert str(got.value) == str(ref.value)
+
+
+def _closed_loop_stacks(N, n, k=6, seed=0):
+    rng = np.random.default_rng(seed + 10 * N + n)
+    return (rng.standard_normal((k, n, n)), rng.standard_normal((k, n, N * n)),
+            rng.standard_normal((k, (N + 1) * n, n)), np.linspace(0.0, 1.0, k).tolist())
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 32])
+def test_batched_closed_loops_are_the_per_stage_closed_loops(N, n):
+    # one batched solve (a division for n = 1) gives each member's bytes;
+    # constant terms may come as one layer, as the engines pass them
+    A, row, Y, times = _closed_loop_stacks(N, n)
+    got = closed_loops(A, row, Y, times)
+    for j in range(len(Y)):
+        assert got[j].tobytes() == closed_loop(A[j], row[j], Y[j], times[j]).tobytes()
+    got = closed_loops(A[:1], row[:1], Y, times)
+    for j in range(len(Y)):
+        assert got[j].tobytes() == closed_loop(A[0], row[0], Y[j], times[j]).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 32])
+def test_batched_closed_loops_name_the_first_singular_time(N, n):
+    A, row, Y, times = _closed_loop_stacks(N, n)
+    Y[[2, 4], :, 0] = 0.0  # U singular at members 2 and 4
+    with pytest.raises(SingularityError) as ref:
+        closed_loop(A[2], row[2], Y[2], times[2])
+    with pytest.raises(SingularityError) as got:
+        closed_loops(A, row, Y, times)
+    assert got.value.where == times[2]
     assert str(got.value) == str(ref.value)

@@ -719,9 +719,9 @@ def test_constant_terms_cross_chunk_edges_as_one_array(monkeypatch, fig1_setup, 
 
     prob, flow0, _ = fig1_setup
     seen = []
-    real = splitting.closed_loop
-    monkeypatch.setattr(splitting, "closed_loop",
-                        lambda A, row, y, t: seen.append((A, row)) or real(A, row, y, t))
+    real = splitting.closed_loops
+    monkeypatch.setattr(splitting, "closed_loops",
+                        lambda A, row, Y, t: seen.extend([(A, row)] * len(t)) or real(A, row, Y, t))
     integrate_forward(prob, flow0, 12, method=method)
     A0, row0 = prob.A(0.0), prob.coupling_row(0.0)
     assert len(seen) == 2 * 12
@@ -768,12 +768,35 @@ def test_non_finite_drift_inside_a_chunk_runs_the_steps_before_it(monkeypatch, m
     with pytest.raises(InputError):
         _per_stage(prob, flow0, 20, method, seen=want)
     got = []
-    real = splitting.closed_loop
-    monkeypatch.setattr(splitting, "closed_loop",
-                        lambda A, row, y, t: got.append(t) or real(A, row, y, t))
+    real = splitting.closed_loops
+    monkeypatch.setattr(splitting, "closed_loops",
+                        lambda A, row, Y, t: got.extend(t) or real(A, row, Y, t))
     with pytest.raises(InputError):
         integrate_forward(prob, flow0, 20, method=method)
     assert got == want and 0.4 < got[-1] < 0.55  # past the chunk start
+
+
+def test_non_finite_closed_loop_first_forms_no_later_closed_loop(monkeypatch):
+    # sp2, h = 0.05: A turns NaN between the b-clock 0.525 and the a-clock
+    # 0.55, so an a-stage fails before any flow; the batched call forms the
+    # closed loops up to it, as the per-stage loop does, not the next one.
+    import splitlq.splitting as splitting
+
+    nan_after = lambda t: (np.full((2, 2), np.nan) if t > 0.53
+                           else np.array([[-0.5, 1.0], [0.0, -1.0]]))
+    prob = LQProblem(A=TimeMatrix.from_function(nan_after, (2, 2)), B=C(np.eye(2)),
+                     Q=C(np.eye(2)), R=C(np.eye(2)), QT=np.eye(2), x0=[1.0, 1.0])
+    flow0 = RiccatiFlow(U=np.eye(2), V=np.eye(2), t=0.0)
+    want = []
+    with pytest.raises(InputError):
+        _per_stage(prob, flow0, 20, "sp2", seen=want)
+    got = []
+    real = splitting.closed_loops
+    monkeypatch.setattr(splitting, "closed_loops",
+                        lambda A, row, Y, t: got.extend(t) or real(A, row, Y, t))
+    with pytest.raises(InputError):
+        integrate_forward(prob, flow0, 20, method="sp2")
+    assert got == want and got[-1] == pytest.approx(0.55)
 
 
 def test_singular_r_in_a_later_chunk_names_its_node():
@@ -815,9 +838,9 @@ def test_composed_s2_merges_the_boundary_closed_loops(monkeypatch, fig1_setup):
 
     prob, flow0, _ = fig1_setup
     calls = []
-    real = splitting.closed_loop
-    monkeypatch.setattr(splitting, "closed_loop",
-                        lambda *args: calls.append(args[-1]) or real(*args))
+    real = splitting.closed_loops
+    monkeypatch.setattr(splitting, "closed_loops",
+                        lambda *args: calls.extend(args[-1]) or real(*args))
     traj = integrate_forward(prob, flow0, 8, method="s2c4")
     assert len(calls) == 6 * 8 and traj.evaluations == 5 * 8
 
