@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import riccati
 from .errors import ConfigError, DimensionError, MisuseError, check_steps
 from .magnus import richardson
 from .matfun import expm
@@ -96,18 +97,19 @@ def zs_base_step(game, tmid, h, y, cache=None):
     K0 = [[A, 0, 0], [-Q_1, -A^T, 0], [-Q_2, 0, -A^T]]; it acts on any
     representative of P, so both half-flows apply E, formed once, to y as
     it stands.  When K0 is constant, ``cache`` (a dict kept for one pass)
-    holds E per step length h.  The gains are read once, with one U solve;
-    the quadratic step is the Taylor-coefficient recurrence through the
-    coupling stack C = [[S1, S2], [0, S22], [S11, 0], [S1, S2]] (8 small
-    products), and the second half-flow starts from [I; P_1; P_2].  Works
-    for signed h.
+    holds E per step length h.  The gains are read once, with one U solve
+    on the stacked blocks of E y; the quadratic step is the
+    Taylor-coefficient recurrence through the coupling stack
+    C = [[S1, S2], [0, S22], [S11, 0], [S1, S2]] (8 small products), and
+    the second half-flow starts from [I; P_1; P_2].  Works for signed h.
     """
     K0, C = game._zero_sum
     cache = cache if K0.constant and cache is not None else {}
     if h not in cache:
         cache[h] = expm(0.5 * h * K0(tmid))
     E, n = cache[h], game.n
-    cs = _zs_taylor(C(tmid), np.vstack(GameFlow.from_stacked(E @ y, tmid).gains()), 4)
+    Ey = E @ y
+    cs = _zs_taylor(C(tmid), riccati._gain_raw(Ey[:n], Ey[n:], tmid), 4)
     P = cs[4]
     for c in cs[3::-1]:  # Horner's rule in h
         P = c + h * P

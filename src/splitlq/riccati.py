@@ -82,24 +82,29 @@ def closed_loop(A, S_row, y, t):
     return A - _gain_raw(y[:n], S_row @ y[n:], t)
 
 
-def closed_loops(A, S_row, Y, times):
-    """closed_loop at each member of the stacks A (k, n, n), S_row
-    (k, n, Nn) and Y (k, (N+1)n, n), from one batched U solve (a division
-    for n = 1); a matrix that every member shares may come as one (1, ...)
-    layer.  A singular U raises SingularityError naming the first failing
-    time of ``times``, as closed_loop would there."""
-    n = A.shape[-1]
-    U, W = Y[:, :n], S_row @ Y[:, n:]
+def right_solve(W, U, times):
+    """W_k U_k^-1 for each member of the stacks W (k, p, n) and U (k, n, n),
+    from one batched U solve (a division for n = 1).  A singular U raises
+    SingularityError naming the first failing time of ``times``, as
+    _gain_raw would there."""
     try:
-        if n > 1:  # contiguous transposes: the same bits, and LAPACK reads them faster
+        if U.shape[-1] > 1:  # contiguous transposes: the same bits, and LAPACK reads them faster
             Ut, Wt = (np.ascontiguousarray(M.swapaxes(-1, -2)) for M in (U, W))
-            return A - np.linalg.solve(Ut, Wt).swapaxes(-1, -2)
+            return np.linalg.solve(Ut, Wt).swapaxes(-1, -2)
         if U.all():
-            return A - W / U
+            return W / U
     except np.linalg.LinAlgError:
         pass
     # member by member, the same solves: the first singular U raises
-    return A - np.array([_gain_raw(U[k], W[k], times[k]) for k in range(len(Y))])
+    return np.array([_gain_raw(U[k], W[k], times[k]) for k in range(len(U))])
+
+
+def closed_loops(A, S_row, Y, times):
+    """closed_loop at each member of the stacks A (k, n, n), S_row
+    (k, n, Nn) and Y (k, (N+1)n, n), from one right_solve; a matrix that
+    every member shares may come as one (1, ...) layer."""
+    n = A.shape[-1]
+    return A - right_solve(S_row @ Y[:, n:], Y[:, :n], times)
 
 
 def terminal_game_flow(game):
@@ -114,7 +119,9 @@ def backward_game(game, steps=None):
     if not game.is_autonomous:
         return backward_nonautonomous(game, steps)
     K = game.flow_matrix(game.t0)
-    y = expm_apply((game.t0 - game.T) * K, terminal_game_flow(game).stacked())
+    with np.errstate(over="ignore"):  # an infinite exponent fails expm_apply's check
+        E = (game.t0 - game.T) * K
+    y = expm_apply(E, terminal_game_flow(game).stacked())
     flow = GameFlow.from_stacked(y, game.t0)
     check_nonsingular(flow.U, game.t0)
     return flow

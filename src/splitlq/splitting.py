@@ -35,7 +35,7 @@ from .errors import ConfigError, InputError, MisuseError, SingularityError, chec
 from .magnus import _CHUNK_BYTES, at_nodes
 from .matfun import expm, expm_actions, expm_apply, norm1, pade2_apply, taylor_apply
 from .problem import assemble_flow_matrix
-from .riccati import GameFlow, closed_loops
+from .riccati import GameFlow, closed_loops, right_solve
 
 # ---------------------------------------------------------------------------
 # Scheme registry
@@ -219,9 +219,10 @@ class _Engine:
     (j, v, out) -> v' of a-stage j, which writes its q closed-loop inputs into
     ``out``, and the map from the closed loops (c, q, n, n) of the first c
     a-stages to their exponents (c, e, n, n), which act on x in order.
-    ``march`` yields the state after each step.  A non-finite coefficient or
-    a singular U raises for the first failing stage, after the steps before
-    it; a singular R when its chunk is sampled."""
+    ``march`` yields per chunk the record (t1, t2, v, x) of its m step ends:
+    clocks (lists), v (m, d, n) and x (m, n).  A non-finite coefficient or a
+    singular U raises for the first failing stage, after the record of the
+    steps before it; a singular R when its chunk is sampled."""
 
     a: tuple
     b: tuple
@@ -229,8 +230,8 @@ class _Engine:
     stage: Callable = _closed_loop_stage
 
     def __call__(self, h, state, prob):  # one step
-        *_, state = self.march(h, state, prob, 1)
-        return state
+        (t1, t2, v, x), = self.march(h, state, prob, 1)
+        return ExtendedState(v=v[0], x=x[0], t1=t1[0], t2=t2[0])
 
     def march(self, h, state, prob, steps):
         # a chunk's exponents, d x d per b-stage, fill at most _CHUNK_BYTES
@@ -242,7 +243,7 @@ class _Engine:
         amemo, bmemo = {}, {}
         for first in range(0, steps, chunk):
             m = min(chunk, steps - first)
-            t1a, t2a, tb, ends = [], [], [], []  # the clocks at each stage's start
+            t1a, t2a, tb, e1, e2 = [], [], [], [], []  # stage starts' clocks, step ends' t1, t2
             for _ in range(m):
                 for ai, bi, tau in zip(self.a, self.b, ah):
                     if ai != 0.0:
@@ -252,7 +253,8 @@ class _Engine:
                     if bi != 0.0:
                         tb.append(t2)
                     t1 += bi * h
-                ends.append((t1, t2))
+                e1.append(t1)
+                e2.append(t2)
             taus = tau_a[:na * m]
             nodes, vmap, exponents = self.stage(prob, taus, t1a, t2a)
             (A, row), pos = at_nodes(prob.closed_loop_terms, nodes, amemo)
@@ -260,12 +262,12 @@ class _Engine:
                                 lambda: at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo))
 
             # 1. the Riccati half, up to a stage that fails; each closed
-            # loop's input goes into one stack
+            # loop's input goes into one stack, each step's end into V
             q = len(nodes) // len(taus)
-            Yq = np.empty((len(taus), q) + v.shape)
-            vs, fail, ja, jb = [], None, 0, 0
+            Yq, V = np.empty((len(taus), q) + v.shape), np.empty((m,) + v.shape)
+            fail, ja, jb = None, 0, 0
             try:
-                for _ in range(m):
+                for done in range(m):  # ``done`` steps complete so far
                     for ai, bi in zip(self.a, self.b):
                         if ai != 0.0:
                             v = vmap(ja, v, Yq[ja])
@@ -273,10 +275,10 @@ class _Engine:
                         if bi != 0.0:
                             v = advance(jb, v)
                             jb += 1
-                    vs.append(v)
+                    V[done] = v
+                done = m
             except (InputError, SingularityError) as exc:
                 fail = exc
-            done = len(vs)  # steps complete before the first failure
 
             # 2. the closed loops of the a-stages before it, through the first
             # one whose coefficients are not finite, from one batched solve.
@@ -301,10 +303,13 @@ class _Engine:
                 fail, done = InputError("matrix contains non-finite entries"), bad // na
             e = na * E.shape[1]  # exponents per step
             act = expm_actions(E[:done * na].reshape(-1, *E.shape[2:]))
+            X = np.empty((done,) + x.shape)
             for s in range(done):
                 for j in range(s * e, s * e + e):
                     x = act(j, x)
-                yield ExtendedState(v=vs[s], x=x, t1=ends[s][0], t2=ends[s][1])
+                X[s] = x
+            if done:
+                yield e1[:done], e2[:done], V[:done], X
             if fail is not None:
                 raise fail
 
@@ -500,33 +505,54 @@ def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
                              steps * stages_per_step)
 
 
+def _record(state):  # a state as a one-sample record
+    return (state.t1,), (state.t2,), state.v[None], state.x[None]
+
+
+def _write_gains(v, t1, out):
+    # the symmetrized gains of v (m, d, n) at the clocks t1 into out (m, N, n, n);
+    # returns the largest raw symmetry defect.  Should the one batched solve
+    # fail, sample by sample: the first failing sample raises.
+    n = v.shape[-1]
+    try:
+        raw = right_solve(v[:, n:], v[:, :n], t1).reshape(out.shape)
+    except SingularityError:
+        if len(v) == 1:
+            raise
+        return max(_write_gains(v[k:k + 1], t1[k:k + 1], out[k:k + 1])
+                   for k in range(len(v)))
+    np.add(raw, raw.swapaxes(-1, -2), out=out)
+    out *= 0.5
+    skew = raw - raw.swapaxes(-1, -2)  # non-finite for a non-finite gain
+    defect = float(np.abs(skew, out=skew).max())
+    if not math.isfinite(defect):
+        raise InputError("matrix contains non-finite entries")
+    return defect
+
+
 def record_trajectory(prob, stepper, state, h, steps, evaluations):
     """Take ``steps`` steps of ``stepper`` from ``state``, sampling each state.
 
-    An engine (every built-in method) marches in chunks; a ``compose()`` or
-    user step map is called once per step.  A sample is the clock t1, the
-    state x and the raw gains of the flow, formed once and written into
-    arrays allocated for the steps + 1 samples; the symmetrized gains and the
-    raw symmetry defect come from them, and every sample's controls from one
-    batched call after the last step.
+    An engine (every built-in method) yields one record per chunk; a
+    ``compose()`` or user step map is called once per step, each state a
+    one-sample record.  A record's clocks t1, states and symmetrized gains
+    are written into arrays allocated for the steps + 1 samples, its raw
+    gains V_stack U^-1 read in one batched solve; every sample's controls
+    come from one batched call after the last step.
     """
-    states = (itertools.chain([state], stepper.march(h, state, prob, steps))
-              if isinstance(stepper, _Engine) else
-              itertools.accumulate(range(steps), lambda s, _: stepper(h, s, prob),
-                                   initial=state))
+    records = (itertools.chain([_record(state)], stepper.march(h, state, prob, steps))
+               if isinstance(stepper, _Engine) else
+               map(_record, itertools.accumulate(range(steps), lambda s, _: stepper(h, s, prob),
+                                                 initial=state)))
     n = state.v.shape[1]
     times, xs = np.empty(steps + 1), np.empty((steps + 1,) + state.x.shape)
     gains = np.empty((steps + 1, len(state.v) // n - 1, n, n))
-    max_defect = 0.0
-    for k, state in enumerate(states):
-        raw = np.asarray(state.flow.gains())  # every player's raw gain, stacked
-        times[k], xs[k] = state.t1, state.x
-        gains[k] = 0.5 * (raw + raw.swapaxes(-1, -2))
-        # one expression for all players; a non-finite gain makes it non-finite
-        defect = float(np.max(np.abs(raw - raw.swapaxes(-1, -2))))
-        if not math.isfinite(defect):
-            raise InputError("matrix contains non-finite entries")
-        max_defect = max(max_defect, defect)
+    max_defect, k = 0.0, 0
+    for t1, _, v, x in records:
+        m = len(v)
+        times[k:k + m], xs[k:k + m] = t1, x
+        max_defect = max(max_defect, _write_gains(v, t1, gains[k:k + m]))
+        k += m
 
     return Trajectory(
         times=times,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -106,6 +107,22 @@ def test_bad_config_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(path) in err
+
+
+def test_overflowing_horizon_is_one_error_line(tmp_path, capsys):
+    # constant data: the backward pass is one exponential of (t0 - T) K,
+    # whose product overflows; only the error may reach stderr
+    path = tmp_path / "long.ini"
+    path.write_text(CONFIG.replace("horizon = 1.0", "horizon = 1e308")
+                    .replace("rho = 0.1", "rho = 0.0")
+                    .replace("kind = tanh-ramp\nbase = 2.0\namplitude = 1.0\nrate = 5.0\n"
+                             "center = 0.5", "kind = constant\nvalue = 2.0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code = main(["solve", "--problem", str(path), "--method", "sp4", "--steps", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: matrix contains non-finite entries\n"
 
 
 def test_solve_command(config_file, tmp_path, capsys):

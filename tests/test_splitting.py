@@ -11,7 +11,7 @@ from splitlq.errors import ConfigError, InputError, MisuseError, SingularityErro
 from splitlq.games import backward_game
 from splitlq.matfun import min_eigenvalue_sym, pade2, symmetry_defect
 from splitlq.problem import GameProblem, LQProblem, TimeMatrix
-from splitlq.riccati import (RiccatiFlow, backward_autonomous,
+from splitlq.riccati import (GameFlow, RiccatiFlow, backward_autonomous,
                              backward_nonautonomous)
 from splitlq.reference import flatten_pipeline, rk4_solve, unflatten
 from splitlq.splitting import (COMPOSE4_ALPHAS, SplittingScheme, builtin_schemes, compose,
@@ -870,3 +870,161 @@ def test_singular_r_at_a_recorded_time_names_it():
         integrate_forward(prob, backward_game(two_player_tv(), steps=64), steps,
                           method="sp4")
     assert err.value.where == bad
+
+
+# ---------------------------------------------------------------------------
+# Chunked recorder
+# ---------------------------------------------------------------------------
+
+
+def _marched(monkeypatch):
+    # every record the engines yield, in order
+    import splitlq.splitting as splitting
+
+    records, real = [], splitting._Engine.march
+
+    def march(self, *args):
+        for record in real(self, *args):
+            records.append(record)
+            yield record
+    monkeypatch.setattr(splitting._Engine, "march", march)
+    return records
+
+
+def _assert_recorded_per_sample(traj, state, records):
+    # the per-sample oracle: each step end's raw gains from its own
+    # GameFlow.gains, symmetrized and reduced as one sample
+    samples = [(state.t1, state.x, state.v)] + [
+        (t, x, v) for t1, _, vs, xs in records for t, x, v in zip(t1, xs, vs)]
+    assert len(samples) == len(traj.times)
+    raws = [np.asarray(GameFlow.from_stacked(v, t).gains()) for t, _, v in samples]
+    gains = np.array([0.5 * (raw + raw.swapaxes(-1, -2)) for raw in raws])
+    defect = max(float(np.max(np.abs(raw - raw.swapaxes(-1, -2)))) for raw in raws)
+    assert traj.times.tobytes() == np.array([t for t, _, _ in samples]).tobytes()
+    assert traj.states.tobytes() == np.array([x for _, x, _ in samples]).tobytes()
+    assert traj.gains.tobytes() == gains.tobytes()
+    assert traj.max_symmetry_defect == defect
+
+
+@pytest.mark.parametrize("name, method, steps, chunks", [
+    ("fig3a", "sp4", 19, [18, 1]),  # d = 2: 18 sp4 steps per chunk, 25 s2c4 steps
+    ("fig3a", "sp4", 37, [18, 18, 1]),
+    ("fig3a", "s2c4", 19, [19]),
+    ("fig3a", "s2c4", 37, [25, 12]),
+    ("fig1", "sp4", 5, [1] * 5),  # d = 11: one step per chunk
+    ("fig1", "s2c4", 5, [1] * 5),
+    ("fig1", "ni84", 5, [1] * 5),
+])
+def test_chunked_recorder_is_the_per_sample_gain_map_bit_for_bit(monkeypatch, name, method,
+                                                                  steps, chunks):
+    prob = build_pollution(preset(name))
+    flow0 = backward_game(prob, steps=64)
+    records = _marched(monkeypatch)
+    traj = integrate_forward(prob, flow0, steps, method=method)
+    assert [len(v) for _, _, v, _ in records] == chunks
+    _assert_recorded_per_sample(traj, initial_state(prob, flow0), records)
+
+
+def test_chunked_recorder_on_a_large_autonomous_game_bit_for_bit(monkeypatch):
+    # n = 32, three players: d = 128, the solves are LAPACK's, one step per chunk
+    rng = np.random.default_rng(83)
+    n = 32
+    game = GameProblem(A=C(0.1 * rng.standard_normal((n, n))),
+                       B=tuple(C(rng.standard_normal((n, 2))) for _ in range(3)),
+                       R=tuple(C(random_spd(rng, 2)) for _ in range(3)),
+                       Q=tuple(C(random_psd(rng, n) / n) for _ in range(3)),
+                       QT=tuple(random_psd(rng, n) / n for _ in range(3)), x0=np.ones(n))
+    flow0 = backward_game(game)
+    records = _marched(monkeypatch)
+    traj = integrate_forward(game, flow0, 3, method="sp4")
+    assert [len(v) for _, _, v, _ in records] == [1, 1, 1]
+    _assert_recorded_per_sample(traj, initial_state(game, flow0), records)
+
+
+def test_zero_sum_recorder_is_the_per_sample_gain_map_bit_for_bit(monkeypatch):
+    from splitlq.games import backward_zero_sum, solve_zero_sum
+
+    base = build_pollution(preset("fig1"))
+    W = TimeMatrix.from_constant([[20.0]])
+    game = GameProblem(A=base.A, B=base.B[:2], R=base.R[:2], Q=base.Q[:2],
+                       QT=base.QT[:2], x0=base.x0, cross_R={(1, 2): W, (2, 1): W})
+    P1, P2 = backward_zero_sum(game, 16)
+    records = _marched(monkeypatch)
+    traj = solve_zero_sum(game, steps_backward=16, steps_forward=23)
+    assert [len(v) for _, _, v, _ in records] == [11, 11, 1]  # d = 3: 11 steps per chunk
+    flow0 = GameFlow(U=np.eye(1), V=(P1, P2), t=game.t0)
+    _assert_recorded_per_sample(traj, initial_state(game, flow0), records)
+
+
+def _crafted_engine(step_ends, n):
+    # b, a, b: the closed loop reads only the mid-step flow, I over I/2, so
+    # the march never touches a step end; step s ends at step_ends[s], or
+    # at the mid-step flow when it is not listed
+    from splitlq.splitting import _Engine
+
+    mid = np.vstack([np.eye(n), 0.5 * np.eye(n)])
+    return _Engine((0.0, 1.0, 0.0), (0.5, 0.0, 0.5), lambda prob, taus, times, K: (
+        lambda j, v: step_ends.get(j // 2, mid) if j % 2 else mid))
+
+
+def _record_crafted(step_ends, n, steps=4):
+    prob = random_lq(np.random.default_rng(84), n=n, r=1)
+    flow0 = RiccatiFlow(U=np.eye(n), V=0.5 * np.eye(n), t=0.0)
+    return record_trajectory(prob, _crafted_engine(step_ends, n),
+                             initial_state(prob, flow0), 0.25, steps, 0)
+
+
+@pytest.mark.parametrize("n, U", [(1, [[0.0]]), (2, [[1.0, 1.0], [1.0, 1.0]])])
+def test_singular_u_at_a_recorded_step_end_raises_as_one_sample(n, U):
+    # U = 0 fails the division for n = 1, U of rank one LAPACK's solve for n > 1;
+    # the step ends before it, in the same chunk, are fine
+    bad = np.vstack([np.array(U), np.eye(n)])
+    with pytest.raises(SingularityError) as ref:
+        GameFlow.from_stacked(bad, 0.75).gains()  # step 2 ends at t1 = 0.75
+    with pytest.raises(SingularityError) as got:
+        _record_crafted({2: bad}, n)
+    assert got.value.where == ref.value.where == 0.75
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_gain_at_a_recorded_step_end_raises_input_error(n):
+    bad = np.vstack([np.eye(n), np.full((n, n), np.inf)])
+    with pytest.raises(InputError, match="non-finite"):
+        _record_crafted({1: bad}, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_first_failing_sample_of_a_chunk_raises_first(n):
+    # a non-finite gain at step 1, then a singular U at step 3 in the same
+    # chunk: the batched solve fails on step 3, but step 1 fails first
+    inf = np.vstack([np.eye(n), np.full((n, n), np.inf)])
+    singular = np.vstack([np.zeros((n, n)), np.eye(n)])
+    with pytest.raises(InputError):
+        _record_crafted({1: inf, 3: singular}, n)
+    with pytest.raises(SingularityError) as err:
+        _record_crafted({3: singular}, n)
+    assert err.value.where == 1.0
+
+
+def test_crafted_engine_records_its_step_ends():
+    # the engine the error tests use does reach the recorder with its step ends
+    ends = {s: np.vstack([np.eye(2), (s + 1.0) * np.eye(2)]) for s in range(4)}
+    traj = _record_crafted(ends, 2)
+    assert_allclose(traj.gains[1:, 0], [(s + 1.0) * np.eye(2) for s in range(4)], rtol=0.0)
+    assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_composed_step_map_is_recorded_one_sample_per_step():
+    prob = build_pollution(preset("fig3a"))
+    flow0 = backward_game(prob, steps=64)
+    stepper, steps = compose(s2_step, COMPOSE4_ALPHAS), 9
+    traj = integrate_forward(prob, flow0, steps, stepper=stepper, stages_per_step=5)
+    state = initial_state(prob, flow0)
+    states = [state]
+    for _ in range(steps):
+        state = stepper(1.0 / steps, state, prob)
+        states.append(state)
+    records = [((s.t1,), (s.t2,), s.v[None], s.x[None]) for s in states[1:]]
+    _assert_recorded_per_sample(traj, states[0], records)
+    assert traj.evaluations == 5 * steps
