@@ -71,7 +71,9 @@ class TimeFunction:
             return self.params[0]
         if self.kind == "tanh-ramp":
             base, amplitude, rate, center = self.params
-            return base + amplitude * np.tanh(rate * (t - center))
+            # tanh is +-1 to the last bit past 20: bounded there, the product cannot overflow
+            lim = 20.0 / abs(rate) if 0.0 < abs(rate) < math.inf else math.inf
+            return base + amplitude * np.tanh(rate * np.minimum(np.maximum(t - center, -lim), lim))
         raise ConfigError(f"unknown time function kind {self.kind!r}")
 
 

@@ -11,10 +11,10 @@ integrates backward.
 
 Uniform steps run in chunks: a chunk samples its distinct nodes in one call
 (a step's end node is the next step's start, so a step costs two samples)
-and forms every exponent of the chunk as one stacked array.  Where the
-chunk spans more than one step (d <= 8) their exponentials are formed as
-one stack and a step costs two products; otherwise the Horner loop runs on
-the block (``matfun.expm_actions``).
+and forms every exponent of the chunk as one stacked array, applied by one
+``matfun.expm_chain`` call.  Where the chunk spans more than one step (d <=
+8) their exponentials are formed as one stack and a step costs two
+products; otherwise the Horner loop runs on the block.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, check_steps
-from .matfun import expm_actions, norm1
+from .matfun import expm_chain, norm1
 
 # A chunk holds two samples and two exponents, four d x d arrays, per step;
 # its length keeps them under this many bytes (32 steps at d = 2, one step
@@ -78,9 +78,9 @@ def at_nodes(sample, times, memo):
 def cf4_chunks(prob, t, h, steps, y):
     """Advance y by ``steps`` CF4 steps of size h from t, a chunk at a time.
 
-    Yields, per chunk, the times reached (``t += h`` per step) and y after
-    each step of the chunk.  A non-finite exponent raises InputError after
-    the chunk's steps before it have been yielded.
+    Yields, per chunk, the times reached (``t += h`` per step) and the stack
+    of y after each step.  A non-finite exponent raises InputError after the
+    chunk's steps before it have been yielded.
     """
     if h == 0.0:
         raise InputError("CF4 step size must be nonzero")
@@ -95,21 +95,20 @@ def cf4_chunks(prob, t, h, steps, y):
             t += h
             times.append(t)
         (M,), pos = at_nodes(lambda ts: (prob.sample(ts),), nodes, memo)
-        start, mid, end = (M[pos[k::3]] for k in range(3))
-        E = np.empty((m, 2) + start.shape[1:])  # step j's two exponents
-        E[:, 0] = (h / 12.0) * (3.0 * start + 4.0 * mid - end)
-        E[:, 1] = (h / 12.0) * (-start + 4.0 * mid + 3.0 * end)
+        E = cf4_exponents(h / 12.0, *(M[pos[k::3]] for k in range(3)))
         finite = np.isfinite(norm1(E)).all(axis=1)
         ok = m if finite.all() else int(np.argmin(finite))
-        act = expm_actions(E[:ok].reshape(-1, *E.shape[2:]))
-        ys = []
-        for j in range(ok):
-            y = act(2 * j + 1, act(2 * j, y))
-            ys.append(y)
         if ok:
+            ys = expm_chain(E[:ok].reshape(-1, *E.shape[2:]), y, np.empty((ok,) + y.shape))
+            y = ys[-1]
             yield times[:ok], ys
         if ok < m:
             raise InputError("matrix contains non-finite entries")
+
+
+def cf4_exponents(c, M0, Mmid, M1):
+    # each step's two exponents, stacked (m, 2, d, d), from M at its start, midpoint and end
+    return np.stack([c * (3.0 * M0 + 4.0 * Mmid - M1), c * (-M0 + 4.0 * Mmid + 3.0 * M1)], axis=1)
 
 
 def _advance(prob, t, h, steps, y):

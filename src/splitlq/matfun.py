@@ -4,9 +4,9 @@ Matrix exponential by scaling and squaring with a degree-6 diagonal Pade
 kernel, its action on a block of vectors by a truncated Taylor series, the
 Cayley / Pade(1,1) map, and structural checks (symmetry defect, smallest
 eigenvalue of a symmetric matrix).  Everything here is a pure function of
-its inputs; matrices are plain ``numpy`` arrays.  An action exp(M) @ Y
-follows one rule, ``expm_actions``: exp(M) formed in a stack up to d = 8,
-the Horner loop on the block Y above.
+its inputs; matrices are plain ``numpy`` arrays.  Actions exp(E_j) @ Y
+run in one chain kernel, ``expm_chain``: a cumulative product for d = 1,
+a formed stack up to d = 8, the Horner loop on the block Y above.
 """
 
 from __future__ import annotations
@@ -176,29 +176,33 @@ def expm_stack(E):
     return F
 
 
-def expm_actions(E):
-    """The map (j, Y) -> exp(E[j]) @ Y over a stack E (k, d, d): up to d = 8
-    one expm_stack call and one product per action, above the Horner loop
-    on Y.  A non-finite member raises InputError."""
-    if E.shape[-1] == 1:
-        F = expm_stack(E)[:, 0, 0]
-        return lambda j, Y: F[j] * Y
-    if E.shape[-1] <= _FORM_DIM:
-        F = expm_stack(E)
-        return lambda j, Y: F[j] @ Y
-    degrees = taylor_degrees(norm1(E))
-    return lambda j, Y: taylor_apply(E[j], Y, degrees[j])
+def expm_chain(E, y, out):
+    """Apply exp(E[0]), exp(E[1]), ... of a stack E (L, d, d) to y in turn,
+    writing y after every k-th action into ``out`` (k = L // len(out)): one
+    cumulative product for d = 1, up to d = 8 one expm_stack call and one
+    product per action, above the Horner loop.  Raises InputError for a
+    non-finite member."""
+    k = len(E) // len(out)
+    if E.shape[-1] == 1:  # left to right: the floats of the loop y = exp(E[j]) * y
+        chain = np.empty((len(E) + 1,) + y.shape)
+        chain[0], chain[1:] = y, expm_stack(E).reshape((-1,) + (1,) * y.ndim)
+        return np.copyto(out, np.cumprod(chain, axis=0, out=chain)[k::k]) or out
+    formed = E.shape[-1] <= _FORM_DIM
+    F = expm_stack(E) if formed else taylor_degrees(norm1(E))  # exp(E_j), or its degree
+    for j in range(len(E)):
+        i, r = divmod(j + 1, k)
+        y = F[j].dot(y, out=None if r else out[i - 1]) if formed else taylor_apply(E[j], y, F[j])
+        if not (formed or r):
+            out[i - 1] = y
+    return out
 
 
 def expm_apply(M, Y):
-    """exp(M) @ Y by the rule of expm_actions: exp(M) formed up to d = 8,
-    above the Horner loop on Y of the smallest degree m with ||M||_1 <=
-    theta_m, and past theta_30 the formed exponential (work logarithmic in
-    ||M||)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {M.shape}")
-    return expm_actions(M[None])(0, Y)
+    """exp(M) @ Y, a chain of one: exp(M) formed up to d = 8, above the
+    Horner loop on Y of the smallest degree m with ||M||_1 <= theta_m, and
+    past theta_30 the formed exponential (work logarithmic in ||M||)."""
+    M, Y = _as_square(M), np.asarray(Y, dtype=float)
+    return expm_chain(M[None], Y, np.empty((1,) + Y.shape))[0]
 
 
 def pade2(M, h):

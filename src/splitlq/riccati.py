@@ -119,9 +119,8 @@ def backward_game(game, steps=None):
     if not game.is_autonomous:
         return backward_nonautonomous(game, steps)
     K = game.flow_matrix(game.t0)
-    with np.errstate(over="ignore"):  # an infinite exponent fails expm_apply's check
-        E = (game.t0 - game.T) * K
-    y = expm_apply(E, terminal_game_flow(game).stacked())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E or U fails a check
+        y = expm_apply((game.t0 - game.T) * K, terminal_game_flow(game).stacked())
     flow = GameFlow.from_stacked(y, game.t0)
     check_nonsingular(flow.U, game.t0)
     return flow
@@ -145,13 +144,11 @@ def backward_nonautonomous(prob, steps):
     intermediate results are kept beyond a chunk.
     """
     steps = check_steps(steps, "non-autonomous backward steps")
-    n = prob.n
-    y = terminal_game_flow(prob).stacked()
-    for times, ys in cf4_chunks(linear_flow(prob), prob.T, (prob.t0 - prob.T) / steps,
-                                steps, y):
-        _check_steps(np.array([yk[:n] for yk in ys]), times)
-        y = ys[-1]
-    return GameFlow.from_stacked(y, prob.t0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite U fails _check_steps
+        for times, ys in cf4_chunks(linear_flow(prob), prob.T, (prob.t0 - prob.T) / steps,
+                                    steps, terminal_game_flow(prob).stacked()):
+            _check_steps(ys[:, :prob.n], times)
+    return GameFlow.from_stacked(ys[-1], prob.t0)
 
 
 def linear_flow(prob):

@@ -32,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InputError, MisuseError, SingularityError, check_steps
-from .magnus import _CHUNK_BYTES, at_nodes
-from .matfun import expm, expm_actions, expm_apply, norm1, pade2_apply, taylor_apply
+from .magnus import _CHUNK_BYTES, at_nodes, cf4_exponents
+from .matfun import _FORM_DIM, expm, expm_chain, expm_stack, norm1, pade2_apply, taylor_apply
 from .problem import assemble_flow_matrix
 from .riccati import GameFlow, closed_loops, right_solve
 
@@ -200,8 +200,7 @@ def initial_state(prob, flow):
 
 def _closed_loop_stage(prob, taus, t1, t2):
     # the default a-stage: v unchanged, one closed loop at t1, exp(a_i h N) on x
-    return (t1, lambda j, v, out: np.copyto(out[0], v) or v,
-            lambda N: taus[:len(N), None, None, None] * N)
+    return t1, lambda j, v, out: v, lambda N: taus[:len(N), None, None, None] * N
 
 
 def _rows(M, pos):
@@ -213,21 +212,24 @@ def _rows(M, pos):
 class _Engine:
     """Coefficients and two stage maps.  ``flow(prob, taus, times, K)``, given
     a chunk's b-stage lengths b_i h, clocks t2 and a thunk giving ``at_nodes``
-    of K there, is the map (j, v) -> v' of b-stage j.  ``stage(prob, taus, t1,
-    t2)``, given the a-stage lengths a_i h (an array) and clocks at their
-    start (lists), returns the closed-loop nodes (q per a-stage), the map
-    (j, v, out) -> v' of a-stage j, which writes its q closed-loop inputs into
-    ``out``, and the map from the closed loops (c, q, n, n) of the first c
-    a-stages to their exponents (c, e, n, n), which act on x in order.
-    ``march`` yields per chunk the record (t1, t2, v, x) of its m step ends:
-    clocks (lists), v (m, d, n) and x (m, n).  A non-finite coefficient or a
-    singular U raises for the first failing stage, after the record of the
-    steps before it; a singular R when its chunk is sampled."""
+    of K there, is the map (j, v) -> v' of b-stage j; with ``writes``, (j, v,
+    out) -> v', which writes v' into ``out``, never v's memory.  ``stage(prob,
+    taus, t1, t2)``, given the a-stage lengths a_i h (an array) and clocks at
+    their start (lists), returns the closed-loop nodes (q per a-stage), the
+    map (j, v, out) -> v' of a-stage j, which finds v in out[0] and writes
+    its other closed-loop inputs into ``out``, and the map from the closed
+    loops (c, q, n, n) of the first c a-stages to their exponents (c, e, n,
+    n), which act on x in order.  ``march`` yields per chunk the record (t1,
+    t2, v, x) of its m step ends: clocks (lists), v (m, d, n), x (m, n).  A
+    non-finite coefficient or a singular U raises for the first failing
+    stage, after the record of the steps before it; a singular R when its
+    chunk is sampled."""
 
     a: tuple
     b: tuple
     flow: Callable
     stage: Callable = _closed_loop_stage
+    writes: bool = False
 
     def __call__(self, h, state, prob):  # one step
         (t1, t2, v, x), = self.march(h, state, prob, 1)
@@ -261,19 +263,25 @@ class _Engine:
             advance = self.flow(prob, [bi * h for bi in self.b if bi != 0.0] * m, tb,
                                 lambda: at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo))
 
-            # 1. the Riccati half, up to a stage that fails; each closed
-            # loop's input goes into one stack, each step's end into V
+            # 1. the Riccati half, up to a stage that fails; each closed loop's input
+            # goes into one stack, each step's end into V.  A b-stage that an a-stage
+            # follows writes v' into its first input: only an a-stage after none copies
             q = len(nodes) // len(taus)
             Yq, V = np.empty((len(taus), q) + v.shape), np.empty((m,) + v.shape)
-            fail, ja, jb = None, 0, 0
+            fail, ja, jb, placed = None, 0, 0, False
             try:
                 for done in range(m):  # ``done`` steps complete so far
-                    for ai, bi in zip(self.a, self.b):
+                    for ai, bi, a_next in zip(self.a, self.b, self.a[1:] + self.a[:1]):
                         if ai != 0.0:
-                            v = vmap(ja, v, Yq[ja])
+                            if not placed:
+                                Yq[ja, 0] = v
+                            v, placed = vmap(ja, v, Yq[ja]), False
                             ja += 1
                         if bi != 0.0:
-                            v = advance(jb, v)
+                            placed = a_next != 0.0 and ja < len(taus)  # an a-stage reads v'
+                            out = Yq[ja, 0] if placed else np.empty_like(v)
+                            v = (advance(jb, v, out) if self.writes else
+                                 np.copyto(out, advance(jb, v)) or out)
                             jb += 1
                     V[done] = v
                 done = m
@@ -301,28 +309,25 @@ class _Engine:
             if not np.isfinite(E).all():
                 bad = np.argmin(np.isfinite(E).all(axis=(1, 2, 3)))
                 fail, done = InputError("matrix contains non-finite entries"), bad // na
-            e = na * E.shape[1]  # exponents per step
-            act = expm_actions(E[:done * na].reshape(-1, *E.shape[2:]))
-            X = np.empty((done,) + x.shape)
-            for s in range(done):
-                for j in range(s * e, s * e + e):
-                    x = act(j, x)
-                X[s] = x
             if done:
+                X = expm_chain(E[:done * na].reshape(-1, *E.shape[2:]), x,
+                               np.empty((done,) + x.shape))
+                x = X[-1]
                 yield e1[:done], e2[:done], V[:done], X
             if fail is not None:
                 raise fail
 
 
 def _taylor_flow(prob, taus, times, K):
-    # exp(b_i h K(t2)): the chunk's exponents stacked, their actions from one
-    # expm_actions call up to a non-finite one, where expm_apply raises
+    # exp(b_i h K(t2)): the chunk's exponents stacked, up to d = 8 formed as one stack
+    # up to a non-finite one; any other action is one expm_chain call (which raises)
     (K,), pos = K()
     E = np.asarray(taus)[:, None, None] * K[pos]
-    finite = np.isfinite(norm1(E))
-    ok = len(E) if finite.all() else int(np.argmin(finite))
-    act = expm_actions(E[:ok])
-    return act if ok == len(E) else lambda j, v: act(j, v) if j < ok else expm_apply(E[j], v)
+    form = np.isfinite(norm1(E)) & (E.shape[-1] <= _FORM_DIM)
+    f = len(E) if form.all() else int(np.argmin(form))  # members formed
+    F, E = expm_stack(E[:f]) if f else None, E[f:].copy()  # the closure keeps no formed E_j
+    return lambda j, v, out: (F[j].dot(v, out=out) if j < f else
+                              expm_chain(E[j - f:j - f + 1], v, out[None])[0])
 
 
 def _pade_flow(prob, taus, times, K):  # the Cayley map of b_i h K(t2)
@@ -335,7 +340,7 @@ def _cached_flow(cache):
     def flow(prob, taus, times, K):
         for tau in set(taus) - set(cache):
             cache[tau] = expm(tau * prob.flow_matrix(prob.t0))
-        return lambda j, v: cache[taus[j]] @ v
+        return lambda j, v, out: cache[taus[j]].dot(v, out=out)
     return flow
 
 
@@ -362,13 +367,13 @@ def step_autonomous(scheme, h, state, prob, cache=None):
     if not prob.is_autonomous:
         raise MisuseError("problem is not autonomous; use step_nonautonomous")
     flow = _cached_flow({} if cache is None else cache)
-    return _Engine(scheme.a, scheme.b, flow)(h, state, prob)
+    return _Engine(scheme.a, scheme.b, flow, writes=True)(h, state, prob)
 
 
 def step_nonautonomous(scheme, h, state, prob):
     """One step of the two-time-coordinate interleave: each flow stage
     applies exp(b_i h K(t2)) to the stacked blocks."""
-    return _Engine(scheme.a, scheme.b, _taylor_flow)(h, state, prob)
+    return _Engine(scheme.a, scheme.b, _taylor_flow, writes=True)(h, state, prob)
 
 
 def s2_step(h, state, prob):
@@ -412,17 +417,11 @@ def _near_integrable(scheme, prob, cache):
 
         def advance(j, v, out):
             Gh, G1 = cache["ni", keys[j]]
-            vend = G1 @ v
-            out[0], out[1], out[2] = v, Gh @ v, vend
-            return vend
-
-        def exponents(N):
-            M0, Mmid, M1 = N[:, 0], N[:, 1], N[:, 2]
-            tau = taus[:len(N), None, None] / 12.0
-            return np.stack([tau * (3.0 * M0 + 4.0 * Mmid - M1),
-                             tau * (-M0 + 4.0 * Mmid + 3.0 * M1)], axis=1)
+            Gh.dot(v, out=out[1])
+            return G1.dot(v, out=out[2])
         nodes = np.array(t2)[:, None] + taus[:, None] * np.array([0.0, 0.5, 1.0])
-        return nodes.ravel().tolist(), advance, exponents
+        return nodes.ravel().tolist(), advance, lambda N: cf4_exponents(
+            taus[:len(N), None, None] / 12.0, *N.swapaxes(0, 1))
     return _Engine(scheme.a, scheme.b, flow, stage)
 
 
@@ -486,7 +485,7 @@ def make_stepper(prob, method, cache):
     if scheme.kind == "near-integrable":
         return _near_integrable(scheme, prob, cache), scheme.stages
     flow = _cached_flow(cache) if prob.is_autonomous else _taylor_flow
-    return _Engine(scheme.a, scheme.b, flow), scheme.stages
+    return _Engine(scheme.a, scheme.b, flow, writes=True), scheme.stages
 
 
 def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
@@ -521,13 +520,12 @@ def _write_gains(v, t1, out):
             raise
         return max(_write_gains(v[k:k + 1], t1[k:k + 1], out[k:k + 1])
                    for k in range(len(v)))
+    if not np.isfinite(raw).all():  # checked first: inf - inf would warn
+        raise InputError("matrix contains non-finite entries")
     np.add(raw, raw.swapaxes(-1, -2), out=out)
     out *= 0.5
-    skew = raw - raw.swapaxes(-1, -2)  # non-finite for a non-finite gain
-    defect = float(np.abs(skew, out=skew).max())
-    if not math.isfinite(defect):
-        raise InputError("matrix contains non-finite entries")
-    return defect
+    skew = raw - raw.swapaxes(-1, -2)
+    return float(np.abs(skew, out=skew).max())
 
 
 def record_trajectory(prob, stepper, state, h, steps, evaluations):

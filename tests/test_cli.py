@@ -125,6 +125,29 @@ def test_overflowing_horizon_is_one_error_line(tmp_path, capsys):
     assert err == "error: matrix contains non-finite entries\n"
 
 
+@pytest.mark.parametrize("drift, horizon, t", [
+    ("kind = constant\nvalue = 2.0", "1e200", "0.0"),
+    ("kind = tanh-ramp\nbase = 2.0\namplitude = 1.0\nrate = 5.0\ncenter = 0.5", "1e308",
+     "9.375e+307"),
+], ids=["constant", "tanh-ramp"])
+def test_overflowing_flow_is_one_error_line(tmp_path, capsys, drift, horizon, t):
+    # a finite exponent whose exponential overflows (squarings of expm, the
+    # actions on y, and for the ramp its argument rate (t - center)); U's
+    # condition check then fails, and only its error may reach stderr
+    path = tmp_path / "long.ini"
+    path.write_text(CONFIG.replace("horizon = 1.0", f"horizon = {horizon}")
+                    .replace("rho = 0.1", "rho = 0.0")
+                    .replace("kind = tanh-ramp\nbase = 2.0\namplitude = 1.0\nrate = 5.0\n"
+                             "center = 0.5", drift))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code = main(["solve", "--problem", str(path), "--method", "sp4", "--steps", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: U(t) numerically singular at t = {t} ")
+    assert err.count("\n") == 1
+
+
 def test_solve_command(config_file, tmp_path, capsys):
     out = tmp_path / "row.csv"
     code = main(["solve", "--problem", config_file, "--method", "sp4",

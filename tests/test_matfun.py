@@ -6,9 +6,9 @@ from scipy.sparse.linalg import expm_multiply
 
 from conftest import canonical_j, random_hamiltonian, taylor_expm
 from splitlq.errors import DimensionError, InputError, SingularityError
-from splitlq.matfun import (_TAYLOR_THETA, expm, expm_apply, expm_stack, first_singular,
-                            min_eigenvalue_sym, norm1, pade2, pade2_apply, rcond,
-                            solve_checked, symmetry_defect, taylor_apply,
+from splitlq.matfun import (_TAYLOR_THETA, expm, expm_apply, expm_chain, expm_stack,
+                            first_singular, min_eigenvalue_sym, norm1, pade2, pade2_apply,
+                            rcond, solve_checked, symmetry_defect, taylor_apply,
                             taylor_degrees)
 
 
@@ -207,6 +207,40 @@ def test_expm_stack_rejects_a_non_finite_member(d, bad):
     E[1, 0, -1] = bad
     with pytest.raises(InputError):
         expm_stack(E)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("d", [1, 2, 8, 11, 32])
+def test_expm_chain_is_expm_apply_member_by_member_bit_for_bit(d, k):
+    # 12 actions whose Taylor degrees span 1 to 30 and the formed fallback;
+    # y after every k-th one lands in ``out``, which is returned as it is
+    rng = np.random.default_rng(100 + 10 * d + k)
+    E = _stack(rng, d, np.geomspace(1e-9, 1.2 * _TAYLOR_THETA[-1], 12)[rng.permutation(12)])
+    for y in (rng.standard_normal(d), rng.standard_normal((d, 3))):
+        out = np.full((12 // k,) + y.shape, np.nan)
+        got = expm_chain(E, y, out)
+        assert got is out
+        ref, x, z = [], y, y
+        for j, M in enumerate(E):
+            x = expm_apply(M, x)
+            if d == 1:  # the plain loop of scalar products too
+                z = np.exp(M[0, 0]) * z
+                assert x.tobytes() == z.tobytes()
+            if (j + 1) % k == 0:
+                ref.append(x)
+        assert out.tobytes() == np.array(ref).tobytes()
+
+
+def test_expm_chain_writes_in_place_and_rejects_a_non_finite_member():
+    rng = np.random.default_rng(5)
+    for d in (1, 3, 9):
+        E, y = _stack(rng, d, (0.1, 0.2, 0.3, 0.4)), rng.standard_normal((d, 2))
+        out = np.empty((2, d, 2))
+        got = expm_chain(E, y, out)
+        assert np.shares_memory(got, out) and not np.shares_memory(got, y)
+        E[2, 0, -1] = np.nan
+        with pytest.raises(InputError):
+            expm_chain(E, y, out)
 
 
 def test_expm_apply_zero_matrix_is_identity():

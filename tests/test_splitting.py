@@ -675,6 +675,59 @@ def test_autonomous_engine_is_the_per_stage_loop_bit_for_bit(fig1_setup, method)
 
 
 @pytest.fixture(scope="module")
+def fig3a_setup():
+    prob = build_pollution(preset("fig3a"))
+    return prob, backward_game(prob, steps=64)
+
+
+@pytest.mark.parametrize("method", ["sp2", "sp4", "sp6", "s2"])
+@pytest.mark.parametrize("steps", [19, 37])
+def test_chunked_driver_on_fig3a_is_the_per_stage_loop_bit_for_bit(fig3a_setup, method, steps):
+    # d = 2, n = 1: sp4 runs 18 steps per chunk and sp6 12, so the last chunk
+    # is short; sp6 and s2 open each step with an a-stage, which copies v in,
+    # while the other a-stages read v where the b-stage before wrote it; the
+    # state's actions are one cumulative product per chunk
+    prob, flow0 = fig3a_setup
+    traj = integrate_forward(prob, flow0, steps, method=method)
+    states, gains = _per_stage(prob, flow0, steps, method)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.gains.tobytes() == gains.tobytes()
+
+
+# a1 a2 b2 b3 a4 per step: a-stages and b-stages that follow one of their kind
+_ADJACENT = SplittingScheme(name="adjacent", a=(0.25, 0.25, 0.0, 0.5), b=(0.0, 0.5, 0.5, 0.0),
+                            order=1, stages=2, symmetric=False, fsal=False, kind="general")
+
+
+@pytest.mark.parametrize("flow", ["taylor", "pade"])
+@pytest.mark.parametrize("steps", [37, 100])
+def test_adjacent_stages_of_one_kind_are_the_per_stage_loop_bit_for_bit(monkeypatch, fig3a_setup,
+                                                                       flow, steps):
+    # a flow that writes v' where it is read next (exp(τK)), never over the v
+    # it reads, and one that returns a new array (the Cayley map); 100 steps
+    # take two chunks
+    from splitlq.splitting import _Engine, _pade_flow, _taylor_flow
+
+    def writing(prob, taus, times, K):
+        act = _taylor_flow(prob, taus, times, K)
+
+        def write(j, v, out):
+            assert not np.shares_memory(v, out)
+            return act(j, v, out)
+        return write
+
+    prob, flow0 = fig3a_setup
+    method = "sp2" if flow == "taylor" else "s2"
+    monkeypatch.setitem(_COEFFS, method, _ADJACENT)
+    engine = (_Engine(_ADJACENT.a, _ADJACENT.b, writing, writes=True) if flow == "taylor"
+              else _Engine(_ADJACENT.a, _ADJACENT.b, _pade_flow))
+    traj = integrate_forward(prob, flow0, steps, stepper=engine, stages_per_step=2)
+    states, gains = _per_stage(prob, flow0, steps, method)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.gains.tobytes() == gains.tobytes()
+
+
+@pytest.fixture(scope="module")
 def ni_tv_setup():
     # constant A, time-dependent B and R: S_row moves inside each a-stage
     prob = replace(two_player_tv(), A=C([[0.1, 1.0], [-1.0, -0.2]]))
@@ -1005,6 +1058,15 @@ def test_first_failing_sample_of_a_chunk_raises_first(n):
     with pytest.raises(SingularityError) as err:
         _record_crafted({3: singular}, n)
     assert err.value.where == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_gain_raises_without_a_warning(n):
+    # a warning would be a second stderr line in the CLI
+    bad = np.vstack([np.eye(n), np.full((n, n), np.inf)])
+    with pytest.raises(InputError, match="non-finite"):
+        _record_crafted({1: bad}, n)
 
 
 def test_crafted_engine_records_its_step_ends():
