@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import time as _time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InputError, SingularityError
 from .games import GameFlow, GameProblem, backward_game
-from .magnus import integrate, richardson
+from .magnus import BACKWARD_STEPS, cf4_ladder, integrate, richardson
 from .matfun import solve_checked
 from .problem import TimeMatrix
 from .reference import adaptive_solve, flatten_pipeline, rk4_solve, unflatten
@@ -189,16 +188,6 @@ class SweepResult:
     symmetry_defect: float
 
 
-# Cap of the CF4 doubling ladder 16, 32, ... of the backward pass and of the
-# reference; a problem that reaches it gets the plain run at this many steps.
-BACKWARD_STEPS = 2048
-BACKWARD_AGREEMENT = 1e-12
-# CF4's error expands in even powers of h, so in its asymptotic range each
-# halving of h divides the step-to-step difference by 16.
-_LADDER_RATE = (10.0, 24.0)
-_ROUNDOFF = 1e-14
-
-
 def check_methods(prob, methods):
     """Fail before the backward pass on a method that does not apply to prob."""
     for method in methods:
@@ -206,57 +195,8 @@ def check_methods(prob, methods):
             make_stepper(prob, method, {})
 
 
-def _settled(runs, agreement):
-    # Four judged runs at s, 2s, 4s, 8s steps: the extrapolant of the last two
-    # is accepted when it agrees with the one before to ``agreement``,
-    # relative, and each of the last two halvings shrank the step-to-step
-    # difference at CF4's rate (unless that difference is at roundoff already).
-    last = richardson(runs[2], runs[3], 4)
-    scale = max(1.0, float(np.max(np.abs(last))))
-    gap = float(np.max(np.abs(last - richardson(runs[1], runs[2], 4))))
-    d = [float(np.max(np.abs(runs[k + 1] - runs[k]))) for k in range(3)]
-    lo, hi = _LADDER_RATE
-    return gap <= agreement * scale and all(
-        fine <= _ROUNDOFF * scale or lo * fine <= coarse <= hi * fine
-        for coarse, fine in zip(d, d[1:]))
-
-
-def _cf4_ladder(run, judged, agreement):
-    """CF4 at 16, 32, ... BACKWARD_STEPS steps, ``run(s)`` each, judged by the
-    array ``judged(run(s))``; at most the last four judged arrays are kept.
-
-    Returns (settled, coarse, fine), with coarse and fine the last two runs.
-    ``settled`` tells whether the ladder accepted their Richardson
-    extrapolant below the cap (see ``_settled``); when it did not, fine is
-    the run at BACKWARD_STEPS.
-    """
-    runs = deque(maxlen=4)
-    coarse = fine = None
-    steps = 16
-    while steps < BACKWARD_STEPS:
-        coarse, fine = fine, run(steps)
-        runs.append(np.asarray(judged(fine)))
-        if len(runs) == 4 and _settled(runs, agreement):
-            return True, coarse, fine
-        steps *= 2
-    return False, fine, run(BACKWARD_STEPS)
-
-
-def backward_pass(prob):
-    """The flow at t0: one exponential when the data are autonomous, CF4
-    otherwise, on the doubling ladder of ``_cf4_ladder``, judged by the gains
-    P(t0) to BACKWARD_AGREEMENT.  An accepted ladder returns the Richardson
-    extrapolant of its last two stacked flows; at the cap, the plain
-    BACKWARD_STEPS-step flow.  Every ladder run condition-checks U after
-    each step.  Its cost is excluded from forward evaluation counts.
-    """
-    if prob.is_autonomous:
-        return backward_game(prob)
-    settled, coarse, fine = _cf4_ladder(lambda s: backward_game(prob, steps=s),
-                                        GameFlow.gains, BACKWARD_AGREEMENT)
-    if not settled:
-        return fine
-    return GameFlow.from_stacked(richardson(coarse.stacked(), fine.stacked(), 4), prob.t0)
+# The sweeps' and the CLI's backward pass, not counted in forward evaluations
+backward_pass = backward_game
 
 
 def reference_endpoint(prob, flow0):
@@ -266,7 +206,7 @@ def reference_endpoint(prob, flow0):
     closed-loop fundamental matrix (Radon's lemma).  U(T) comes from CF4 on
     y' = K(t) y from ``flow0``.  For constant K one step is exact, and the
     1- and 2-step endpoints must agree to REFERENCE_AGREEMENT.  Otherwise
-    the endpoint is the extrapolant that ``_cf4_ladder`` accepts to
+    the endpoint is the extrapolant that ``magnus.cf4_ladder`` accepts to
     REFERENCE_AGREEMENT, relative; at the ladder's cap, the plain
     BACKWARD_STEPS-step endpoint, when it agrees with the run at half as
     many steps to REFERENCE_AGREEMENT.  A reference that fails its check
@@ -281,7 +221,7 @@ def reference_endpoint(prob, flow0):
     if prob.is_autonomous:
         coarse, fine, steps = endpoint(1), endpoint(2), 2
     else:
-        settled, coarse, fine = _cf4_ladder(endpoint, np.asarray, REFERENCE_AGREEMENT)
+        settled, coarse, fine = cf4_ladder(endpoint, np.asarray, REFERENCE_AGREEMENT)
         if settled:
             return richardson(coarse, fine, 4)
         steps = BACKWARD_STEPS

@@ -34,11 +34,13 @@ from .riccati import GameFlow, backward_game, terminal_game_flow
 from .splitting import COMPOSE4_ALPHAS, _composed, integrate_forward
 
 
-def solve_game(game, scheme="sp4", steps_backward=64, steps_forward=64):
+def solve_game(game, scheme="sp4", steps_backward=None, steps_forward=64):
     """Backward-then-forward pipeline for a non-zero-sum game.
 
-    Returns the forward Trajectory with gains P_i = V_i U^-1 and controls
-    u_i = -R_ii^-1 B_i^T P_i x sampled at every accepted step.
+    The backward pass is backward_game(game, steps_backward), by default
+    its CF4 ladder on time-dependent data.  Returns the forward Trajectory
+    with gains P_i = V_i U^-1 and controls u_i = -R_ii^-1 B_i^T P_i x
+    sampled at every accepted step.
     """
     flow0 = backward_game(game, steps=steps_backward)
     return integrate_forward(game, flow0, steps_forward, method=scheme)

@@ -19,6 +19,7 @@ products; otherwise the Horner loop runs on the block.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +32,13 @@ from .matfun import expm_chain, norm1
 # its length keeps them under this many bytes (32 steps at d = 2, one step
 # from d = 12 on).
 _CHUNK_BYTES = 4096
+
+# The CF4 doubling ladder 16, 32, ... stops at BACKWARD_STEPS, where it takes
+# the plain run.  CF4's error has only even powers of h, so in its asymptotic
+# range each halving of h divides the step-to-step difference by 16.
+BACKWARD_STEPS = 2048
+_LADDER_RATE = (10.0, 24.0)
+_ROUNDOFF = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,3 +143,34 @@ def richardson(coarse, fine, p):
     """Richardson extrapolation of an order-p result: ``fine`` at step h/2
     and ``coarse`` at step h give a result whose h^p error term cancels."""
     return (2**p * fine - coarse) / (2**p - 1)
+
+
+def _settled(runs, agreement):
+    # Four judged runs at s, 2s, 4s, 8s steps: the extrapolant of the last two
+    # is accepted when it agrees with the one before to ``agreement``,
+    # relative, and each of the last two halvings shrank the step-to-step
+    # difference at CF4's rate (unless that difference is at roundoff already).
+    last = richardson(runs[2], runs[3], 4)
+    scale = max(1.0, float(np.max(np.abs(last))))
+    gap = float(np.max(np.abs(last - richardson(runs[1], runs[2], 4))))
+    d = [float(np.max(np.abs(runs[k + 1] - runs[k]))) for k in range(3)]
+    lo, hi = _LADDER_RATE
+    return gap <= agreement * scale and all(
+        fine <= _ROUNDOFF * scale or lo * fine <= coarse <= hi * fine
+        for coarse, fine in zip(d, d[1:]))
+
+
+def cf4_ladder(run, judged, agreement):
+    """CF4 at 16, 32, ... BACKWARD_STEPS steps, ``run(s)`` each, judged by
+    the array ``judged(run(s))``, of which the last four are kept.  Returns
+    (settled, coarse, fine), the last two runs: settled when the ladder
+    accepted their Richardson extrapolant below the cap (``_settled``), else
+    fine is the run at BACKWARD_STEPS."""
+    runs, fine, steps = deque(maxlen=4), None, 16
+    while steps < BACKWARD_STEPS:
+        coarse, fine = fine, run(steps)
+        runs.append(np.asarray(judged(fine)))
+        if len(runs) == 4 and _settled(runs, agreement):
+            return True, coarse, fine
+        steps *= 2
+    return False, fine, run(BACKWARD_STEPS)

@@ -198,10 +198,12 @@ def expm_chain(E, y, out):
 
 
 def expm_apply(M, Y):
-    """exp(M) @ Y, a chain of one: exp(M) formed up to d = 8, above the
+    """exp(M) @ Y: up to d = 8 a chain of one, exp(M) formed; above, the
     Horner loop on Y of the smallest degree m with ||M||_1 <= theta_m, and
     past theta_30 the formed exponential (work logarithmic in ||M||)."""
     M, Y = _as_square(M), np.asarray(Y, dtype=float)
+    if len(M) > _FORM_DIM:  # the Horner result is the answer: no buffer to copy it into
+        return taylor_apply(M, Y, taylor_degrees(norm1(M)))
     return expm_chain(M[None], Y, np.empty((1,) + Y.shape))[0]
 
 

@@ -543,8 +543,11 @@ def record_trajectory(prob, stepper, state, h, steps, evaluations):
                map(_record, itertools.accumulate(range(steps), lambda s, _: stepper(h, s, prob),
                                                  initial=state)))
     n = state.v.shape[1]
-    times, xs = np.empty(steps + 1), np.empty((steps + 1,) + state.x.shape)
-    gains = np.empty((steps + 1, len(state.v) // n - 1, n, n))
+    try:
+        times, xs = np.empty(steps + 1), np.empty((steps + 1,) + state.x.shape)
+        gains = np.empty((steps + 1, len(state.v) // n - 1, n, n))
+    except (ValueError, MemoryError) as exc:  # too long for numpy, or for memory
+        raise ConfigError(f"cannot record {steps} steps: {exc}") from None
     max_defect, k = 0.0, 0
     for t1, _, v, x in records:
         m = len(v)

@@ -9,7 +9,10 @@ from splitlq.bench import (PollutionConfig, TimeFunction, backward_pass,
                            build_pollution, emit_csv, preset,
                            reference_endpoint, run_sweep, SweepResult)
 from splitlq.errors import ConfigError, InputError, SingularityError
-from splitlq.problem import TimeMatrix
+from splitlq.games import solve_game
+from splitlq.matfun import _TAYLOR_THETA, norm1, taylor_apply, taylor_degrees
+from splitlq.problem import GameProblem, TimeMatrix
+from splitlq.riccati import backward_game, terminal_game_flow
 from splitlq.reference import flatten_pipeline, rk4_solve, unflatten
 from splitlq.splitting import integrate_forward
 
@@ -121,6 +124,12 @@ def test_backward_pass_and_reference_match_dop853(name):
     flow0 = backward_pass(prob)
     assert abs(flow0.gains()[0][0, 0] - P0) <= 1e-13 * abs(P0)
     assert abs(reference_endpoint(prob, flow0)[0] - xT) <= 1e-11 * max(1.0, abs(xT))
+    # the library pipeline runs the same backward pass by default
+    assert abs(solve_game(prob).gains[0][0, 0, 0] - P0) <= 1e-12 * abs(P0)
+
+
+def test_backward_pass_is_backward_game():
+    assert backward_pass is backward_game
 
 
 def test_fig3a_backward_pass_and_reference_take_at_most_240_cf4_steps(monkeypatch):
@@ -287,21 +296,50 @@ def test_positivity_flag_terminal_criterion():
     assert by[("rk4", 0.125)].positivity_flag
 
 
+def _peak(f):
+    f()  # warm-up: first-use allocations are not the call's
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_backward_pass_transient_memory_is_bounded():
     # The CF4 chunks keep their stacked samples and exponents small: the
     # tracemalloc peak of the fig3a backward pass's CF4 ladder stays under
     # 64 KB, below the forward pass's own peak.
-    import tracemalloc
-
     prob = build_pollution(preset("fig3a"))
-    backward_pass(prob)  # warm-up: first-use allocations are not the pass's
-    tracemalloc.start()
-    try:
-        backward_pass(prob)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak(lambda: backward_pass(prob))
     assert peak < 64 * 1024, f"backward pass peak {peak} B"
+
+
+@pytest.mark.parametrize("scale, formed", [(1.0, True), (0.1, False)],
+                         ids=["formed-exponential", "horner"])
+def test_large_autonomous_backward_pass_holds_no_copy_of_y(scale, formed):
+    # A game-n32-sp4-shaped game (3 players, n = 32: K is 128 x 128, y is
+    # 128 x 32).  Above d = 8, exp(M) @ y is the Horner loop on y, or past
+    # theta_30 the formed exponential times y; either result is the answer,
+    # so the pass peaks no higher than that arithmetic on its own inputs
+    # (with a copy of y into a buffer it peaked 32 KB higher).
+    rng = np.random.default_rng(7)
+    n, s = 32, scale / np.sqrt(32)
+    const = TimeMatrix.from_constant
+    C, D = s * rng.standard_normal((2, 3, n, n))
+    prob = GameProblem(A=const(s * rng.standard_normal((n, n))),
+                       B=tuple(const(0.5 * scale * rng.standard_normal((n, 2))) for _ in C),
+                       R=(const(np.eye(2)),) * 3, Q=tuple(const(c @ c.T) for c in C),
+                       QT=tuple(d @ d.T for d in D), x0=np.ones(n))
+    K = prob.flow_matrix(prob.t0)
+    assert (norm1(K) > _TAYLOR_THETA[-1]) == formed
+
+    def arithmetic():
+        M, y = (prob.t0 - prob.T) * K, terminal_game_flow(prob).stacked()
+        return taylor_apply(M, y, taylor_degrees(norm1(M)))
+
+    peak, floor = _peak(lambda: backward_game(prob)), _peak(arithmetic)
+    assert peak <= floor + 8 * 1024, f"backward pass peak {peak} B, arithmetic {floor} B"
 
 
 def _with_coefficients(prob, change):

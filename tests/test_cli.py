@@ -148,6 +148,23 @@ def test_overflowing_flow_is_one_error_line(tmp_path, capsys, drift, horizon, t)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, steps", [
+    (["game", "--preset", "fig3a", "--method", "sp4", "--steps", str(10**20)], 10**20),
+    (["sweep", "--preset", "fig1", "--methods", "sp4", "--h-ladder", "1e-300"],
+     round(1.0 / 1e-300)),
+], ids=["game-steps", "sweep-h"])
+def test_huge_step_count_is_one_error_line(tmp_path, capsys, argv, steps):
+    # counts whose trajectory arrays numpy refuses before allocating anything
+    if argv[0] == "sweep":
+        argv = argv + ["--output", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot record {steps} steps: ") and err.count("\n") == 1
+
+
 def test_solve_command(config_file, tmp_path, capsys):
     out = tmp_path / "row.csv"
     code = main(["solve", "--problem", config_file, "--method", "sp4",

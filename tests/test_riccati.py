@@ -9,7 +9,7 @@ from splitlq.bench import build_pollution, preset
 from splitlq.errors import InputError, MisuseError, SingularityError
 from splitlq.magnus import LinearFlowProblem, cf4_step
 from splitlq.problem import GameProblem, LQProblem, TimeMatrix, s_matrix
-from splitlq.riccati import (GameFlow, RiccatiFlow, backward_autonomous,
+from splitlq.riccati import (GameFlow, RiccatiFlow, backward_autonomous, backward_game,
                              backward_nonautonomous, check_nonsingular,
                              closed_loop, closed_loops, control, gain, gain_defect,
                              terminal_game_flow)
@@ -215,6 +215,17 @@ def test_backward_pass_bit_identical_to_per_step_loop_matrix_game(N, n, r, steps
     prob = _time_dependent_game(N, n, r, seed=7)
     got = backward_nonautonomous(prob, steps).stacked()
     assert got.tobytes() == _per_step_backward(prob, steps).tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 7, 33])
+@pytest.mark.parametrize("make", [lambda: build_pollution(preset("fig3a")),
+                                  lambda: _time_dependent_game(3, 4, 2, seed=7)],
+                         ids=["fig3a", "N3-n4"])
+def test_backward_game_with_steps_is_that_many_plain_cf4_steps(make, steps):
+    # an explicit step count bypasses the ladder of the default pass
+    prob = make()
+    got = backward_game(prob, steps=steps).stacked()
+    assert got.tobytes() == backward_nonautonomous(prob, steps).stacked().tobytes()
 
 
 def _stiff_game(cutoff=None):

@@ -296,6 +296,14 @@ def test_non_integer_forward_steps_are_config_errors(coupled_setup, steps):
         integrate_forward(prob, flow0, steps)
 
 
+@pytest.mark.parametrize("method", ["sp4", "s2c4"])
+def test_unrecordable_forward_step_count_is_a_config_error(coupled_setup, method):
+    # numpy refuses 10**20 samples before it allocates anything
+    prob, flow0, _ = coupled_setup
+    with pytest.raises(ConfigError, match=f"cannot record {10**20} steps"):
+        integrate_forward(prob, flow0, 10**20, method=method)
+
+
 def test_numpy_integer_forward_steps_are_accepted(coupled_setup):
     prob, flow0, _ = coupled_setup
     a = integrate_forward(prob, flow0, np.int64(8))
