@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, InputError, SingularityError
+from .errors import ConfigError, InputError, SingularityError, check_steps
 from .games import GameFlow, GameProblem, backward_game
 from .magnus import BACKWARD_STEPS, cf4_ladder, integrate, richardson
 from .matfun import solve_checked
@@ -189,8 +189,10 @@ class SweepResult:
 
 
 def check_methods(prob, methods):
-    """Fail before the backward pass on a method that does not apply to prob."""
+    """Fail before the backward pass on a method unknown or not applicable to prob."""
     for method in methods:
+        if method not in FIXED_STEP_METHODS + ADAPTIVE_METHODS:
+            raise ConfigError(f"unknown method {method!r}")
         if method in SPLITTING_METHODS:
             make_stepper(prob, method, {})
 
@@ -239,9 +241,10 @@ def _terminal_min_gain(traj):
 
 
 def _fixed_steps(prob, h):
-    # a fixed-step row's step count and the h it runs, span / steps
+    # a fixed-step row's step count, checked, and the h it runs, span / steps;
+    # span / h is inf for a subnormal h, and the largest float stands in for it
     span = prob.T - prob.t0
-    steps = max(1, round(span / h))
+    steps = check_steps(max(1, round(min(span / h, math.nextafter(math.inf, 0.0)))))
     return steps, span / steps
 
 
@@ -259,15 +262,12 @@ def run_single(prob, flow0, method, resolution, x_ref, measure_time=False):
         gain_defect = traj.terminal_gain_defect
         sym_defect = traj.max_symmetry_defect
         min_gain = _terminal_min_gain(traj)
-    elif method == "rk4":
+    elif method in FIXED_STEP_METHODS + ADAPTIVE_METHODS:  # rk4, dopri
         ode, y0 = flatten_pipeline(prob, flow0)
-        y = rk4_solve(ode, prob.t0, prob.T, steps, y0)
+        y = (adaptive_solve(ode, prob.t0, prob.T, y0, abs_tol=resolution,
+                            rel_tol=10.0 * resolution)[0] if method in ADAPTIVE_METHODS
+             else rk4_solve(ode, prob.t0, prob.T, steps, y0))
         evaluations = ode.evaluations
-        x_end, gain_defect, sym_defect, min_gain = _flat_diagnostics(prob, y)
-    elif method == "dopri":
-        ode, y0 = flatten_pipeline(prob, flow0)
-        y, evaluations = adaptive_solve(ode, prob.t0, prob.T, y0,
-                                        abs_tol=resolution, rel_tol=10.0 * resolution)
         x_end, gain_defect, sym_defect, min_gain = _flat_diagnostics(prob, y)
     else:
         raise ConfigError(f"unknown method {method!r}")
@@ -338,8 +338,13 @@ def run_sweep(prob, methods, h_ladder=None, tol_ladder=None,
     return results
 
 
-CSV_HEADER = ("method,resolution,evaluations,seconds,x_error,gain_defect,"
-              "positivity_flag,symmetry_defect")
+CSV_HEADER = ",".join(f.name for f in fields(SweepResult))
+
+
+def _cell(value):  # one CSV cell: a bool as true/false, a float to 17 digits
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def emit_csv(results, path):
@@ -350,18 +355,8 @@ def emit_csv(results, path):
     """
     if not results:
         raise InputError("refusing to write an empty sweep (no result rows)")
-    lines = [CSV_HEADER]
-    for r in results:
-        lines.append(",".join([
-            r.method,
-            f"{r.resolution:.17g}",
-            str(r.evaluations),
-            f"{r.seconds:.17g}",
-            f"{r.x_error:.17g}",
-            f"{r.gain_defect:.17g}",
-            "true" if r.positivity_flag else "false",
-            f"{r.symmetry_defect:.17g}",
-        ]))
+    lines = [CSV_HEADER] + [",".join(_cell(getattr(r, f.name)) for f in fields(SweepResult))
+                            for r in results]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

@@ -2,6 +2,8 @@
 
 import numbers
 
+import numpy as np
+
 
 class DimensionError(ValueError):
     """A matrix or vector does not have the required shape."""
@@ -34,7 +36,13 @@ class ConfigError(ValueError):
 
 
 def check_steps(steps, what="steps"):
-    """``steps`` as an int >= 1, numpy integers included; else ConfigError."""
-    if isinstance(steps, numbers.Integral) and steps >= 1:
-        return int(steps)
-    raise ConfigError(f"{what} must be an integer >= 1, got {steps!r}")
+    """``steps`` as an int >= 1, numpy integers included, whose steps + 1 samples
+    numpy can index (asked of an empty array, so nothing is allocated); else ConfigError."""
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ConfigError(f"{what} must be an integer >= 1, got {steps!r}")
+    steps = int(steps)
+    try:
+        np.empty((steps + 1, 0))
+    except ValueError as exc:
+        raise ConfigError(f"cannot record {steps} steps: {exc}") from None
+    return steps

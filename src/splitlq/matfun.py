@@ -215,9 +215,7 @@ def pade2(M, h):
     numerically singular, reporting the offending step size.
     """
     M = _as_square(M)
-    n = M.shape[0]
-    half = 0.5 * h * M
-    return solve_checked(np.eye(n) - half, np.eye(n) + half, where=h)
+    return pade2_apply(M, h, np.eye(len(M)))  # I + (h/2) M I is exact
 
 
 def pade2_apply(M, h, Y):

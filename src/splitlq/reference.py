@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, SingularityError
+from .errors import InputError, SingularityError, check_steps
 
 
 @dataclass(eq=False)
@@ -39,26 +39,21 @@ def flatten_pipeline(prob, flow0):
     from .riccati import closed_loop
 
     n = prob.n
-    nb = prob.nplayers
-    dim = (nb + 1) * n * n + n
 
     def rhs(t, y):
-        blocks = y[: (nb + 1) * n * n].reshape((nb + 1) * n, n)
-        x = y[(nb + 1) * n * n:]
+        blocks, x = unflatten(prob, y)
         K = prob.flow_matrix(t)  # first block row [A, -S_1 .. -S_N]
         N = closed_loop(K[:n, :n], -K[:n, n:], blocks, t)
         return np.concatenate([(K @ blocks).ravel(), N @ x])
 
     y0 = np.concatenate([flow0.stacked().ravel(), prob.x0])
-    return FlatODE(dimension=dim, rhs=rhs), y0
+    return FlatODE(dimension=len(y0), rhs=rhs), y0
 
 
 def unflatten(prob, y):
     """Split a flat vector back into (stacked blocks, state)."""
-    n = prob.n
-    nb = prob.nplayers
-    blocks = y[: (nb + 1) * n * n].reshape((nb + 1) * n, n)
-    return blocks, y[(nb + 1) * n * n:]
+    k = len(y) - prob.n  # the blocks' entries
+    return y[:k].reshape(-1, prob.n), y[k:]
 
 
 def rk4_step(ode, t, h, y):
@@ -71,6 +66,7 @@ def rk4_step(ode, t, h, y):
 
 
 def rk4_solve(ode, t0, t1, steps, y0):
+    steps = check_steps(steps)
     h = (t1 - t0) / steps
     y = np.asarray(y0, dtype=float)
     for k in range(steps):

@@ -212,15 +212,15 @@ def _rows(M, pos):
 class _Engine:
     """Coefficients and two stage maps.  ``flow(prob, taus, times, K)``, given
     a chunk's b-stage lengths b_i h, clocks t2 and a thunk giving ``at_nodes``
-    of K there, is the map (j, v) -> v' of b-stage j; with ``writes``, (j, v,
-    out) -> v', which writes v' into ``out``, never v's memory.  ``stage(prob,
+    of K there, is the map (j, v, out) -> v' of b-stage j: ``out`` itself when
+    v' was put there (never into v's memory), else a new array.  ``stage(prob,
     taus, t1, t2)``, given the a-stage lengths a_i h (an array) and clocks at
     their start (lists), returns the closed-loop nodes (q per a-stage), the
-    map (j, v, out) -> v' of a-stage j, which finds v in out[0] and writes
-    its other closed-loop inputs into ``out``, and the map from the closed
-    loops (c, q, n, n) of the first c a-stages to their exponents (c, e, n,
-    n), which act on x in order.  ``march`` yields per chunk the record (t1,
-    t2, v, x) of its m step ends: clocks (lists), v (m, d, n), x (m, n).  A
+    map (j, v, out) -> v' of a-stage j, which finds v in out[0] and puts its
+    other closed-loop inputs into ``out``, and the map from the closed loops
+    (c, q, n, n) of the first c a-stages to their exponents (c, e, n, n),
+    which act on x in order.  ``march`` yields per chunk the record (t1, t2,
+    v, x) of its m step ends: clocks (lists), v (m, d, n), x (m, n).  A
     non-finite coefficient or a singular U raises for the first failing
     stage, after the record of the steps before it; a singular R when its
     chunk is sampled."""
@@ -229,7 +229,6 @@ class _Engine:
     b: tuple
     flow: Callable
     stage: Callable = _closed_loop_stage
-    writes: bool = False
 
     def __call__(self, h, state, prob):  # one step
         (t1, t2, v, x), = self.march(h, state, prob, 1)
@@ -265,7 +264,7 @@ class _Engine:
 
             # 1. the Riccati half, up to a stage that fails; each closed loop's input
             # goes into one stack, each step's end into V.  A b-stage that an a-stage
-            # follows writes v' into its first input: only an a-stage after none copies
+            # follows puts v' into its first input: only an a-stage after none copies
             q = len(nodes) // len(taus)
             Yq, V = np.empty((len(taus), q) + v.shape), np.empty((m,) + v.shape)
             fail, ja, jb, placed = None, 0, 0, False
@@ -280,8 +279,8 @@ class _Engine:
                         if bi != 0.0:
                             placed = a_next != 0.0 and ja < len(taus)  # an a-stage reads v'
                             out = Yq[ja, 0] if placed else np.empty_like(v)
-                            v = (advance(jb, v, out) if self.writes else
-                                 np.copyto(out, advance(jb, v)) or out)
+                            w = advance(jb, v, out)  # copied only if written elsewhere
+                            v = w if w is out else np.copyto(out, w) or out
                             jb += 1
                     V[done] = v
                 done = m
@@ -319,20 +318,20 @@ class _Engine:
 
 
 def _taylor_flow(prob, taus, times, K):
-    # exp(b_i h K(t2)): the chunk's exponents stacked, up to d = 8 formed as one stack
-    # up to a non-finite one; any other action is one expm_chain call (which raises)
+    # exp(b_i h K(t2)) into out: the chunk's exponents stacked, up to d = 8 formed as one
+    # stack up to a non-finite one; any other action is one expm_chain call (which raises)
     (K,), pos = K()
     E = np.asarray(taus)[:, None, None] * K[pos]
     form = np.isfinite(norm1(E)) & (E.shape[-1] <= _FORM_DIM)
     f = len(E) if form.all() else int(np.argmin(form))  # members formed
     F, E = expm_stack(E[:f]) if f else None, E[f:].copy()  # the closure keeps no formed E_j
     return lambda j, v, out: (F[j].dot(v, out=out) if j < f else
-                              expm_chain(E[j - f:j - f + 1], v, out[None])[0])
+                              (expm_chain(E[j - f:j - f + 1], v, out[None]), out)[1])
 
 
 def _pade_flow(prob, taus, times, K):  # the Cayley map of b_i h K(t2)
     (K,), pos = K()
-    return lambda j, v: pade2_apply(K[pos[j]], taus[j], v)
+    return lambda j, v, out: pade2_apply(K[pos[j]], taus[j], v)
 
 
 def _cached_flow(cache):
@@ -367,13 +366,13 @@ def step_autonomous(scheme, h, state, prob, cache=None):
     if not prob.is_autonomous:
         raise MisuseError("problem is not autonomous; use step_nonautonomous")
     flow = _cached_flow({} if cache is None else cache)
-    return _Engine(scheme.a, scheme.b, flow, writes=True)(h, state, prob)
+    return _Engine(scheme.a, scheme.b, flow)(h, state, prob)
 
 
 def step_nonautonomous(scheme, h, state, prob):
     """One step of the two-time-coordinate interleave: each flow stage
     applies exp(b_i h K(t2)) to the stacked blocks."""
-    return _Engine(scheme.a, scheme.b, _taylor_flow, writes=True)(h, state, prob)
+    return _Engine(scheme.a, scheme.b, _taylor_flow)(h, state, prob)
 
 
 def s2_step(h, state, prob):
@@ -407,7 +406,7 @@ def _near_integrable(scheme, prob, cache):
 
     def flow(prob, taus, times, K):  # degree-4 Taylor of the frozen coupling b_i h (K - D)
         (K,), pos = K()
-        return lambda j, v: taylor_apply(taus[j] * (K[pos[j]] - D), v, 4)
+        return lambda j, v, out: taylor_apply(taus[j] * (K[pos[j]] - D), v, 4)
 
     def stage(prob, taus, t1, t2):
         # v by the drift flow, x by CF4 with closed loops at t2 + {0, 1/2, 1} τ
@@ -485,7 +484,7 @@ def make_stepper(prob, method, cache):
     if scheme.kind == "near-integrable":
         return _near_integrable(scheme, prob, cache), scheme.stages
     flow = _cached_flow(cache) if prob.is_autonomous else _taylor_flow
-    return _Engine(scheme.a, scheme.b, flow, writes=True), scheme.stages
+    return _Engine(scheme.a, scheme.b, flow), scheme.stages
 
 
 def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,

@@ -255,6 +255,22 @@ def test_run_sweep_rejects_bad_ladders(methods, h_ladder, tol_ladder, monkeypatc
         run_sweep(prob, methods, h_ladder=h_ladder, tol_ladder=tol_ladder)
 
 
+def test_run_sweep_rejects_an_unknown_method_before_the_backward_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr("splitlq.bench.backward_pass", calls.append)
+    with pytest.raises(ConfigError, match=r"^unknown method 'sp3'$"):
+        run_sweep(build_pollution(preset("fig3a")), ("sp3",))
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["sp4", "rk4"])
+@pytest.mark.parametrize("h", [1e-300, 5e-324], ids=["tiny", "subnormal"])
+def test_run_sweep_refuses_a_step_count_no_array_can_hold(method, h):
+    # span / h steps, inf for the subnormal h: refused before any step runs
+    with pytest.raises(ConfigError, match="^cannot record [0-9]+ steps: "):
+        run_sweep(build_pollution(preset("fig1")), (method,), h_ladder=(h,))
+
+
 def test_emit_csv(tmp_path):
     rows = [SweepResult(method="sp2", resolution=0.25, evaluations=4,
                         seconds=0.0, x_error=1e-3, gain_defect=1e-14,

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from splitlq.cli import load_config, main
 from splitlq.errors import ConfigError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 CONFIG = """
 [problem]
@@ -163,6 +169,46 @@ def test_huge_step_count_is_one_error_line(tmp_path, capsys, argv, steps):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot record {steps} steps: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (["game", "--preset", "fig1", "--method", "rk4", "--steps", str(10**20)], 10**20),
+    (["game", "--preset", "fig1", "--zero-sum", "--steps", str(10**20)], 10**20),
+    (["sweep", "--preset", "fig1", "--methods", "rk4", "--h-ladder", "1e-300"],
+     round(1.0 / 1e-300)),
+], ids=["game-rk4", "game-zero-sum", "sweep-rk4"])
+def test_huge_step_count_fails_at_once_on_the_looping_paths(tmp_path, argv, steps):
+    # paths that would loop before they allocate; in a child with a timeout,
+    # so a count that runs instead of failing cannot hang the suite
+    if argv[0] == "sweep":
+        argv = argv + ["--output", str(tmp_path / "x.csv")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "splitlq.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot record {steps} steps: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit, argv, message", [
+    (("kind = constant", "kind = sine"), None, "[b] unknown time function kind 'sine'"),
+    (("[problem]", "[setup]"), None, "needs a [problem] section"),
+    (("players = 2", "players = 0"), None, "[problem] players must be a positive integer"),
+    (("c = 5.5, 6.0", "c = 5.5"), None, "need one c entry per player"),
+    (None, ["game", "--preset", "fig3a", "--zero-sum"], "--zero-sum needs at least two players"),
+    (None, ["game", "--preset", "fig1", "--zero-sum", "--cross-weight", "0"],
+     "--cross-weight must be positive"),
+], ids=["unknown-kind", "no-problem-section", "no-players", "too-few-costs",
+        "zero-sum-one-player", "zero-cross-weight"])
+def test_config_and_zero_sum_mistakes_are_one_error_line(tmp_path, capsys, edit, argv,
+                                                         message):
+    if edit is not None:
+        path = tmp_path / "p.ini"
+        path.write_text(CONFIG.replace(*edit))
+        argv, message = ["solve", "--problem", str(path), "--method", "sp4"], f"{path}: {message}"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_solve_command(config_file, tmp_path, capsys):

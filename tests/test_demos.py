@@ -1,4 +1,5 @@
-"""The demos run to completion as scripts.
+"""The demos run to completion as scripts, and print nothing to stderr (a
+warning there is a defect the exit code does not show).
 
 Demo 04 runs two full sweeps with their references (about 4 s) and is left
 to the sweep tests in test_bench.py and test_cli.py.
@@ -25,3 +26,4 @@ def test_demo_runs(name):
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

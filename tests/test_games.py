@@ -420,16 +420,20 @@ def test_linear_pipelines_reject_zero_sum_games(entry, A):
     lambda g: backward_zero_sum(g, "8"),
     lambda g: solve_zero_sum(g, steps_backward=2.5),
     lambda g: solve_zero_sum(g, steps_backward=8, steps_forward=np.float64(16.0)),
+    # counts whose samples numpy refuses to index: refused before any step runs
+    lambda g: backward_zero_sum(g, 10**20),
+    lambda g: solve_zero_sum(g, steps_backward=10**20, steps_forward=8),
 ], ids=["backward-zero", "forward-zero", "forward-negative", "backward-string",
-        "solve-backward-float", "solve-forward-numpy-float"])
+        "solve-backward-float", "solve-forward-numpy-float", "backward-huge",
+        "solve-backward-huge"])
 def test_zero_sum_bad_step_counts_are_config_errors(call):
     with pytest.raises(ConfigError, match="steps"):
         call(zs_toy())
 
 
-@pytest.mark.parametrize("steps", [(8, 0), (0, 8), (8, -1)], ids=["forward-zero",
-                                                                 "backward-zero",
-                                                                 "forward-negative"])
+@pytest.mark.parametrize("steps", [(8, 0), (0, 8), (8, -1), (8, 10**20)],
+                         ids=["forward-zero", "backward-zero", "forward-negative",
+                              "forward-huge"])
 def test_zero_sum_step_counts_checked_before_the_backward_pass(monkeypatch, steps):
     def fail(*args, **kwargs):
         raise AssertionError("backward pass run before the step counts were checked")
@@ -437,6 +441,13 @@ def test_zero_sum_step_counts_checked_before_the_backward_pass(monkeypatch, step
     monkeypatch.setattr(games, "backward_zero_sum", fail)
     with pytest.raises(ConfigError, match="steps"):
         solve_zero_sum(zs_toy(), steps_backward=steps[0], steps_forward=steps[1])
+
+
+def test_zero_sum_huge_forward_count_is_named_first():
+    # the CLI's backward count is half its forward count; the error names the
+    # count the user gave
+    with pytest.raises(ConfigError, match=f"^cannot record {10**20} steps: "):
+        solve_zero_sum(zs_toy(), steps_backward=10**20 // 2, steps_forward=10**20)
 
 
 def test_zero_sum_forward_forms_six_closed_loops_per_composed_step(monkeypatch):

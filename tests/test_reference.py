@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import fit_order
 from splitlq.bench import build_pollution, preset
-from splitlq.errors import InputError
+from splitlq.errors import ConfigError, InputError
 from splitlq.games import backward_game
 from splitlq.reference import (FlatODE, adaptive_solve, flatten_pipeline,
                                rk4_solve, rk4_step, unflatten)
@@ -20,6 +20,15 @@ def test_rk4_zero_step():
     ode = counting_ode(lambda t, y: -y, 1)
     y = np.array([2.0])
     assert_allclose(rk4_step(ode, 0.0, 0.0, y), y, atol=0.0)
+
+
+@pytest.mark.parametrize("steps", [0, 2.5, 10**20], ids=["zero", "float", "huge"])
+def test_rk4_solve_checks_its_step_count(steps):
+    # numpy refuses to index 10**20 + 1 samples: refused before any step runs
+    ode = counting_ode(lambda t, y: -y, 1)
+    with pytest.raises(ConfigError, match="steps"):
+        rk4_solve(ode, 0.0, 1.0, steps, np.array([1.0]))
+    assert ode.evaluations == 0
 
 
 def test_rk4_quadrature_exactness():

@@ -727,7 +727,7 @@ def test_adjacent_stages_of_one_kind_are_the_per_stage_loop_bit_for_bit(monkeypa
     prob, flow0 = fig3a_setup
     method = "sp2" if flow == "taylor" else "s2"
     monkeypatch.setitem(_COEFFS, method, _ADJACENT)
-    engine = (_Engine(_ADJACENT.a, _ADJACENT.b, writing, writes=True) if flow == "taylor"
+    engine = (_Engine(_ADJACENT.a, _ADJACENT.b, writing) if flow == "taylor"
               else _Engine(_ADJACENT.a, _ADJACENT.b, _pade_flow))
     traj = integrate_forward(prob, flow0, steps, stepper=engine, stages_per_step=2)
     states, gains = _per_stage(prob, flow0, steps, method)
@@ -1017,15 +1017,32 @@ def test_zero_sum_recorder_is_the_per_sample_gain_map_bit_for_bit(monkeypatch):
     _assert_recorded_per_sample(traj, initial_state(game, flow0), records)
 
 
-def _crafted_engine(step_ends, n):
+def _crafted_engine(step_ends, n, mids=None):
     # b, a, b: the closed loop reads only the mid-step flow, I over I/2, so
     # the march never touches a step end; step s ends at step_ends[s], or
-    # at the mid-step flow when it is not listed
+    # at the mid-step flow when it is not listed, and its mid-step flow is
+    # mids[s] when listed
     from splitlq.splitting import _Engine
 
     mid = np.vstack([np.eye(n), 0.5 * np.eye(n)])
     return _Engine((0.0, 1.0, 0.0), (0.5, 0.0, 0.5), lambda prob, taus, times, K: (
-        lambda j, v: step_ends.get(j // 2, mid) if j % 2 else mid))
+        lambda j, v, out: (step_ends if j % 2 else mids or {}).get(j // 2, mid)))
+
+
+def test_singular_closed_loop_raises_after_the_steps_before_it():
+    # step 2's mid-step flow, its closed loop's input, has a U of rank one:
+    # the batched closed loops fail at its a-stage, at t1 = 0.5 + 0.25 / 2,
+    # and the march first yields the two steps before it
+    n = 2
+    engine = _crafted_engine({}, n, mids={2: np.vstack([np.ones((n, n)), np.eye(n)])})
+    prob = random_lq(np.random.default_rng(84), n=n, r=1)
+    state = initial_state(prob, RiccatiFlow(U=np.eye(n), V=0.5 * np.eye(n), t=0.0))
+    records = []
+    with pytest.raises(SingularityError) as err:
+        for record in engine.march(0.25, state, prob, 4):
+            records.append(record)
+    assert str(err.value) == "U(t) singular at t = 0.625" and err.value.where == 0.625
+    assert [t1 for t1, _, _, _ in records] == [[0.25, 0.5]]
 
 
 def _record_crafted(step_ends, n, steps=4):
