@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, SingularityError, check_steps
 from .games import GameFlow, GameProblem, backward_game
-from .magnus import BACKWARD_STEPS, cf4_ladder, integrate, richardson
+from .magnus import BACKWARD_STEPS, cf4_ladder, integrate
 from .matfun import solve_checked
 from .problem import TimeMatrix
 from .reference import adaptive_solve, flatten_pipeline, rk4_solve, unflatten
@@ -208,10 +208,10 @@ def reference_endpoint(prob, flow0):
     closed-loop fundamental matrix (Radon's lemma).  U(T) comes from CF4 on
     y' = K(t) y from ``flow0``.  For constant K one step is exact, and the
     1- and 2-step endpoints must agree to REFERENCE_AGREEMENT.  Otherwise
-    the endpoint is the extrapolant that ``magnus.cf4_ladder`` accepts to
-    REFERENCE_AGREEMENT, relative; at the ladder's cap, the plain
-    BACKWARD_STEPS-step endpoint, when it agrees with the run at half as
-    many steps to REFERENCE_AGREEMENT.  A reference that fails its check
+    the endpoint is the order-8 extrapolant that ``magnus.cf4_ladder`` (8,
+    16, ... steps) accepts to REFERENCE_AGREEMENT, relative; at its cap, the
+    plain BACKWARD_STEPS-step endpoint, when it agrees with the 1024-step run,
+    which the ladder ran, to REFERENCE_AGREEMENT.  A reference that fails its check
     raises ConfigError naming the finest step count and the drift.
     """
     lin = linear_flow(prob)
@@ -223,9 +223,9 @@ def reference_endpoint(prob, flow0):
     if prob.is_autonomous:
         coarse, fine, steps = endpoint(1), endpoint(2), 2
     else:
-        settled, coarse, fine = cf4_ladder(endpoint, np.asarray, REFERENCE_AGREEMENT)
+        settled, fine, coarse = cf4_ladder(endpoint, np.asarray, REFERENCE_AGREEMENT)
         if settled:
-            return richardson(coarse, fine, 4)
+            return fine
         steps = BACKWARD_STEPS
     drift = float(np.max(np.abs(fine - coarse)))
     if drift > REFERENCE_AGREEMENT:

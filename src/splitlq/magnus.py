@@ -33,7 +33,7 @@ from .matfun import expm_chain, norm1
 # from d = 12 on).
 _CHUNK_BYTES = 4096
 
-# The CF4 doubling ladder 16, 32, ... stops at BACKWARD_STEPS, where it takes
+# The CF4 doubling ladder 8, 16, ... stops at BACKWARD_STEPS, where it takes
 # the plain run.  CF4's error has only even powers of h, so in its asymptotic
 # range each halving of h divides the step-to-step difference by 16.
 BACKWARD_STEPS = 2048
@@ -145,14 +145,17 @@ def richardson(coarse, fine, p):
     return (2**p * fine - coarse) / (2**p - 1)
 
 
+def _order8(y1, y2, y3):  # runs at s, 2s, 4s steps: R2, from their two order-6 R1
+    return richardson(richardson(y1, y2, 4), richardson(y2, y3, 4), 6)
+
+
 def _settled(runs, agreement):
-    # Four judged runs at s, 2s, 4s, 8s steps: the extrapolant of the last two
-    # is accepted when it agrees with the one before to ``agreement``,
-    # relative, and each of the last two halvings shrank the step-to-step
-    # difference at CF4's rate (unless that difference is at roundoff already).
-    last = richardson(runs[2], runs[3], 4)
-    scale = max(1.0, float(np.max(np.abs(last))))
-    gap = float(np.max(np.abs(last - richardson(runs[1], runs[2], 4))))
+    # Runs at s, 2s, 4s, 8s steps: R2 of the last three is accepted when it agrees
+    # with R1 of the last two to ``agreement``, relative, and the last two halvings
+    # shrank the step-to-step difference at CF4's rate (or it is at roundoff).
+    best = _order8(runs[1], runs[2], runs[3])
+    scale = max(1.0, float(np.max(np.abs(best))))
+    gap = float(np.max(np.abs(best - richardson(runs[2], runs[3], 4))))
     d = [float(np.max(np.abs(runs[k + 1] - runs[k]))) for k in range(3)]
     lo, hi = _LADDER_RATE
     return gap <= agreement * scale and all(
@@ -161,16 +164,17 @@ def _settled(runs, agreement):
 
 
 def cf4_ladder(run, judged, agreement):
-    """CF4 at 16, 32, ... BACKWARD_STEPS steps, ``run(s)`` each, judged by
-    the array ``judged(run(s))``, of which the last four are kept.  Returns
-    (settled, coarse, fine), the last two runs: settled when the ladder
-    accepted their Richardson extrapolant below the cap (``_settled``), else
-    fine is the run at BACKWARD_STEPS."""
-    runs, fine, steps = deque(maxlen=4), None, 16
+    """CF4 at 8, 16, ... BACKWARD_STEPS steps, the array ``run(s)`` each,
+    judged by ``judged(run(s))``; keeps the last four judged arrays and three
+    runs.  Returns (settled, value, before): value is R2, the order-8
+    extrapolant of the last three runs, when settled below the cap
+    (``_settled``), else the run at BACKWARD_STEPS; before is the last run
+    below the cap."""
+    runs, flows, steps = deque(maxlen=4), deque(maxlen=3), 8
     while steps < BACKWARD_STEPS:
-        coarse, fine = fine, run(steps)
-        runs.append(np.asarray(judged(fine)))
+        flows.append(run(steps))
+        runs.append(np.asarray(judged(flows[-1])))
         if len(runs) == 4 and _settled(runs, agreement):
-            return True, coarse, fine
+            return True, _order8(*flows), flows[-1]
         steps *= 2
-    return False, fine, run(BACKWARD_STEPS)
+    return False, run(BACKWARD_STEPS), flows[-1]

@@ -6,7 +6,7 @@ through the linear system y' = K(t) y on the stacked blocks
 y = [U; V_1; ...; V_N], with P_i = V_i U^-1 and final condition
 y(T) = [I; QT_1; ...; QT_N].  A single-player problem is the case N = 1.
 The backward pass (backward_game) gives the flow at t0, keeping one chunk of
-CF4 steps and, on its ladder, up to four gain arrays and two flows; the
+CF4 steps and, on its ladder, up to four gain arrays and three flows; the
 forward engines live in :mod:`splitlq.splitting`.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MisuseError, SingularityError, check_steps
-from .magnus import LinearFlowProblem, cf4_chunks, cf4_ladder, richardson
+from .magnus import LinearFlowProblem, cf4_chunks, cf4_ladder
 from .matfun import expm_apply, first_singular, symmetry_defect
 
 BACKWARD_AGREEMENT = 1e-12  # relative, on the gains P(t0): the default pass's accuracy
@@ -117,18 +117,18 @@ def terminal_game_flow(game):
 
 def backward_game(game, steps=None):
     """The backward pass: the flow at t0 of the stacked linear system.
-    Constant coefficients: exp((t0 - T) K) y(T).  Time-dependent ones:
-    ``steps`` plain CF4 steps (backward_nonautonomous) when given, else the
-    CF4 ladder judged by the gains P(t0) to BACKWARD_AGREEMENT: its
-    Richardson extrapolant, or at its cap the plain BACKWARD_STEPS-step
-    flow.  U is condition-checked at t0, and after every CF4 step."""
+    Constant coefficients: exp((t0 - T) K) y(T).  Time-dependent ones: ``steps``
+    plain CF4 steps (backward_nonautonomous) when given, else the CF4 ladder's
+    order-8 extrapolant, judged by the gains P(t0) to BACKWARD_AGREEMENT, or at its
+    cap the plain BACKWARD_STEPS-step flow, which need not meet BACKWARD_AGREEMENT
+    (1.3e-10 off on a rate-2000 drift ramp).  U is checked at t0 and after every step."""
     if not game.is_autonomous:
         if steps is not None:
             return backward_nonautonomous(game, steps)
-        settled, coarse, fine = cf4_ladder(lambda s: backward_nonautonomous(game, s),
-                                           GameFlow.gains, BACKWARD_AGREEMENT)
-        return (GameFlow.from_stacked(richardson(coarse.stacked(), fine.stacked(), 4), game.t0)
-                if settled else fine)
+        y = cf4_ladder(lambda s: backward_nonautonomous(game, s).stacked(),
+                       lambda y: GameFlow.from_stacked(y, game.t0).gains(),
+                       BACKWARD_AGREEMENT)[1]
+        return GameFlow.from_stacked(y, game.t0)
     K = game.flow_matrix(game.t0)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E or U fails a check
         y = expm_apply((game.t0 - game.T) * K, terminal_game_flow(game).stacked())

@@ -134,7 +134,7 @@ def test_overflowing_horizon_is_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("drift, horizon, t", [
     ("kind = constant\nvalue = 2.0", "1e200", "0.0"),
     ("kind = tanh-ramp\nbase = 2.0\namplitude = 1.0\nrate = 5.0\ncenter = 0.5", "1e308",
-     "9.375e+307"),
+     "8.75e+307"),
 ], ids=["constant", "tanh-ramp"])
 def test_overflowing_flow_is_one_error_line(tmp_path, capsys, drift, horizon, t):
     # a finite exponent whose exponential overflows (squarings of expm, the
@@ -308,7 +308,16 @@ def test_sweep_rejects_unknown_method(tmp_path, capsys):
     code = main(["sweep", "--preset", "fig1", "--methods", "sp3",
                  "--output", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown method 'sp3'\n"
+
+
+def test_sweep_runs_every_library_method(tmp_path):
+    # the sweep knows the library's methods, sp1 included
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--preset", "fig1", "--methods", "sp1,sp2",
+                 "--h-ladder", "0.25", "--output", str(out)]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["sp1", "sp2"]
 
 
 def test_coarse_time_dependent_game_succeeds(capsys):
