@@ -105,9 +105,11 @@ def right_solve(W, U, times):
 def closed_loops(A, S_row, Y, times):
     """closed_loop at each member of the stacks A (k, n, n), S_row
     (k, n, Nn) and Y (k, (N+1)n, n), from one right_solve; a matrix that
-    every member shares may come as one (1, ...) layer."""
+    every member shares may come as one (1, ...) layer.  With S_row None,
+    Y is the stack (k, 2n, n) of [U; W] with W = S_row V_stack formed."""
     n = A.shape[-1]
-    return A - right_solve(S_row @ Y[:, n:], Y[:, :n], times)
+    W = Y[:, n:] if S_row is None else S_row @ Y[:, n:]
+    return A - right_solve(W, Y[:, :n], times)
 
 
 def terminal_game_flow(game):

@@ -1,15 +1,22 @@
 """Splitting-scheme registry and the forward stepping engines.
 
-Every built-in method is an engine on one stage loop.  Its clocks (t2 +=
-a_i h, t1 += b_i h) do not depend on the solution, so it plans a chunk of
-steps and samples A and S_row at the closed-loop nodes and K at the b-clocks
-in one call each.  The Riccati flow never reads the state, so the chunk runs
-its Riccati half first, then all its closed loops in one batched solve, and
-per stage only the state's exponential actions.  The engines differ:
+Every built-in method is an engine on one march.  Its clocks (t2 += a_i h,
+t1 += b_i h) do not depend on the solution, so it plans a chunk of steps.
+The Riccati flow never reads the state, so the chunk runs its Riccati half
+first, then all its closed loops in one batched solve, and per stage only
+the state's exponential actions.  The engines differ in the Riccati half.
 
-* ``step_autonomous`` -- constant coefficients, exp(b_i h K) formed once
-  per stage length; the Riccati advance is exact, so integrating to T
-  returns P(T) = QT to roundoff.
+``step_autonomous``, a general scheme on constant coefficients, has no stage
+loop: the Riccati advance is exact, so a-stage j reads [U; S_row V] as
+L_j v_k, L_j = [[I, 0], [0, S_row]] exp(c_j h K) with c_j h the b-length
+before it.  One product per step reads every stage, and exp(hK) advances v.
+L and exp(hK) are formed once per h, and integrating to T returns P(T) = QT
+to roundoff.
+
+The others run the stage loop, each stage's map on v in order, with A and
+S_row sampled at the closed-loop nodes and K at the b-clocks in one call
+each per chunk:
+
 * ``step_nonautonomous`` -- exp(b_i h K(t2)), the chunk's exponents stacked.
 * ``s2_step`` / ``s2c4`` -- sp2 with the cheap Cayley approximation of the
   flow, composed to order 4 as one coefficient sequence for ``s2c4``.
@@ -31,7 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InputError, MisuseError, SingularityError, check_steps
+from .errors import (ConfigError, DimensionError, InputError, MisuseError, SingularityError,
+                     check_steps)
 from .magnus import _CHUNK_BYTES, at_nodes, cf4_exponents
 from .matfun import _FORM_DIM, expm, expm_chain, expm_stack, norm1, pade2_apply, taylor_apply
 from .problem import assemble_flow_matrix
@@ -190,6 +198,16 @@ class ExtendedState:
 
 
 def initial_state(prob, flow):
+    """The extended state at t0 of ``flow``: U and one V per player, each n x n."""
+    n, N = prob.n, prob.nplayers
+    blocks = [np.shape(M) for M in (flow.U, *flow.V)]
+    if blocks != [(n, n)] * (N + 1):
+        try:
+            given = flow.stacked().shape
+        except ValueError:  # blocks of unequal widths
+            given = f"blocks {blocks}"
+        raise DimensionError(f"flow0 must stack U and {N} V blocks, each {n} x {n}, "
+                             f"to ({(N + 1) * n}, {n}); got {given}")
     return ExtendedState(v=flow.stacked(), x=prob.x0.copy(), t1=prob.t0, t2=prob.t0)
 
 
@@ -219,11 +237,12 @@ class _Engine:
     map (j, v, out) -> v' of a-stage j, which finds v in out[0] and puts its
     other closed-loop inputs into ``out``, and the map from the closed loops
     (c, q, n, n) of the first c a-stages to their exponents (c, e, n, n),
-    which act on x in order.  ``march`` yields per chunk the record (t1, t2,
-    v, x) of its m step ends: clocks (lists), v (m, d, n), x (m, n).  A
-    non-finite coefficient or a singular U raises for the first failing
-    stage, after the record of the steps before it; a singular R when its
-    chunk is sampled."""
+    which act on x in order.  ``half(prob, h)`` is the Riccati half of each
+    chunk: the stage loop of these maps here.  ``march`` yields per chunk the
+    record (t1, t2, v, x) of its m step ends: clocks (lists), v (m, d, n), x
+    (m, n).  A non-finite coefficient or a singular U raises for the first
+    failing stage, after the record of the steps before it; a singular R when
+    its chunk is sampled."""
 
     a: tuple
     b: tuple
@@ -241,7 +260,7 @@ class _Engine:
         na = np.count_nonzero(self.a)  # a-stages per step
         tau_a = np.array([tau for ai, tau in zip(self.a, ah) if ai != 0.0] * chunk)
         v, x, t1, t2 = state.v, state.x, state.t1, state.t2
-        amemo, bmemo = {}, {}
+        half = self.half(prob, h)
         for first in range(0, steps, chunk):
             m = min(chunk, steps - first)
             t1a, t2a, tb, e1, e2 = [], [], [], [], []  # stage starts' clocks, step ends' t1, t2
@@ -258,13 +277,49 @@ class _Engine:
                 e2.append(t2)
             taus = tau_a[:na * m]
             nodes, vmap, exponents = self.stage(prob, taus, t1a, t2a)
-            (A, row), pos = at_nodes(prob.closed_loop_terms, nodes, amemo)
-            advance = self.flow(prob, [bi * h for bi in self.b if bi != 0.0] * m, tb,
-                                lambda: at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo))
 
-            # 1. the Riccati half, up to a stage that fails; each closed loop's input
-            # goes into one stack, each step's end into V.  A b-stage that an a-stage
-            # follows puts v' into its first input: only an a-stage after none copies
+            # 1. the Riccati half, up to a stage that fails: each step's end into V,
+            # and the map from k to the first k closed loops it reaches
+            q = len(nodes) // len(taus)
+            loops, k, V, v, done, fail = half(v, m, taus, tb, nodes, vmap)
+
+            # 2. those closed loops from one batched solve.  A failure found
+            # here or in 3 lies at an earlier stage.
+            try:
+                N = loops(k)
+            except SingularityError as exc:  # at the first a-stage of the failing time
+                k = q * (nodes.index(exc.where) // q)
+                fail, done = exc, k // q // na
+                N = loops(k)
+
+            # 3. the actions on x, for the steps complete before the failure
+            E = exponents(N.reshape(-1, q, *N.shape[1:]))
+            if not np.isfinite(E).all():
+                bad = np.argmin(np.isfinite(E).all(axis=(1, 2, 3)))
+                fail, done = InputError("matrix contains non-finite entries"), bad // na
+            if done:
+                X = expm_chain(E[:done * na].reshape(-1, *E.shape[2:]), x,
+                               np.empty((done,) + x.shape))
+                x = X[-1]
+                yield e1[:done], e2[:done], V[:done], X
+            if fail is not None:
+                raise fail
+            del loops  # the chunk's stage inputs go before the next chunk forms its own
+
+    def half(self, prob, h):
+        # the stage loop: per chunk, (v, m, taus, tb, nodes, vmap) -> (loops, k,
+        # V, v, done, fail), with A and S_row sampled at the closed-loop nodes
+        # and K at the b-clocks
+        amemo, bmemo = {}, {}
+        bh = [bi * h for bi in self.b if bi != 0.0]
+
+        def chunk(v, m, taus, tb, nodes, vmap):
+            (A, row), pos = at_nodes(prob.closed_loop_terms, nodes, amemo)
+            advance = self.flow(prob, bh * m, tb,
+                                lambda: at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo))
+            # each closed loop's input goes into one stack, each step's end into V.
+            # A b-stage that an a-stage follows puts v' into its first input: only
+            # an a-stage after none copies
             q = len(nodes) // len(taus)
             Yq, V = np.empty((len(taus), q) + v.shape), np.empty((m,) + v.shape)
             fail, ja, jb, placed = None, 0, 0, False
@@ -287,34 +342,42 @@ class _Engine:
             except (InputError, SingularityError) as exc:
                 fail = exc
 
-            # 2. the closed loops of the a-stages before it, through the first
-            # one whose coefficients are not finite, from one batched solve.
-            # A failure found here or in 3 lies at an earlier stage.
+            # the closed loops of the a-stages before it, through the first one
+            # whose coefficients are not finite
             k = q * ja  # constants (0 stride) were checked finite when the problem was built
             if not all(M.strides[0] == 0 or np.isfinite(M).all() for M in (A, row)):
                 bad = np.flatnonzero(~(np.isfinite(A).all(axis=(1, 2))
                                        & np.isfinite(row).all(axis=(1, 2)))[pos[:k]])
                 k = q * (bad[0] // q + 1) if bad.size else k
             Y = Yq.reshape(-1, *v.shape)
-            try:
-                N = closed_loops(_rows(A, pos[:k]), _rows(row, pos[:k]), Y[:k], nodes[:k])
-            except SingularityError as exc:  # at the first a-stage of the failing time
-                k = q * (nodes.index(exc.where) // q)
-                fail, done = exc, k // q // na
-                N = closed_loops(_rows(A, pos[:k]), _rows(row, pos[:k]), Y[:k], nodes[:k])
+            return (lambda k: closed_loops(_rows(A, pos[:k]), _rows(row, pos[:k]), Y[:k],
+                                           nodes[:k])), k, V, v, done, fail
+        return chunk
 
-            # 3. the actions on x, for the steps complete before the failure
-            E = exponents(N.reshape(-1, q, *N.shape[1:]))
-            if not np.isfinite(E).all():
-                bad = np.argmin(np.isfinite(E).all(axis=(1, 2, 3)))
-                fail, done = InputError("matrix contains non-finite entries"), bad // na
-            if done:
-                X = expm_chain(E[:done * na].reshape(-1, *E.shape[2:]), x,
-                               np.empty((done,) + x.shape))
-                x = X[-1]
-                yield e1[:done], e2[:done], V[:done], X
-            if fail is not None:
-                raise fail
+
+@dataclass(frozen=True)
+class _Projected(_Engine):
+    """The engine of a general scheme on constant coefficients (the module
+    docstring): ``flow`` caches, keyed by (a, b, h), the stack L (a-stages, 2n,
+    d) of the maps L_j and exp(hK)."""
+
+    flow: dict
+
+    def half(self, prob, h):
+        key = (self.a, self.b, h)
+        if key not in self.flow:
+            self.flow[key] = _project(self.a, self.b, h, prob)
+        L, E = self.flow[key]
+        A, n = prob.A(prob.t0)[None], prob.n  # a view of the problem's one array
+
+        def chunk(v, m, taus, tb, nodes, vmap):
+            UW, V = np.empty((m,) + L.shape[:2] + (n,)), np.empty((m,) + v.shape)
+            for s in range(m):
+                np.matmul(L, v, out=UW[s])
+                v = E.dot(v, out=V[s])
+            UW = UW.reshape(-1, 2 * n, n)
+            return (lambda k: closed_loops(A, None, UW[:k], nodes[:k])), len(UW), V, v, m, None
+        return chunk
 
 
 def _taylor_flow(prob, taus, times, K):
@@ -334,13 +397,24 @@ def _pade_flow(prob, taus, times, K):  # the Cayley map of b_i h K(t2)
     return lambda j, v, out: pade2_apply(K[pos[j]], taus[j], v)
 
 
-def _cached_flow(cache):
-    # exp(b_i h K) of a constant K, formed once per stage length in ``cache``
-    def flow(prob, taus, times, K):
-        for tau in set(taus) - set(cache):
-            cache[tau] = expm(tau * prob.flow_matrix(prob.t0))
-        return lambda j, v, out: cache[taus[j]].dot(v, out=out)
-    return flow
+def _project(a, b, h, prob):
+    # L and exp(hK) of _Projected: L from one expm per distinct b-length, which
+    # are dropped before exp(hK) is formed, by one more expm unless h is a b-length
+    K, row, n = prob.flow_matrix(prob.t0), prob.coupling_row(prob.t0), prob.n
+    exps = {bi * h: expm(bi * h * K) for bi in set(b) - {0.0}}
+    L = np.empty((np.count_nonzero(a), 2 * n, len(K)))
+    G = I = np.eye(len(K))  # G = exp(c h K), the product of the b-flows so far
+    j = 0
+    for ai, bi in zip(a, b):
+        if ai != 0.0:
+            L[j, :n] = G[:n]
+            np.matmul(row, G[n:], out=L[j, n:])
+            j += 1
+        if bi != 0.0:
+            G = exps[bi * h] if G is I else exps[bi * h] @ G
+    E = exps.pop(h, None)
+    del exps, G, I
+    return L, expm(h * K) if E is None else E
 
 
 def _weights(alphas):
@@ -360,13 +434,15 @@ def _composed(alphas, flow):
 def step_autonomous(scheme, h, state, prob, cache=None):
     """One step of a general scheme with constant coefficients.
 
-    The flow exponentials exp(b_i h K) are formed once per stage length and
-    reused from ``cache``; a change of h simply misses it.
+    Every a-stage reads its inputs [U; S_row V] as L_j v from one product, and
+    exp(hK) advances v.  ``cache`` holds, per h, the stack L of the L_j and
+    exp(hK), formed on the first step of that length; its key (a, b, h) also
+    names the scheme, so schemes can share a cache.  A change of h simply
+    misses it.
     """
     if not prob.is_autonomous:
         raise MisuseError("problem is not autonomous; use step_nonautonomous")
-    flow = _cached_flow({} if cache is None else cache)
-    return _Engine(scheme.a, scheme.b, flow)(h, state, prob)
+    return _Projected(scheme.a, scheme.b, {} if cache is None else cache)(h, state, prob)
 
 
 def step_nonautonomous(scheme, h, state, prob):
@@ -483,8 +559,9 @@ def make_stepper(prob, method, cache):
     scheme = get_scheme(method)
     if scheme.kind == "near-integrable":
         return _near_integrable(scheme, prob, cache), scheme.stages
-    flow = _cached_flow(cache) if prob.is_autonomous else _taylor_flow
-    return _Engine(scheme.a, scheme.b, flow), scheme.stages
+    if prob.is_autonomous:
+        return _Projected(scheme.a, scheme.b, cache), scheme.stages
+    return _Engine(scheme.a, scheme.b, _taylor_flow), scheme.stages
 
 
 def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
@@ -495,6 +572,8 @@ def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
     or an explicit (stepper, stages_per_step) pair selects the engine.
     """
     steps = check_steps(steps)
+    if stepper is not None and stages_per_step is None:
+        raise ConfigError("integrate_forward: a stepper needs stages_per_step")
     cache = {}
     if stepper is None:
         stepper, stages_per_step = make_stepper(prob, method, cache)

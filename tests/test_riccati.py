@@ -304,6 +304,9 @@ def test_batched_closed_loops_are_the_per_stage_closed_loops(N, n):
     got = closed_loops(A[:1], row[:1], Y, times)
     for j in range(len(Y)):
         assert got[j].tobytes() == closed_loop(A[0], row[0], Y[j], times[j]).tobytes()
+    # the stage inputs [U; W] with W = S_row V_stack already formed
+    UW = np.concatenate([Y[:, :n], row @ Y[:, n:]], axis=1)
+    assert closed_loops(A, None, UW, times).tobytes() == closed_loops(A, row, Y, times).tobytes()
 
 
 @pytest.mark.parametrize("N", [1, 3])

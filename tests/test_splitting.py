@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from conftest import C, fit_order, random_lq, random_psd, random_spd
 from splitlq.bench import build_pollution, preset
-from splitlq.errors import ConfigError, InputError, MisuseError, SingularityError
+from splitlq.errors import (ConfigError, DimensionError, InputError, MisuseError,
+                            SingularityError)
 from splitlq.games import backward_game
 from splitlq.matfun import min_eigenvalue_sym, pade2, symmetry_defect
 from splitlq.problem import GameProblem, LQProblem, TimeMatrix
@@ -407,8 +408,9 @@ def test_near_integrable_misuse_errors(fig2_setup):
 
 
 def test_near_integrable_and_autonomous_steps_can_share_one_cache(fig2_setup):
-    # sp1 at h' = a_1 h caches exp(a_1 h K) under the float a_1 h, the length
-    # of ni42's first a-stage; the drift exponentials must not be read from it
+    # sp1 at h' = a_1 h caches its stage maps and exp(a_1 h K) under a key
+    # holding a_1 h, the length of ni42's first a-stage; the drift
+    # exponentials must not be read from it
     prob, flow0, _ = fig2_setup
     state = initial_state(prob, flow0)
     scheme, h, cache = get_scheme("ni42"), 0.25, {}
@@ -583,13 +585,25 @@ _COEFFS = {
 def _per_stage(prob, flow0, steps, method, seen=None):
     """The a/b interleave written out stage by stage from the public calls:
     (states, symmetrized gains) after every step.  ``seen`` collects the
-    clock of every closed loop formed."""
-    from splitlq.riccati import GameFlow, closed_loop
+    clock of every closed loop formed.  A general scheme on constant data
+    reads a-stage j's inputs [U; S_row V] as L_j v_k, with L_j =
+    [[I, 0], [0, S_row]] exp(c_j h K) the product of the b-flows before it,
+    and advances v by exp(hK) once per step."""
+    from splitlq.riccati import GameFlow, closed_loop, closed_loops
     from splitlq.matfun import expm, expm_apply, pade2_apply
 
     scheme = _COEFFS[method]
     h = (prob.T - prob.t0) / steps
     v, x, t1, t2 = flow0.stacked(), prob.x0.copy(), prob.t0, prob.t0
+    projected = prob.is_autonomous and method != "s2"
+    if projected:
+        K, row, n = prob.flow_matrix(prob.t0), prob.coupling_row(prob.t0), prob.n
+        G, L = np.eye(len(K)), []
+        for ai, bi in zip(scheme.a, scheme.b):
+            if ai != 0.0:
+                L.append(np.vstack([G[:n], row @ G[n:]]))
+            if bi != 0.0:
+                G = expm(bi * h * K) @ G
 
     def sample():
         raw = np.asarray(GameFlow.from_stacked(v, t1).gains())
@@ -597,21 +611,26 @@ def _per_stage(prob, flow0, steps, method, seen=None):
 
     out = [sample()]
     for _ in range(steps):
+        j = 0
         for ai, bi in zip(scheme.a, scheme.b):
             if ai != 0.0:
                 if seen is not None:
                     seen.append(t1)
-                N = closed_loop(prob.A(t1), prob.coupling_row(t1), v, t1)
+                if projected:
+                    N = closed_loops(prob.A(t1)[None], None, (L[j] @ v)[None], [t1])[0]
+                    j += 1
+                else:
+                    N = closed_loop(prob.A(t1), prob.coupling_row(t1), v, t1)
                 x = expm_apply(ai * h * N, x)
             t2 += ai * h
             if bi != 0.0:
                 if method == "s2":
                     v = pade2_apply(prob.flow_matrix(t2), bi * h, v)
-                elif prob.is_autonomous:  # the exponential is formed and cached
-                    v = expm(bi * h * prob.flow_matrix(t2)) @ v
-                else:
+                elif not projected:
                     v = expm_apply(bi * h * prob.flow_matrix(t2), v)
             t1 += bi * h
+        if projected:
+            v = expm(h * K) @ v
         out.append(sample())
     return np.array([s[0] for s in out]), np.array([s[1] for s in out])
 
@@ -774,19 +793,88 @@ def test_near_integrable_drift_exponentials_formed_once_per_stage_length(
 @pytest.mark.parametrize("method", ["sp2", "s2"])
 def test_constant_terms_cross_chunk_edges_as_one_array(monkeypatch, fig1_setup, method):
     # d = 11: one step per chunk, and each chunk's first a-clock is the last
-    # one of the chunk before.  The constant A and row still reach every
-    # closed loop as views of the problem's one cached array, never copies.
+    # one of the chunk before.  The constant A still reaches every closed loop
+    # as a view of the problem's one cached array, never a copy.  The Cayley
+    # stage loop (s2) samples the row per chunk and passes it the same way;
+    # the projected engine (sp2) reads S_row once per march, into its stage
+    # maps, and passes W = S_row V formed.
     import splitlq.splitting as splitting
 
     prob, flow0, _ = fig1_setup
-    seen = []
+    A0, row0 = prob.A(0.0), prob.coupling_row(0.0)
+    seen, rows, sampled = [], [], []
     real = splitting.closed_loops
     monkeypatch.setattr(splitting, "closed_loops",
                         lambda A, row, Y, t: seen.extend([(A, row)] * len(t)) or real(A, row, Y, t))
+    coupling_row, terms = GameProblem.coupling_row, GameProblem.closed_loop_terms
+    monkeypatch.setattr(GameProblem, "coupling_row",
+                        lambda self, t: rows.append(t) or coupling_row(self, t))
+    monkeypatch.setattr(GameProblem, "closed_loop_terms",
+                        lambda self, ts: sampled.append(ts) or terms(self, ts))
     integrate_forward(prob, flow0, 12, method=method)
-    A0, row0 = prob.A(0.0), prob.coupling_row(0.0)
     assert len(seen) == 2 * 12
-    assert all(np.shares_memory(A, A0) and np.shares_memory(row, row0) for A, row in seen)
+    assert all(np.shares_memory(A, A0) for A, _ in seen)
+    if method == "s2":
+        assert all(np.shares_memory(row, row0) for _, row in seen)
+    else:
+        assert all(row is None for _, row in seen)
+        assert rows == [prob.t0] and sampled == []
+
+
+def test_many_player_autonomous_game_meets_its_closed_form(monkeypatch):
+    # N = 10 players, n = 3 (d = 33), sp4 at 32 steps: x(T) = U(t0)^-1 x0 with
+    # U(t0) from scipy's exponential of K, built here from the data; the flow
+    # returns to P(T) = QT; and the engine forms one exponential per distinct
+    # b-length (b1, b2, b3, b4) plus exp(hK)
+    import scipy.linalg
+    import splitlq.splitting as splitting
+
+    rng = np.random.default_rng(91)
+    N, n = 10, 3
+    A = 0.3 * rng.standard_normal((n, n))
+    B = [rng.standard_normal((n, 1)) for _ in range(N)]
+    R = [random_spd(rng, 1) for _ in range(N)]
+    Q = [random_psd(rng, n) / n for _ in range(N)]
+    QT = [random_psd(rng, n) / n for _ in range(N)]
+    x0 = rng.standard_normal(n)
+    game = GameProblem(A=C(A), B=tuple(map(C, B)), R=tuple(map(C, R)), Q=tuple(map(C, Q)),
+                       QT=tuple(QT), x0=x0)
+    K = np.zeros(((N + 1) * n, (N + 1) * n))
+    K[:n, :n] = A
+    for i in range(N):
+        K[:n, n * (i + 1):n * (i + 2)] = -B[i] @ np.linalg.solve(R[i], B[i].T)
+        K[n * (i + 1):n * (i + 2), :n] = -Q[i]
+        K[n * (i + 1):n * (i + 2), n * (i + 1):n * (i + 2)] = -A.T
+    U0 = (scipy.linalg.expm(-K) @ np.vstack([np.eye(n)] + QT))[:n]
+    expected = np.linalg.solve(U0, x0)
+
+    flow0 = backward_game(game)
+    calls = []
+    real = splitting.expm
+    monkeypatch.setattr(splitting, "expm", lambda M: calls.append(M) or real(M))
+    traj = integrate_forward(game, flow0, 32, method="sp4")
+    assert len(calls) == 4 + 1
+    assert np.linalg.norm(traj.terminal_state - expected) <= 1e-6 * np.linalg.norm(expected)
+    assert traj.terminal_gain_defect <= 1e-11
+
+
+def test_stepper_without_stages_per_step_is_a_config_error(fig1_setup):
+    prob, flow0, _ = fig1_setup
+    calls = []
+    with pytest.raises(ConfigError, match="stages_per_step"):
+        integrate_forward(prob, flow0, 8, stepper=lambda h, s, p: calls.append(h) or s)
+    assert calls == []
+
+
+@pytest.mark.parametrize("flow0, given", [
+    (GameFlow(U=np.eye(2), V=(np.eye(2),), t=0.0), r"\(4, 2\)"),
+    (GameFlow(U=np.eye(1), V=(np.eye(1),) * 3, t=0.0), r"\(4, 1\)"),  # three players of ten
+    (GameFlow(U=np.eye(2), V=(np.eye(3),), t=0.0), r"blocks \[\(2, 2\), \(3, 3\)\]"),
+], ids=["wrong-n", "wrong-players", "unstackable"])
+def test_flow_of_the_wrong_shape_is_a_dimension_error(fig1_setup, flow0, given):
+    prob = fig1_setup[0]
+    with pytest.raises(DimensionError, match=r"to \(11, 1\); got " + given):
+        integrate_forward(prob, flow0, 8)
 
 
 @pytest.mark.parametrize("method", ["sp2", "sp4", "sp6", "s2"])
@@ -1042,6 +1130,25 @@ def test_singular_closed_loop_raises_after_the_steps_before_it():
         for record in engine.march(0.25, state, prob, 4):
             records.append(record)
     assert str(err.value) == "U(t) singular at t = 0.625" and err.value.where == 0.625
+    assert [t1 for t1, _, _, _ in records] == [[0.25, 0.5]]
+
+
+def test_projected_engine_raises_at_the_first_singular_stage_after_the_steps_before_it():
+    # a crafted cache for sp2 at h = 0.25: exp(hK) = [[1, -1], [0, 1]] takes U
+    # from 3 down by 1 a step, and the second a-stage reads it one step on, so
+    # U = 0 first at step 2's second a-stage, t1 = 0.75, a node the next step
+    # shares; the march first yields the two steps before it
+    from splitlq.splitting import _Projected
+
+    sp2, E = get_scheme("sp2"), np.array([[1.0, -1.0], [0.0, 1.0]])
+    engine = _Projected(sp2.a, sp2.b, {(sp2.a, sp2.b, 0.25): (np.array([np.eye(2), E]), E)})
+    prob = random_lq(np.random.default_rng(85), n=1, r=1)
+    state = initial_state(prob, RiccatiFlow(U=np.array([[3.0]]), V=np.array([[1.0]]), t=0.0))
+    records = []
+    with pytest.raises(SingularityError) as err:
+        for record in engine.march(0.25, state, prob, 4):
+            records.append(record)
+    assert str(err.value) == "U(t) singular at t = 0.75" and err.value.where == 0.75
     assert [t1 for t1, _, _, _ in records] == [[0.25, 0.5]]
 
 
