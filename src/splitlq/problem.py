@@ -4,10 +4,11 @@ control problem as the case N = 1.
 A problem bundles the time-dependent dynamics A(t), the per-player
 coefficients B_i(t), Q_i(t), R_i(t) and terminal weights, the initial
 state and the horizon, and knows how to assemble the derived matrices: the
-control-weight images S_i(t) = B_i R_i^-1 B_i^T and their row, the stacked
-flow matrix and the closed-loop state matrix.  The row and the flow
-matrices are vectorized ``TimeMatrix`` objects too, constant (formed once,
-read-only, and broadcast where sampled) exactly when their inputs are.
+control-weight images S_i(t) = B_i R_i^-1 B_i^T, their row and its factors
+through the inputs, the stacked flow matrix and the closed-loop state
+matrix.  The row and the flow matrices are vectorized ``TimeMatrix``
+objects too, constant (formed once, read-only, and broadcast where
+sampled) exactly when their inputs are.
 ``LQProblem(...)`` builds the one-player game of a control problem.
 """
 
@@ -181,6 +182,19 @@ class GameProblem:
     def coupling_row(self, t):
         """[S_1(t) ... S_N(t)], the row the closed loop multiplies."""
         return self._row(t)
+
+    def coupling_factor(self, t):
+        """(B~(t), F(t)): B~ = [B_1 ... B_N] (n x sum r_i) and F =
+        blockdiag(W_1 B_1^T, ..., W_N B_N^T) (sum r_i x Nn), W_i the
+        symmetric part of R_i^-1, so that B~ F is the row [S_1 ... S_N] with
+        each S_i symmetrized as coupling_row forms it."""
+        B, n = [Bi(t) for Bi in self.B], self.n
+        F, r = np.zeros((sum(Bi.shape[1] for Bi in B), self.nplayers * n)), 0
+        for i, Bi in enumerate(B):
+            W = _solve_weight(self.R[i](t)[None], np.eye(Bi.shape[1])[None], i, [t])[0]
+            F[r:r + Bi.shape[1], i * n:(i + 1) * n] = 0.5 * (W + W.T) @ Bi.T
+            r += Bi.shape[1]
+        return np.hstack(B), F
 
     def closed_loop_terms(self, times):
         """A and the row [S_1 ... S_N] of the closed loop A - S_row V U^-1 at

@@ -102,14 +102,18 @@ def right_solve(W, U, times):
     return np.array([_gain_raw(U[k], W[k], times[k]) for k in range(len(U))])
 
 
-def closed_loops(A, S_row, Y, times):
+def closed_loops(A, S_row, Y, times, B=None):
     """closed_loop at each member of the stacks A (k, n, n), S_row
     (k, n, Nn) and Y (k, (N+1)n, n), from one right_solve; a matrix that
     every member shares may come as one (1, ...) layer.  With S_row None,
-    Y is the stack (k, 2n, n) of [U; W] with W = S_row V_stack formed."""
+    Y is the stack (k, 2n, n) of [U; W] with W = S_row V_stack formed.
+    B (k, n, r), when given, is the left factor of the row S_row = B F
+    (problem.coupling_factor): S_row then stands for F (r, Nn) and W for
+    F V_stack, and the loop is A - B (W U^-1), a solve for r rows, not n."""
     n = A.shape[-1]
     W = Y[:, n:] if S_row is None else S_row @ Y[:, n:]
-    return A - right_solve(W, Y[:, :n], times)
+    G = right_solve(W, Y[:, :n], times)
+    return A - (G if B is None else B @ G)
 
 
 def terminal_game_flow(game):

@@ -10,8 +10,12 @@ the state's exponential actions.  The engines differ in the Riccati half.
 loop: the Riccati advance is exact, so a-stage j reads [U; S_row V] as
 L_j v_k, L_j = [[I, 0], [0, S_row]] exp(c_j h K) with c_j h the b-length
 before it.  One product per step reads every stage, and exp(hK) advances v.
-L and exp(hK) are formed once per h, and integrating to T returns P(T) = QT
-to roundoff.
+When the players have few inputs (``_factored``: fewer flops) the row is
+read through its factors S_row = B~ F (problem.coupling_factor): L_j =
+[[I, 0], [0, F]] exp(c_j h K) has n + sum r_i rows, not 2n, and the closed
+loop A - B~ ((F V) U^-1) solves for sum r_i rows, not n.  L and exp(hK) are
+formed once per problem and h, and integrating to T returns P(T) = QT to
+roundoff.
 
 The others run the stage loop, each stage's map on v in order, with A and
 S_row sampled at the closed-loop nodes and K at the b-clocks in one call
@@ -358,25 +362,27 @@ class _Engine:
 @dataclass(frozen=True)
 class _Projected(_Engine):
     """The engine of a general scheme on constant coefficients (the module
-    docstring): ``flow`` caches, keyed by (a, b, h), the stack L (a-stages, 2n,
-    d) of the maps L_j and exp(hK)."""
+    docstring): ``flow`` caches, keyed by (problem, a, b, h), the stack L
+    (a-stages, rows, d) of the maps L_j, exp(hK) and B~ of the factored row
+    (None when L reads S_row)."""
 
     flow: dict
 
     def half(self, prob, h):
-        key = (self.a, self.b, h)
+        key = (prob, self.a, self.b, h)
         if key not in self.flow:
             self.flow[key] = _project(self.a, self.b, h, prob)
-        L, E = self.flow[key]
+        L, E, B = self.flow[key]
         A, n = prob.A(prob.t0)[None], prob.n  # a view of the problem's one array
+        loops = closed_loops if B is None else lambda *args: closed_loops(*args, B=B)
 
         def chunk(v, m, taus, tb, nodes, vmap):
             UW, V = np.empty((m,) + L.shape[:2] + (n,)), np.empty((m,) + v.shape)
             for s in range(m):
                 np.matmul(L, v, out=UW[s])
                 v = E.dot(v, out=V[s])
-            UW = UW.reshape(-1, 2 * n, n)
-            return (lambda k: closed_loops(A, None, UW[:k], nodes[:k])), len(UW), V, v, m, None
+            UW = UW.reshape(-1, L.shape[1], n)
+            return (lambda k: loops(A, None, UW[:k], nodes[:k])), len(UW), V, v, m, None
         return chunk
 
 
@@ -397,12 +403,23 @@ def _pade_flow(prob, taus, times, K):  # the Cayley map of b_i h K(t2)
     return lambda j, v, out: pade2_apply(K[pos[j]], taus[j], v)
 
 
+def _factored(r, n, N):
+    # Whether _Projected reads the row of an N-player game with n states and r
+    # inputs in all through its factors.  Per a-stage the row costs 2n(N+1)n^2
+    # flops in L v and n^3 in the solve's right-hand sides; the factors cost
+    # (n+r)(N+1)n^2 and r n^2 there, plus r n^2 in B~ G: fewer exactly when
+    # r(N+3) < n(N+2).
+    return r * (N + 3) < n * (N + 2)
+
+
 def _project(a, b, h, prob):
-    # L and exp(hK) of _Projected: L from one expm per distinct b-length, which
+    # L, exp(hK) and B~ of _Projected: L from one expm per distinct b-length, which
     # are dropped before exp(hK) is formed, by one more expm unless h is a b-length
-    K, row, n = prob.flow_matrix(prob.t0), prob.coupling_row(prob.t0), prob.n
+    K, n, r = prob.flow_matrix(prob.t0), prob.n, sum(Bi.dims[1] for Bi in prob.B)
+    B, row = (prob.coupling_factor(prob.t0) if _factored(r, n, prob.nplayers)
+              else (None, prob.coupling_row(prob.t0)))
     exps = {bi * h: expm(bi * h * K) for bi in set(b) - {0.0}}
-    L = np.empty((np.count_nonzero(a), 2 * n, len(K)))
+    L = np.empty((np.count_nonzero(a), n + len(row), len(K)))
     G = I = np.eye(len(K))  # G = exp(c h K), the product of the b-flows so far
     j = 0
     for ai, bi in zip(a, b):
@@ -414,7 +431,7 @@ def _project(a, b, h, prob):
             G = exps[bi * h] if G is I else exps[bi * h] @ G
     E = exps.pop(h, None)
     del exps, G, I
-    return L, expm(h * K) if E is None else E
+    return L, expm(h * K) if E is None else E, None if B is None else B[None]
 
 
 def _weights(alphas):
@@ -434,11 +451,12 @@ def _composed(alphas, flow):
 def step_autonomous(scheme, h, state, prob, cache=None):
     """One step of a general scheme with constant coefficients.
 
-    Every a-stage reads its inputs [U; S_row V] as L_j v from one product, and
-    exp(hK) advances v.  ``cache`` holds, per h, the stack L of the L_j and
-    exp(hK), formed on the first step of that length; its key (a, b, h) also
-    names the scheme, so schemes can share a cache.  A change of h simply
-    misses it.
+    Every a-stage reads its inputs [U; S_row V] (or [U; F V]) as L_j v from
+    one product, and exp(hK) advances v.  ``cache`` holds, per problem and h,
+    the stack L of the L_j and exp(hK), formed on the first step of that
+    length; its key (problem, a, b, h) names the problem, by identity, and
+    the scheme, so problems and schemes can share a cache.  A change of
+    problem or of h misses it.
     """
     if not prob.is_autonomous:
         raise MisuseError("problem is not autonomous; use step_nonautonomous")
@@ -473,7 +491,8 @@ def compose(base, alphas):
 
 def _near_integrable(scheme, prob, cache):
     # The engine of a near-integrable scheme: D, the drift part of K, formed
-    # once, and exp(τD/2), exp(τD) once per a-stage length τ in ``cache``
+    # once, and exp(τD/2), exp(τD) once per a-stage length τ in ``cache``, keyed
+    # by ("ni", problem, τ)
     if scheme.kind != "near-integrable":
         raise MisuseError(f"scheme {scheme.name} is not a near-integrable scheme")
     if not prob.A.constant:
@@ -484,14 +503,14 @@ def _near_integrable(scheme, prob, cache):
         (K,), pos = K()
         return lambda j, v, out: taylor_apply(taus[j] * (K[pos[j]] - D), v, 4)
 
-    def stage(prob, taus, t1, t2):
+    def stage(_, taus, t1, t2):
         # v by the drift flow, x by CF4 with closed loops at t2 + {0, 1/2, 1} τ
         keys = taus.tolist()
-        for key in {("ni", tau) for tau in keys} - set(cache):  # apart from exp(τK)
-            cache[key] = (expm(0.5 * key[1] * D), expm(key[1] * D))
+        for key in {("ni", prob, tau) for tau in keys} - set(cache):  # apart from exp(τK)
+            cache[key] = (expm(0.5 * key[2] * D), expm(key[2] * D))
 
         def advance(j, v, out):
-            Gh, G1 = cache["ni", keys[j]]
+            Gh, G1 = cache["ni", prob, keys[j]]
             Gh.dot(v, out=out[1])
             return G1.dot(v, out=out[2])
         nodes = np.array(t2)[:, None] + taus[:, None] * np.array([0.0, 0.5, 1.0])
@@ -504,8 +523,10 @@ def step_near_integrable(scheme, h, state, prob, cache=None):
     """One step for a large constant drift plus small coupling.
 
     The a-stages propagate U, V by the exact drift exponentials, cached per
-    stage length, and the state by one CF4 step of its linear equation; the
-    b-stages apply a degree-4 Taylor of the coupling flow frozen at t2.
+    problem and stage length in ``cache`` under the key ("ni", problem, τ),
+    which names the problem by identity, and the state by one CF4 step of
+    its linear equation; the b-stages apply a degree-4 Taylor of the
+    coupling flow frozen at t2.
     """
     return _near_integrable(scheme, prob, {} if cache is None else cache)(h, state, prob)
 

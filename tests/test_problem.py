@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import C, canonical_j, random_lq, random_psd, random_spd
 from splitlq.errors import DimensionError, InputError, SingularityError
-from splitlq.problem import (GameProblem, LQProblem, TimeMatrix,
+from splitlq.problem import (SYMMETRY_TOL, GameProblem, LQProblem, TimeMatrix,
                              closed_loop_matrix, hamiltonian_matrix, s_matrix)
 from splitlq.bench import build_pollution, preset
 from splitlq.games import solve_zero_sum
@@ -164,6 +164,40 @@ def test_ill_conditioned_matrix_r_names_player_and_time():
         game.coupling_at(0.75)
     assert "player 2" in str(err.value) and "0.75" in str(err.value)
     assert err.value.where == 0.75
+
+
+def _two_input_game(R2=None):
+    # n = 4; player 1 has one input, player 2 two
+    rng = np.random.default_rng(17)
+    B = [rng.standard_normal((4, 1)), rng.standard_normal((4, 2))]
+    R = [random_spd(rng, 1), R2 if R2 is not None else random_spd(rng, 2)]
+    zero = np.zeros((4, 4))
+    return GameProblem(A=C(zero), B=tuple(map(C, B)), R=(C(R[0]), C(R[1])),
+                       Q=(C(zero), C(zero)), QT=(zero, zero), x0=np.ones(4),
+                       t0=0.0, T=2.0), B, R
+
+
+def test_coupling_factor_is_the_row_through_the_inputs():
+    prob, B, R = _two_input_game()
+    Bt, F = prob.coupling_factor(0.0)
+    assert Bt.tobytes() == np.hstack(B).tobytes()
+    assert_allclose(F[:1, :4], np.linalg.solve(R[0], B[0].T), rtol=1e-14)
+    assert_allclose(F[1:, 4:], np.linalg.solve(R[1], B[1].T), rtol=1e-13)
+    assert not F[:1, 4:].any() and not F[1:, :4].any()
+    assert_allclose(Bt @ F, prob.coupling_row(0.0), rtol=1e-13, atol=1e-15)
+
+
+def test_coupling_factor_reads_the_symmetric_part_of_an_asymmetric_r():
+    # R_2 asymmetric inside SYMMETRY_TOL (cond 108): B~ F is the row the
+    # flow reads, each S_i symmetrized, where B_2 R_2^-1 B_2^T is 3e-13 of
+    # the row's scale off it
+    R2 = np.array([[1.0, 0.2], [0.2 + 0.5 * SYMMETRY_TOL, 0.05]])
+    prob, B, _ = _two_input_game(R2=R2)
+    Bt, F = prob.coupling_factor(0.0)
+    row = prob.coupling_row(0.0)
+    scale = np.abs(row).max()
+    assert np.abs(B[1] @ np.linalg.solve(R2, B[1].T) - row[:, 4:]).max() > 1e-13 * scale
+    assert np.abs(Bt @ F - row).max() <= 1e-15 * scale
 
 
 def test_hamiltonian_zero_problem():

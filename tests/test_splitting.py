@@ -421,6 +421,22 @@ def test_near_integrable_and_autonomous_steps_can_share_one_cache(fig2_setup):
     assert shared.x.tobytes() == alone.x.tobytes()
 
 
+@pytest.mark.parametrize("method", ["sp4", "ni84"])
+def test_a_shared_cache_keeps_each_problems_maps(method):
+    # a cache warmed on fig1, then a step of fig1 with a = -0.7 through it:
+    # the keys name the problem, so the step forms its own maps
+    step = step_autonomous if method == "sp4" else step_near_integrable
+    scheme, cache = get_scheme(method), {}
+    fig1 = build_pollution(preset("fig1"))
+    step(scheme, 0.125, initial_state(fig1, backward_game(fig1)), fig1, cache=cache)
+    other = build_pollution(replace(preset("fig1"), a=-0.7))
+    state = initial_state(other, backward_game(other))
+    shared = step(scheme, 0.125, state, other, cache=cache)
+    alone = step(scheme, 0.125, state, other)
+    assert shared.v.tobytes() == alone.v.tobytes()
+    assert shared.x.tobytes() == alone.x.tobytes()
+
+
 def test_near_integrable_time_symmetry(fig2_setup):
     prob, flow0, _ = fig2_setup
     state = initial_state(prob, flow0)
@@ -582,22 +598,31 @@ _COEFFS = {
 }
 
 
-def _per_stage(prob, flow0, steps, method, seen=None):
+def _per_stage(prob, flow0, steps, method, seen=None, factored=None):
     """The a/b interleave written out stage by stage from the public calls:
     (states, symmetrized gains) after every step.  ``seen`` collects the
     clock of every closed loop formed.  A general scheme on constant data
     reads a-stage j's inputs [U; S_row V] as L_j v_k, with L_j =
     [[I, 0], [0, S_row]] exp(c_j h K) the product of the b-flows before it,
-    and advances v by exp(hK) once per step."""
+    and advances v by exp(hK) once per step.  When ``factored`` (by default:
+    when the engine's rule says so) it reads the row through its factors
+    S_row = B~ F: L_j = [[I, 0], [0, F]] exp(c_j h K), and the closed loop
+    A - B~ ((F V) U^-1)."""
     from splitlq.riccati import GameFlow, closed_loop, closed_loops
     from splitlq.matfun import expm, expm_apply, pade2_apply
+    from splitlq.splitting import _factored
 
     scheme = _COEFFS[method]
     h = (prob.T - prob.t0) / steps
     v, x, t1, t2 = flow0.stacked(), prob.x0.copy(), prob.t0, prob.t0
     projected = prob.is_autonomous and method != "s2"
     if projected:
-        K, row, n = prob.flow_matrix(prob.t0), prob.coupling_row(prob.t0), prob.n
+        K, n = prob.flow_matrix(prob.t0), prob.n
+        if factored is None:
+            factored = _factored(sum(B.dims[1] for B in prob.B), n, prob.nplayers)
+        B, row = (prob.coupling_factor(prob.t0) if factored
+                  else (None, prob.coupling_row(prob.t0)))
+        B = None if B is None else B[None]
         G, L = np.eye(len(K)), []
         for ai, bi in zip(scheme.a, scheme.b):
             if ai != 0.0:
@@ -617,7 +642,7 @@ def _per_stage(prob, flow0, steps, method, seen=None):
                 if seen is not None:
                     seen.append(t1)
                 if projected:
-                    N = closed_loops(prob.A(t1)[None], None, (L[j] @ v)[None], [t1])[0]
+                    N = closed_loops(prob.A(t1)[None], None, (L[j] @ v)[None], [t1], B)[0]
                     j += 1
                 else:
                     N = closed_loop(prob.A(t1), prob.coupling_row(t1), v, t1)
@@ -819,6 +844,80 @@ def test_constant_terms_cross_chunk_edges_as_one_array(monkeypatch, fig1_setup, 
     else:
         assert all(row is None for _, row in seen)
         assert rows == [prob.t0] and sampled == []
+
+
+def _few_inputs(n, inputs, varying=None):
+    """A two-player game with ``inputs`` inputs per player, seeded here;
+    ``varying`` ("A" or "B") is (1 + t/2) times its constant value."""
+    rng = np.random.default_rng(29)
+
+    def declare(name, M):
+        return (TimeMatrix.from_function(lambda t: (1.0 + 0.5 * t) * M, M.shape)
+                if name == varying else C(M))
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    B = [rng.standard_normal((n, inputs)) for _ in range(2)]
+    R = [random_spd(rng, inputs) for _ in range(2)]
+    Q = [random_psd(rng, n) / n for _ in range(2)]
+    QT = [random_psd(rng, n) / n for _ in range(2)]
+    prob = GameProblem(A=declare("A", A), B=tuple(declare("B", M) for M in B),
+                       R=tuple(map(C, R)), Q=tuple(map(C, Q)), QT=tuple(QT),
+                       x0=rng.standard_normal(n))
+    return prob, backward_game(prob, steps=64)  # steps only on time-dependent data
+
+
+def _solved_rows(monkeypatch, run):
+    # run(), and the row counts of every W in the W U^-1 its closed loops solve for
+    import splitlq.riccati as riccati
+
+    rows, real = [], riccati.right_solve
+    with monkeypatch.context() as m:
+        m.setattr(riccati, "right_solve", lambda W, U, t: rows.append(W.shape[-2]) or real(W, U, t))
+        return run(), set(rows)
+
+
+@pytest.mark.parametrize("method", ["sp2", "sp4", "sp6"])
+def test_projected_engine_through_the_factors_is_the_per_stage_loop_bit_for_bit(
+        monkeypatch, method):
+    # n = 6, two players with two inputs each (4 (N+3) < 6 (N+2)): every
+    # closed loop runs through B~ and F and solves for sum r_i = 4 rows, not
+    # n.  The S_row form has the same gains, x(T) to roundoff, and P(T) = QT.
+    prob, flow0 = _few_inputs(6, 2)
+    traj, rows = _solved_rows(monkeypatch, lambda: integrate_forward(prob, flow0, 16, method=method))
+    assert rows == {4}
+    states, gains = _per_stage(prob, flow0, 16, method)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.gains.tobytes() == gains.tobytes()
+    states_row, gains_row = _per_stage(prob, flow0, 16, method, factored=False)
+    assert gains_row.tobytes() == gains.tobytes()
+    assert np.linalg.norm(states[-1] - states_row[-1]) <= 1e-13 * np.linalg.norm(states_row[-1])
+    assert traj.terminal_gain_defect <= 1e-11
+
+
+@pytest.mark.parametrize("n, inputs", [(2, 1), (5, 2)])
+def test_projected_engine_reads_the_row_where_the_factors_cost_more(monkeypatch, n, inputs):
+    # sum r_i = n = 2, and sum r_i = 4 at n = 5, where the factors' flops
+    # equal the row's: L_j has 2n rows and every closed loop solves for n
+    prob, flow0 = _few_inputs(n, inputs)
+    traj, rows = _solved_rows(monkeypatch, lambda: integrate_forward(prob, flow0, 16, method="sp4"))
+    assert rows == {n}
+    states, gains = _per_stage(prob, flow0, 16, "sp4", factored=False)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.gains.tobytes() == gains.tobytes()
+
+
+@pytest.mark.parametrize("varying, method", [("A", "sp4"), ("A", "s2"), (None, "ni84"),
+                                             ("B", "ni84")])
+def test_stage_loop_engines_read_the_row_with_few_inputs(monkeypatch, varying, method):
+    # n = 6, sum r_i = 4: the stage loop samples S_row and solves for n rows.
+    # d = 18 runs one step per chunk, so time-dependent coefficients cross
+    # chunk edges.
+    prob, flow0 = _few_inputs(6, 2, varying)
+    oracle = _ni_per_stage if method == "ni84" else _per_stage
+    traj, rows = _solved_rows(monkeypatch, lambda: integrate_forward(prob, flow0, 16, method=method))
+    assert rows == {6}
+    states, gains = oracle(prob, flow0, 16, method)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.gains.tobytes() == gains.tobytes()
 
 
 def test_many_player_autonomous_game_meets_its_closed_form(monkeypatch):
@@ -1141,8 +1240,9 @@ def test_projected_engine_raises_at_the_first_singular_stage_after_the_steps_bef
     from splitlq.splitting import _Projected
 
     sp2, E = get_scheme("sp2"), np.array([[1.0, -1.0], [0.0, 1.0]])
-    engine = _Projected(sp2.a, sp2.b, {(sp2.a, sp2.b, 0.25): (np.array([np.eye(2), E]), E)})
     prob = random_lq(np.random.default_rng(85), n=1, r=1)
+    engine = _Projected(sp2.a, sp2.b,
+                        {(prob, sp2.a, sp2.b, 0.25): (np.array([np.eye(2), E]), E, None)})
     state = initial_state(prob, RiccatiFlow(U=np.array([[3.0]]), V=np.array([[1.0]]), t=0.0))
     records = []
     with pytest.raises(SingularityError) as err:
