@@ -22,7 +22,7 @@ from .games import GameFlow, GameProblem, backward_game
 from .magnus import BACKWARD_STEPS, cf4_ladder, integrate
 from .matfun import solve_checked
 from .problem import TimeMatrix
-from .reference import adaptive_solve, flatten_pipeline, rk4_solve, unflatten
+from .reference import RTOL_FLOOR, adaptive_solve, flatten_pipeline, rk4_solve, unflatten
 from .riccati import linear_flow
 from .splitting import integrate_forward, make_stepper
 
@@ -34,6 +34,7 @@ REFERENCE_AGREEMENT = 1e-11
 SPLITTING_METHODS = ("sp1", "sp2", "sp4", "sp6", "s2c4", "ni42", "ni84")
 FIXED_STEP_METHODS = SPLITTING_METHODS + ("rk4",)
 ADAPTIVE_METHODS = ("dopri",)
+REL_PER_ABS = 10.0  # an adaptive row's rel_tol per abs_tol
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,7 @@ def _fixed_steps(prob, h):
 def run_single(prob, flow0, method, resolution, x_ref, measure_time=False):
     """One sweep row.  ``resolution`` is h for fixed-step methods (the row
     reports the h it ran, span / steps) and the absolute tolerance for the
-    adaptive baseline (rel_tol = 10 * abs_tol)."""
+    adaptive baseline (rel_tol = REL_PER_ABS * abs_tol)."""
     if method in FIXED_STEP_METHODS:
         steps, resolution = _fixed_steps(prob, resolution)
     start = _time.perf_counter() if measure_time else 0.0
@@ -265,7 +266,7 @@ def run_single(prob, flow0, method, resolution, x_ref, measure_time=False):
     elif method in FIXED_STEP_METHODS + ADAPTIVE_METHODS:  # rk4, dopri
         ode, y0 = flatten_pipeline(prob, flow0)
         y = (adaptive_solve(ode, prob.t0, prob.T, y0, abs_tol=resolution,
-                            rel_tol=10.0 * resolution)[0] if method in ADAPTIVE_METHODS
+                            rel_tol=REL_PER_ABS * resolution)[0] if method in ADAPTIVE_METHODS
              else rk4_solve(ode, prob.t0, prob.T, steps, y0))
         evaluations = ode.evaluations
         x_end, gain_defect, sym_defect, min_gain = _flat_diagnostics(prob, y)
@@ -318,6 +319,10 @@ def run_sweep(prob, methods, h_ladder=None, tol_ladder=None,
         if len(ladder) == 0 or not all(math.isfinite(r) and r > 0.0 for r in ladder):
             raise ConfigError(f"method {method}: resolution ladder {tuple(ladder)} "
                               "must be non-empty, finite and positive")
+        if method in ADAPTIVE_METHODS and min(ladder) * REL_PER_ABS < RTOL_FLOOR:
+            raise ConfigError(f"method {method}: tolerance {min(ladder):g} is below roundoff: "
+                              f"rel_tol = {REL_PER_ABS:g} x tolerance must be at least "
+                              f"{RTOL_FLOOR:.3g}")
     check_methods(prob, methods)
     flow0 = backward_pass(prob)
     x_ref = reference_endpoint(prob, flow0)

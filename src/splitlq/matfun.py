@@ -147,7 +147,7 @@ def taylor_apply(M, Y, degree):
         return expm(M) @ Y
     acc = Y
     for k in range(degree, 0, -1):
-        acc = Y + (M @ acc) / k
+        acc = Y + M.dot(acc) / k  # the bits of M @ acc, at less call overhead
     return acc
 
 

@@ -98,17 +98,22 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
+# the smallest rel_tol (scipy solve_ivp's floor): below it the controller can accept
+# ever smaller steps for minutes without reaching its underflow guard
+RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 def adaptive_solve(ode, t0, t1, y0, abs_tol, rel_tol):
     """Dormand-Prince 5(4) with standard PI step control.
 
-    Returns (y(t1), total rhs evaluations).  Raises when the controller
-    underflows below 1e-14 * (t1 - t0) (stiffness or an unreachable
-    tolerance).
+    Returns (y(t1), total rhs evaluations).  Raises InputError for a
+    tolerance that is not positive or a rel_tol below RTOL_FLOOR, and
+    SingularityError when the controller underflows below 1e-14 * (t1 - t0)
+    (stiffness or an unreachable tolerance).
     """
-    if abs_tol <= 0.0 or rel_tol <= 0.0:
-        raise InputError("tolerances must be positive")
+    if not (abs_tol > 0.0 and rel_tol >= RTOL_FLOOR):  # written so that a NaN fails too
+        raise InputError(f"tolerances must be positive and rel_tol at least {RTOL_FLOOR:.3g} "
+                         f"(100 eps); got abs_tol {abs_tol:g}, rel_tol {rel_tol:g}")
     y = np.asarray(y0, dtype=float)
     t = t0
     span = t1 - t0

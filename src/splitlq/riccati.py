@@ -113,7 +113,10 @@ def closed_loops(A, S_row, Y, times, B=None):
     n = A.shape[-1]
     W = Y[:, n:] if S_row is None else S_row @ Y[:, n:]
     G = right_solve(W, Y[:, :n], times)
-    return A - (G if B is None else B @ G)
+    if B is None:
+        return A - G
+    BG = B @ G
+    return np.subtract(A, BG, out=BG)
 
 
 def terminal_game_flow(game):

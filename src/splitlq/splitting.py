@@ -221,8 +221,10 @@ def initial_state(prob, flow):
 
 
 def _closed_loop_stage(prob, taus, t1, t2):
-    # the default a-stage: v unchanged, one closed loop at t1, exp(a_i h N) on x
-    return t1, lambda j, v, out: v, lambda N: taus[:len(N), None, None, None] * N
+    # the default a-stage: v unchanged, one closed loop at t1, exp(a_i h N) on x,
+    # the exponents written over the fresh stack N
+    return t1, lambda j, v, out: v, lambda N: np.multiply(taus[:len(N), None, None, None], N,
+                                                          out=N)
 
 
 def _rows(M, pos):
@@ -241,12 +243,13 @@ class _Engine:
     map (j, v, out) -> v' of a-stage j, which finds v in out[0] and puts its
     other closed-loop inputs into ``out``, and the map from the closed loops
     (c, q, n, n) of the first c a-stages to their exponents (c, e, n, n),
-    which act on x in order.  ``half(prob, h)`` is the Riccati half of each
-    chunk: the stage loop of these maps here.  ``march`` yields per chunk the
-    record (t1, t2, v, x) of its m step ends: clocks (lists), v (m, d, n), x
-    (m, n).  A non-finite coefficient or a singular U raises for the first
-    failing stage, after the record of the steps before it; a singular R when
-    its chunk is sampled."""
+    which act on x in order and may be written over the closed loops.
+    ``half(prob, h)`` is the Riccati half of each chunk: the stage loop of
+    these maps here.  ``march`` yields per chunk of ``steps_per_chunk(v)``
+    steps the record (t1, t2, v, x) of its m step ends: clocks (lists), v
+    (m, d, n), x (m, n).  A non-finite coefficient or a singular U raises for
+    the first failing stage, after the record of the steps before it; a
+    singular R when its chunk is sampled."""
 
     a: tuple
     b: tuple
@@ -257,9 +260,12 @@ class _Engine:
         (t1, t2, v, x), = self.march(h, state, prob, 1)
         return ExtendedState(v=v[0], x=x[0], t1=t1[0], t2=t2[0])
 
-    def march(self, h, state, prob, steps):
+    def steps_per_chunk(self, v):
         # a chunk's exponents, d x d per b-stage, fill at most _CHUNK_BYTES
-        chunk = max(1, _CHUNK_BYTES // (8 * len(state.v) ** 2 * np.count_nonzero(self.b)))
+        return max(1, _CHUNK_BYTES // (8 * len(v) ** 2 * np.count_nonzero(self.b)))
+
+    def march(self, h, state, prob, steps):
+        chunk = self.steps_per_chunk(state.v)
         ah = [ai * h for ai in self.a]  # one float per a_i h
         na = np.count_nonzero(self.a)  # a-stages per step
         tau_a = np.array([tau for ai, tau in zip(self.a, ah) if ai != 0.0] * chunk)
@@ -367,6 +373,11 @@ class _Projected(_Engine):
     (None when L reads S_row)."""
 
     flow: dict
+
+    def steps_per_chunk(self, v):
+        # at least d // n = N + 1 steps: a chunk's stage inputs UW (m, a-stages, rows, n)
+        # then take no more room than the maps L (a-stages, rows, d) that produce them
+        return max(super().steps_per_chunk(v), len(v) // v.shape[1])
 
     def half(self, prob, h):
         key = (prob, self.a, self.b, h)

@@ -294,15 +294,25 @@ def test_run_sweep_adaptive_rows():
     assert rows[0].x_error > rows[1].x_error
 
 
-def test_run_sweep_records_failures_per_row():
-    # a tolerance far below roundoff makes the adaptive controller underflow
-    # (SingularityError); the row is recorded with a NaN error and the
-    # remaining rows still run
+def test_run_sweep_records_failures_per_row(monkeypatch):
+    # a row whose adaptive controller underflows (SingularityError) is
+    # recorded with a NaN error and the remaining rows still run.  The
+    # underflow is forced at one tolerance: the ladder check refuses the
+    # tolerances below roundoff that provoke it.
+    import splitlq.bench as bench
+
+    def underflow(ode, t0, t1, y0, abs_tol, rel_tol):
+        if abs_tol == 1e-8:
+            raise SingularityError("adaptive step underflow at t = 0.5 (h = 1e-15)", where=0.5)
+        return real(ode, t0, t1, y0, abs_tol, rel_tol)
+
+    real = bench.adaptive_solve
+    monkeypatch.setattr(bench, "adaptive_solve", underflow)
     prob = build_pollution(preset("fig1"))
     rows = run_sweep(prob, ("dopri", "sp2"), h_ladder=(1.0 / 4,),
-                     tol_ladder=(1e-140, 1e-6))
+                     tol_ladder=(1e-8, 1e-6))
     assert len(rows) == 3
-    failed = [r for r in rows if r.method == "dopri" and r.resolution == 1e-140]
+    failed = [r for r in rows if r.method == "dopri" and r.resolution == 1e-8]
     assert len(failed) == 1 and np.isnan(failed[0].x_error)
     assert any(r.method == "sp2" and r.x_error >= 0.0 for r in rows)
 
@@ -315,7 +325,9 @@ def test_run_sweep_records_failures_per_row():
     (("sp4",), (), None),
     (("sp4", "dopri"), (0.25,), ()),
     (("dopri",), (0.25,), (-1.0,)),
-], ids=["zero", "negative", "nan", "inf", "empty-h", "empty-tol", "negative-tol"])
+    (("dopri",), (0.25,), (1e-6, 1e-15)),  # rel_tol 1e-14 < 100 eps
+], ids=["zero", "negative", "nan", "inf", "empty-h", "empty-tol", "negative-tol",
+        "tol-below-roundoff"])
 def test_run_sweep_rejects_bad_ladders(methods, h_ladder, tol_ladder, monkeypatch):
     def no_backward_pass(prob):
         raise AssertionError("backward pass ran before the ladder check")

@@ -374,8 +374,9 @@ def test_inapplicable_method_fails_before_backward_pass(argv, monkeypatch, capsy
     ["--methods", "sp4", "--h-ladder", "-0.25"],
     ["--methods", "sp4,dopri", "--tol-exponent", "2"],
     ["--methods", "dopri", "--tol-exponent", "0"],
+    ["--methods", "dopri", "--h-ladder", "0.5", "--tol-exponent", "23"],
 ], ids=["unparsable", "zero", "nan", "negative", "empty-tol-ladder",
-        "tol-exponent-zero"])
+        "tol-exponent-zero", "tol-exponent-below-roundoff"])
 def test_sweep_rejects_bad_ladder(extra, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["sweep", "--preset", "fig1", *extra, "--output", str(out)]) == 2

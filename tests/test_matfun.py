@@ -200,6 +200,21 @@ def test_expm_stack_agrees_with_expm_apply_and_the_horner_loop(d):
         assert _relerr(FM, scipy_expm(M)) <= (1e-14 if m else 1e-13)
 
 
+@pytest.mark.parametrize("cols", [None, 3])
+@pytest.mark.parametrize("d", [9, 32, 128])
+def test_taylor_apply_is_the_written_out_horner_loop_bit_for_bit(d, cols):
+    # the loop acc = Y + (M @ acc) / k, on a vector and on a block, at
+    # Taylor degrees 3 to 30, as the actions above d = 8 run it
+    rng = np.random.default_rng(100 + d)
+    Y = rng.standard_normal(d if cols is None else (d, cols))
+    for M in _stack(rng, d, (1e-6, 0.3, 2.0, 0.999 * _TAYLOR_THETA[-1])):
+        m = taylor_degrees(norm1(M))
+        acc = Y
+        for k in range(m, 0, -1):
+            acc = Y + (M @ acc) / k
+        assert taylor_apply(M, Y, m).tobytes() == acc.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("d", [1, 3])
 def test_expm_stack_rejects_a_non_finite_member(d, bad):

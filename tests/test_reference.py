@@ -8,7 +8,7 @@ from conftest import fit_order
 from splitlq.bench import build_pollution, preset
 from splitlq.errors import ConfigError, InputError
 from splitlq.games import backward_game
-from splitlq.reference import (FlatODE, adaptive_solve, flatten_pipeline,
+from splitlq.reference import (RTOL_FLOOR, FlatODE, adaptive_solve, flatten_pipeline,
                                rk4_solve, rk4_step, unflatten)
 
 
@@ -101,6 +101,13 @@ def test_adaptive_rejects_bad_tolerances():
     ode = counting_ode(lambda t, y: -y, 1)
     with pytest.raises(InputError):
         adaptive_solve(ode, 0.0, 1.0, np.ones(1), 0.0, 1e-8)
+    # a rel_tol below 100 eps (scipy's floor) once ran for minutes; at the floor it runs
+    for rel_tol in (1e-14, np.nextafter(RTOL_FLOOR, 0.0), np.nan):
+        with pytest.raises(InputError):
+            adaptive_solve(ode, 0.0, 1.0, np.ones(1), 1e-15, rel_tol)
+    assert ode.evaluations == 0
+    y, _ = adaptive_solve(ode, 0.0, 1.0, np.ones(1), 1e-15, RTOL_FLOOR)
+    assert abs(y[0] - np.exp(-1.0)) < 1e-13
 
 
 def test_flat_ode_counter_increments_per_call():

@@ -719,9 +719,11 @@ def test_chunked_driver_is_the_per_stage_loop_bit_for_bit(tv_setup, method, step
 def test_autonomous_engine_is_the_per_stage_loop_bit_for_bit(fig1_setup, method):
     # Ten players: the closed loop's row product is a BLAS dot product, so
     # the constant terms must reach it as the same arrays at every stage.
+    # d = 11: the projected engine runs 11 steps per chunk and s2 4, so 13
+    # steps put a chunk edge and a short last chunk inside the horizon.
     prob, flow0, _ = fig1_setup
-    traj = integrate_forward(prob, flow0, 8, method=method)
-    states, gains = _per_stage(prob, flow0, 8, method)
+    traj = integrate_forward(prob, flow0, 13, method=method)
+    states, gains = _per_stage(prob, flow0, 13, method)
     assert traj.states.tobytes() == states.tobytes()
     assert traj.gains.tobytes() == gains.tobytes()
 
@@ -791,8 +793,8 @@ def ni_tv_setup():
 @pytest.mark.parametrize("setup", ["fig1_setup", "ni_tv_setup"])
 def test_near_integrable_engine_is_the_per_stage_loop_bit_for_bit(request, setup, method,
                                                                    steps):
-    # fig1 (d = 11) runs one step per chunk; the n = 2 game (d = 6) runs 7
-    # ni42 or 2 ni84 steps per chunk, and samples S_row at t2 + {0, 1/2, 1} a_i h.
+    # fig1 (d = 11) runs 2 ni42 or 1 ni84 step per chunk; the n = 2 game (d = 6)
+    # runs 7 ni42 or 2 ni84 steps per chunk, and samples S_row at t2 + {0, 1/2, 1} a_i h.
     prob, flow0 = request.getfixturevalue(setup)[:2]
     traj = integrate_forward(prob, flow0, steps, method=method)
     states, gains = _ni_per_stage(prob, flow0, steps, method)
@@ -817,7 +819,8 @@ def test_near_integrable_drift_exponentials_formed_once_per_stage_length(
 
 @pytest.mark.parametrize("method", ["sp2", "s2"])
 def test_constant_terms_cross_chunk_edges_as_one_array(monkeypatch, fig1_setup, method):
-    # d = 11: one step per chunk, and each chunk's first a-clock is the last
+    # d = 11: the projected engine (sp2) runs 11 steps per chunk and s2 4, so
+    # 13 steps cross chunk edges, and each chunk's first a-clock is the last
     # one of the chunk before.  The constant A still reaches every closed loop
     # as a view of the problem's one cached array, never a copy.  The Cayley
     # stage loop (s2) samples the row per chunk and passes it the same way;
@@ -836,8 +839,8 @@ def test_constant_terms_cross_chunk_edges_as_one_array(monkeypatch, fig1_setup, 
                         lambda self, t: rows.append(t) or coupling_row(self, t))
     monkeypatch.setattr(GameProblem, "closed_loop_terms",
                         lambda self, ts: sampled.append(ts) or terms(self, ts))
-    integrate_forward(prob, flow0, 12, method=method)
-    assert len(seen) == 2 * 12
+    integrate_forward(prob, flow0, 13, method=method)
+    assert len(seen) == 2 * 13
     assert all(np.shares_memory(A, A0) for A, _ in seen)
     if method == "s2":
         assert all(np.shares_memory(row, row0) for _, row in seen)
@@ -1159,8 +1162,8 @@ def _assert_recorded_per_sample(traj, state, records):
     ("fig3a", "sp4", 37, [18, 18, 1]),
     ("fig3a", "s2c4", 19, [19]),
     ("fig3a", "s2c4", 37, [25, 12]),
-    ("fig1", "sp4", 5, [1] * 5),  # d = 11: one step per chunk
-    ("fig1", "s2c4", 5, [1] * 5),
+    ("fig1", "sp4", 5, [5]),  # d = 11: the projected engine's 11 steps per chunk
+    ("fig1", "s2c4", 5, [1] * 5),  # the stage loop's one
     ("fig1", "ni84", 5, [1] * 5),
 ])
 def test_chunked_recorder_is_the_per_sample_gain_map_bit_for_bit(monkeypatch, name, method,
@@ -1174,7 +1177,8 @@ def test_chunked_recorder_is_the_per_sample_gain_map_bit_for_bit(monkeypatch, na
 
 
 def test_chunked_recorder_on_a_large_autonomous_game_bit_for_bit(monkeypatch):
-    # n = 32, three players: d = 128, the solves are LAPACK's, one step per chunk
+    # n = 32, three players: d = 128, the solves are LAPACK's, N + 1 = 4 steps
+    # per chunk, and a short last one
     rng = np.random.default_rng(83)
     n = 32
     game = GameProblem(A=C(0.1 * rng.standard_normal((n, n))),
@@ -1184,8 +1188,8 @@ def test_chunked_recorder_on_a_large_autonomous_game_bit_for_bit(monkeypatch):
                        QT=tuple(random_psd(rng, n) / n for _ in range(3)), x0=np.ones(n))
     flow0 = backward_game(game)
     records = _marched(monkeypatch)
-    traj = integrate_forward(game, flow0, 3, method="sp4")
-    assert [len(v) for _, _, v, _ in records] == [1, 1, 1]
+    traj = integrate_forward(game, flow0, 9, method="sp4")
+    assert [len(v) for _, _, v, _ in records] == [4, 4, 1]
     _assert_recorded_per_sample(traj, initial_state(game, flow0), records)
 
 
@@ -1233,23 +1237,27 @@ def test_singular_closed_loop_raises_after_the_steps_before_it():
 
 
 def test_projected_engine_raises_at_the_first_singular_stage_after_the_steps_before_it():
-    # a crafted cache for sp2 at h = 0.25: exp(hK) = [[1, -1], [0, 1]] takes U
-    # from 3 down by 1 a step, and the second a-stage reads it one step on, so
-    # U = 0 first at step 2's second a-stage, t1 = 0.75, a node the next step
-    # shares; the march first yields the two steps before it
+    # fig1 (d = 11, n = 1) runs 11 sp2 steps per projected chunk.  A crafted
+    # cache at h = 1/16: exp(hK) = I - e_0 e_1^T takes U from 13 down by V_1 = 1
+    # a step, and the second a-stage reads it one step on, so U = 0 first at
+    # step 13's second a-stage, t1 = 13/16: inside the second chunk, at a node
+    # the next step shares.  The march first yields the first chunk, then step 12.
     from splitlq.splitting import _Projected
 
-    sp2, E = get_scheme("sp2"), np.array([[1.0, -1.0], [0.0, 1.0]])
-    prob = random_lq(np.random.default_rng(85), n=1, r=1)
+    sp2, prob, h = get_scheme("sp2"), build_pollution(preset("fig1")), 1.0 / 16
+    E = np.eye(11)
+    E[0, 1] = -1.0
     engine = _Projected(sp2.a, sp2.b,
-                        {(prob, sp2.a, sp2.b, 0.25): (np.array([np.eye(2), E]), E, None)})
-    state = initial_state(prob, RiccatiFlow(U=np.array([[3.0]]), V=np.array([[1.0]]), t=0.0))
+                        {(prob, sp2.a, sp2.b, h): (np.array([np.eye(11)[:2], E[:2]]), E, None)})
+    state = initial_state(prob, GameFlow(U=np.array([[13.0]]), V=(np.ones((1, 1)),) * 10, t=0.0))
     records = []
     with pytest.raises(SingularityError) as err:
-        for record in engine.march(0.25, state, prob, 4):
+        for record in engine.march(h, state, prob, 16):
             records.append(record)
-    assert str(err.value) == "U(t) singular at t = 0.75" and err.value.where == 0.75
-    assert [t1 for t1, _, _, _ in records] == [[0.25, 0.5]]
+    assert str(err.value) == "U(t) singular at t = 0.8125" and err.value.where == 0.8125
+    assert [t1 for t1, _, _, _ in records] == [[k * h for k in range(1, 12)], [12 * h]]
+    assert [v[:, 0, 0].tolist() for _, _, v, _ in records] == [
+        [13.0 - k for k in range(1, 12)], [1.0]]
 
 
 def _record_crafted(step_ends, n, steps=4):
