@@ -36,9 +36,9 @@ class ConfigError(ValueError):
 
 
 def check_steps(steps, what="steps"):
-    """``steps`` as an int >= 1, numpy integers included, whose steps + 1 samples
+    """``steps`` as an int >= 1 (numpy integers, not bools) whose steps + 1 samples
     numpy can index (asked of an empty array, so nothing is allocated); else ConfigError."""
-    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+    if not (isinstance(steps, numbers.Integral) and not isinstance(steps, bool) and steps >= 1):
         raise ConfigError(f"{what} must be an integer >= 1, got {steps!r}")
     steps = int(steps)
     try:

@@ -176,7 +176,7 @@ def solve_zero_sum(game, steps_backward=32, composition_alphas=COMPOSE4_ALPHAS,
     steps_backward = check_steps(steps_backward, "zero-sum backward steps")
     cache = {}  # exp(tau/2 K0) per composed substep length tau, for this pass
     engine = _composed(composition_alphas, lambda g, taus, times, K:
-                       lambda j, y, out: zs_base_step(g, times[j], taus[j], y, cache))
+                       lambda j, y: zs_base_step(g, times[j], taus[j], y, cache))
     P1, P2 = backward_zero_sum(game, steps_backward)
     return integrate_forward(game, GameFlow(U=np.eye(game.n), V=(P1, P2), t=game.t0),
                              steps_forward, stepper=engine,

@@ -68,8 +68,8 @@ class LinearFlowProblem:
 
 def at_nodes(sample, times, memo):
     """``sample(nodes)``'s stacked arrays at the distinct nodes of ``times``, in
-    one call, and each entry's index there.  The last node is kept in ``memo``
-    and not sampled again, unless a broadcast (0 stride) would be copied."""
+    one call, and each entry's index there.  A copy of the last node is kept in
+    ``memo`` and not sampled again, unless a broadcast (0 stride) would be copied."""
     index = {}
     pos = [index.setdefault(t, len(index)) for t in times]
     nodes = list(index)
@@ -79,7 +79,7 @@ def at_nodes(sample, times, memo):
         arrays = tuple(np.concatenate(pair) for pair in zip(memo[nodes[0]], arrays))
     memo.clear()
     if all(M.strides[0] for M in arrays):
-        memo[times[-1]] = tuple(M[pos[-1]: pos[-1] + 1] for M in arrays)
+        memo[times[-1]] = tuple(M[pos[-1]: pos[-1] + 1].copy() for M in arrays)
     return arrays, pos
 
 

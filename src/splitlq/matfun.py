@@ -189,11 +189,12 @@ def expm_chain(E, y, out):
         return np.copyto(out, np.cumprod(chain, axis=0, out=chain)[k::k]) or out
     formed = E.shape[-1] <= _FORM_DIM
     F = expm_stack(E) if formed else taylor_degrees(norm1(E))  # exp(E_j), or its degree
-    for j in range(len(E)):
-        i, r = divmod(j + 1, k)
-        y = F[j].dot(y, out=None if r else out[i - 1]) if formed else taylor_apply(E[j], y, F[j])
-        if not (formed or r):
-            out[i - 1] = y
+    slots = [None] * len(E)  # where y goes after each action: every k-th into out
+    slots[k - 1::k] = out
+    for Ej, Fj, slot in zip(E, F, slots):
+        y = Fj.dot(y, out=slot) if formed else taylor_apply(Ej, y, Fj)
+        if not (formed or slot is None):
+            slot[...] = y
     return out
 
 

@@ -17,11 +17,13 @@ loop A - B~ ((F V) U^-1) solves for sum r_i rows, not n.  L and exp(hK) are
 formed once per problem and h, and integrating to T returns P(T) = QT to
 roundoff.
 
-The others run the stage loop, each stage's map on v in order, with A and
-S_row sampled at the closed-loop nodes and K at the b-clocks in one call
-each per chunk:
+The others sample A and S_row at the closed-loop nodes and K at the b-clocks
+in one call each per chunk.  ``step_nonautonomous``, exp(b_i h K(t2)), has no
+stage loop either: the chunk's b-exponents run as one ``expm_chain`` up to
+the first that is not finite, every result kept, and each a-stage's input
+and each step's end are gathered from that stack.  The rest run the stage
+loop, each stage's map on v in order, a b-stage's map returning a new v:
 
-* ``step_nonautonomous`` -- exp(b_i h K(t2)), the chunk's exponents stacked.
 * ``s2_step`` / ``s2c4`` -- sp2 with the cheap Cayley approximation of the
   flow, composed to order 4 as one coefficient sequence for ``s2c4``.
 * ``step_near_integrable`` -- a constant drift D that dominates the coupling:
@@ -35,6 +37,7 @@ the most negative coefficient on the state side, which helps positivity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,7 +48,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, InputError, MisuseError, SingularityError,
                      check_steps)
 from .magnus import _CHUNK_BYTES, at_nodes, cf4_exponents
-from .matfun import _FORM_DIM, expm, expm_chain, expm_stack, norm1, pade2_apply, taylor_apply
+from .matfun import expm, expm_chain, norm1, pade2_apply, taylor_apply
 from .problem import assemble_flow_matrix
 from .riccati import GameFlow, closed_loops, right_solve
 
@@ -201,17 +204,21 @@ class ExtendedState:
         return GameFlow.from_stacked(self.v, self.t1)
 
 
+def _stack_error(prob, name, given):
+    n, N = prob.n, prob.nplayers
+    return DimensionError(f"{name} must stack U and {N} V blocks, each {n} x {n}, "
+                          f"to ({(N + 1) * n}, {n}); got {given}")
+
+
 def initial_state(prob, flow):
     """The extended state at t0 of ``flow``: U and one V per player, each n x n."""
-    n, N = prob.n, prob.nplayers
     blocks = [np.shape(M) for M in (flow.U, *flow.V)]
-    if blocks != [(n, n)] * (N + 1):
+    if blocks != [(prob.n, prob.n)] * (prob.nplayers + 1):
         try:
             given = flow.stacked().shape
         except ValueError:  # blocks of unequal widths
             given = f"blocks {blocks}"
-        raise DimensionError(f"flow0 must stack U and {N} V blocks, each {n} x {n}, "
-                             f"to ({(N + 1) * n}, {n}); got {given}")
+        raise _stack_error(prob, "flow0", given)
     return ExtendedState(v=flow.stacked(), x=prob.x0.copy(), t1=prob.t0, t2=prob.t0)
 
 
@@ -236,20 +243,20 @@ def _rows(M, pos):
 class _Engine:
     """Coefficients and two stage maps.  ``flow(prob, taus, times, K)``, given
     a chunk's b-stage lengths b_i h, clocks t2 and a thunk giving ``at_nodes``
-    of K there, is the map (j, v, out) -> v' of b-stage j: ``out`` itself when
-    v' was put there (never into v's memory), else a new array.  ``stage(prob,
-    taus, t1, t2)``, given the a-stage lengths a_i h (an array) and clocks at
-    their start (lists), returns the closed-loop nodes (q per a-stage), the
-    map (j, v, out) -> v' of a-stage j, which finds v in out[0] and puts its
-    other closed-loop inputs into ``out``, and the map from the closed loops
-    (c, q, n, n) of the first c a-stages to their exponents (c, e, n, n),
-    which act on x in order and may be written over the closed loops.
-    ``half(prob, h)`` is the Riccati half of each chunk: the stage loop of
-    these maps here.  ``march`` yields per chunk of ``steps_per_chunk(v)``
-    steps the record (t1, t2, v, x) of its m step ends: clocks (lists), v
-    (m, d, n), x (m, n).  A non-finite coefficient or a singular U raises for
-    the first failing stage, after the record of the steps before it; a
-    singular R when its chunk is sampled."""
+    of K there, is the map (j, v) -> v' of b-stage j, a new array.
+    ``stage(prob, taus, t1, t2)``, given the a-stage lengths a_i h (an array)
+    and clocks at their start (lists), returns the closed-loop nodes (q per
+    a-stage), the map (j, v, out) -> v' of a-stage j, which finds v in out[0]
+    and puts its other closed-loop inputs into ``out``, and the map from the
+    closed loops (c, q, n, n) of the first c a-stages to their exponents
+    (c, e, n, n), which act on x in order and may be written over the closed
+    loops.  ``half(prob, h)`` is the Riccati half of each chunk: A and S_row
+    at the closed-loop nodes, their inputs from ``riccati(prob, h)``, here
+    the stage loop of these maps.  ``march`` yields per chunk of
+    ``steps_per_chunk(v)`` steps the record (t1, t2, v, x) of its m step
+    ends: clocks (lists), v (m, d, n), x (m, n).  A non-finite coefficient or
+    a singular U raises for the first failing stage, after the record of the
+    steps before it; a singular R when its chunk is sampled."""
 
     a: tuple
     b: tuple
@@ -257,6 +264,11 @@ class _Engine:
     stage: Callable = _closed_loop_stage
 
     def __call__(self, h, state, prob):  # one step
+        n = prob.n
+        if np.shape(state.v) != ((prob.nplayers + 1) * n, n):
+            raise _stack_error(prob, "state.v", np.shape(state.v))
+        if np.shape(state.x) != (n,):
+            raise DimensionError(f"state.x must have shape ({n},); got {np.shape(state.x)}")
         (t1, t2, v, x), = self.march(h, state, prob, 1)
         return ExtendedState(v=v[0], x=x[0], t1=t1[0], t2=t2[0])
 
@@ -317,51 +329,80 @@ class _Engine:
             del loops  # the chunk's stage inputs go before the next chunk forms its own
 
     def half(self, prob, h):
-        # the stage loop: per chunk, (v, m, taus, tb, nodes, vmap) -> (loops, k,
-        # V, v, done, fail), with A and S_row sampled at the closed-loop nodes
-        # and K at the b-clocks
-        amemo, bmemo = {}, {}
-        bh = [bi * h for bi in self.b if bi != 0.0]
+        # per chunk, (v, m, taus, tb, nodes, vmap) -> (loops, k, V, v, done, fail): A
+        # and S_row sampled at the closed-loop nodes, their inputs from ``riccati``
+        amemo, riccati = {}, self.riccati(prob, h)
 
         def chunk(v, m, taus, tb, nodes, vmap):
             (A, row), pos = at_nodes(prob.closed_loop_terms, nodes, amemo)
+            Y, V, v, done, fail = riccati(v, m, taus, tb, nodes, vmap)
+            # the closed loops of the a-stages reached, through the first one
+            # whose coefficients are not finite
+            k, q = len(Y), len(nodes) // len(taus)  # constants (0 stride) were checked finite
+            if not all(M.strides[0] == 0 or np.isfinite(M).all() for M in (A, row)):
+                bad = np.flatnonzero(~(np.isfinite(A).all(axis=(1, 2))
+                                       & np.isfinite(row).all(axis=(1, 2)))[pos[:k]])
+                k = q * (bad[0] // q + 1) if bad.size else k
+            return (lambda k: closed_loops(_rows(A, pos[:k]), _rows(row, pos[:k]), Y[:k],
+                                           nodes[:k])), k, V, v, done, fail
+        return chunk
+
+    def riccati(self, prob, h):
+        # the stage loop, K sampled at the b-clocks: per chunk, (v, m, taus, tb, nodes,
+        # vmap) -> (Y, V, v, done, fail), Y the inputs of the a-stages reached (q each)
+        bmemo, bh = {}, [bi * h for bi in self.b if bi != 0.0]
+
+        def chunk(v, m, taus, tb, nodes, vmap):
             advance = self.flow(prob, bh * m, tb,
                                 lambda: at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo))
-            # each closed loop's input goes into one stack, each step's end into V.
-            # A b-stage that an a-stage follows puts v' into its first input: only
-            # an a-stage after none copies
             q = len(nodes) // len(taus)
             Yq, V = np.empty((len(taus), q) + v.shape), np.empty((m,) + v.shape)
-            fail, ja, jb, placed = None, 0, 0, False
+            fail, ja, jb = None, 0, 0
             try:
                 for done in range(m):  # ``done`` steps complete so far
-                    for ai, bi, a_next in zip(self.a, self.b, self.a[1:] + self.a[:1]):
+                    for ai, bi in zip(self.a, self.b):
                         if ai != 0.0:
-                            if not placed:
-                                Yq[ja, 0] = v
-                            v, placed = vmap(ja, v, Yq[ja]), False
+                            Yq[ja, 0] = v
+                            v = vmap(ja, v, Yq[ja])
                             ja += 1
                         if bi != 0.0:
-                            placed = a_next != 0.0 and ja < len(taus)  # an a-stage reads v'
-                            out = Yq[ja, 0] if placed else np.empty_like(v)
-                            w = advance(jb, v, out)  # copied only if written elsewhere
-                            v = w if w is out else np.copyto(out, w) or out
+                            v = advance(jb, v)
                             jb += 1
                     V[done] = v
                 done = m
             except (InputError, SingularityError) as exc:
                 fail = exc
+            return Yq.reshape(-1, *v.shape)[:q * ja], V, v, done, fail
+        return chunk
 
-            # the closed loops of the a-stages before it, through the first one
-            # whose coefficients are not finite
-            k = q * ja  # constants (0 stride) were checked finite when the problem was built
-            if not all(M.strides[0] == 0 or np.isfinite(M).all() for M in (A, row)):
-                bad = np.flatnonzero(~(np.isfinite(A).all(axis=(1, 2))
-                                       & np.isfinite(row).all(axis=(1, 2)))[pos[:k]])
-                k = q * (bad[0] // q + 1) if bad.size else k
-            Y = Yq.reshape(-1, *v.shape)
-            return (lambda k: closed_loops(_rows(A, pos[:k]), _rows(row, pos[:k]), Y[:k],
-                                           nodes[:k])), k, V, v, done, fail
+
+@dataclass(frozen=True)
+class _Chained(_Engine):
+    """The engine of exp(b_i h K(t2)) (``step_nonautonomous``): per chunk, one
+    expm_chain over its b-exponents before the first that is not finite, every
+    result kept, then each a-stage's input and each step's end gathered from
+    that stack."""
+
+    def riccati(self, prob, h):
+        # slots(m): over m steps, each a-stage's input, after the b-stages before it
+        bmemo, bh = {}, np.array([bi * h for bi in self.b if bi != 0.0])
+        nb, before = len(bh), np.searchsorted(np.flatnonzero(self.b), np.flatnonzero(self.a))
+        slots = functools.lru_cache(lambda m: (nb * np.arange(m)[:, None] + before).ravel())
+
+        def chunk(v, m, taus, tb, nodes, vmap):
+            (K,), pos = at_nodes(lambda ts: (prob.flow_matrices(ts),), tb, bmemo)
+            E = np.tile(bh, m)[:, None, None] * K[pos]
+            del K  # the samples go before the chain stack comes
+            finite = np.isfinite(norm1(E))
+            f = len(E) if finite.all() else int(np.argmin(finite))  # the actions that run
+            chain = np.empty((f + 1,) + v.shape)  # v, then v after each action
+            chain[0] = v
+            if f:
+                expm_chain(E[:f], v, chain[1:])
+            ia, done = slots(m), f // nb
+            V = chain[nb::nb].copy()  # copies of the chain, which goes
+            return (chain[ia[:np.searchsorted(ia, f, "right")]], V, V[-1] if done else v, done,
+                    None if f == len(E) else InputError("matrix contains non-finite entries"))
         return chunk
 
 
@@ -397,21 +438,9 @@ class _Projected(_Engine):
         return chunk
 
 
-def _taylor_flow(prob, taus, times, K):
-    # exp(b_i h K(t2)) into out: the chunk's exponents stacked, up to d = 8 formed as one
-    # stack up to a non-finite one; any other action is one expm_chain call (which raises)
-    (K,), pos = K()
-    E = np.asarray(taus)[:, None, None] * K[pos]
-    form = np.isfinite(norm1(E)) & (E.shape[-1] <= _FORM_DIM)
-    f = len(E) if form.all() else int(np.argmin(form))  # members formed
-    F, E = expm_stack(E[:f]) if f else None, E[f:].copy()  # the closure keeps no formed E_j
-    return lambda j, v, out: (F[j].dot(v, out=out) if j < f else
-                              (expm_chain(E[j - f:j - f + 1], v, out[None]), out)[1])
-
-
 def _pade_flow(prob, taus, times, K):  # the Cayley map of b_i h K(t2)
     (K,), pos = K()
-    return lambda j, v, out: pade2_apply(K[pos[j]], taus[j], v)
+    return lambda j, v: pade2_apply(K[pos[j]], taus[j], v)
 
 
 def _factored(r, n, N):
@@ -477,7 +506,7 @@ def step_autonomous(scheme, h, state, prob, cache=None):
 def step_nonautonomous(scheme, h, state, prob):
     """One step of the two-time-coordinate interleave: each flow stage
     applies exp(b_i h K(t2)) to the stacked blocks."""
-    return _Engine(scheme.a, scheme.b, _taylor_flow)(h, state, prob)
+    return _Chained(scheme.a, scheme.b, None)(h, state, prob)
 
 
 def s2_step(h, state, prob):
@@ -512,7 +541,7 @@ def _near_integrable(scheme, prob, cache):
 
     def flow(prob, taus, times, K):  # degree-4 Taylor of the frozen coupling b_i h (K - D)
         (K,), pos = K()
-        return lambda j, v, out: taylor_apply(taus[j] * (K[pos[j]] - D), v, 4)
+        return lambda j, v: taylor_apply(taus[j] * (K[pos[j]] - D), v, 4)
 
     def stage(_, taus, t1, t2):
         # v by the drift flow, x by CF4 with closed loops at t2 + {0, 1/2, 1} τ
@@ -593,7 +622,7 @@ def make_stepper(prob, method, cache):
         return _near_integrable(scheme, prob, cache), scheme.stages
     if prob.is_autonomous:
         return _Projected(scheme.a, scheme.b, cache), scheme.stages
-    return _Engine(scheme.a, scheme.b, _taylor_flow), scheme.stages
+    return _Chained(scheme.a, scheme.b, None), scheme.stages
 
 
 def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
@@ -609,6 +638,7 @@ def integrate_forward(prob, flow0, steps, method="sp4", stepper=None,
     cache = {}
     if stepper is None:
         stepper, stages_per_step = make_stepper(prob, method, cache)
+    stages_per_step = check_steps(stages_per_step, "stages_per_step")
     h = (prob.T - prob.t0) / steps
     return record_trajectory(prob, stepper, initial_state(prob, flow0), h, steps,
                              steps * stages_per_step)

@@ -423,9 +423,12 @@ def test_linear_pipelines_reject_zero_sum_games(entry, A):
     # counts whose samples numpy refuses to index: refused before any step runs
     lambda g: backward_zero_sum(g, 10**20),
     lambda g: solve_zero_sum(g, steps_backward=10**20, steps_forward=8),
+    # a bool is an Integral, not a count
+    lambda g: solve_zero_sum(g, steps_backward=True),
+    lambda g: solve_zero_sum(g, steps_backward=8, steps_forward=True),
 ], ids=["backward-zero", "forward-zero", "forward-negative", "backward-string",
         "solve-backward-float", "solve-forward-numpy-float", "backward-huge",
-        "solve-backward-huge"])
+        "solve-backward-huge", "solve-backward-bool", "solve-forward-bool"])
 def test_zero_sum_bad_step_counts_are_config_errors(call):
     with pytest.raises(ConfigError, match="steps"):
         call(zs_toy())

@@ -290,7 +290,7 @@ def test_nan_weights_are_config_errors(make):
         make()
 
 
-@pytest.mark.parametrize("steps", [2.5, "8", None, np.float64(4.0)])
+@pytest.mark.parametrize("steps", [2.5, "8", None, np.float64(4.0), True])
 def test_non_integer_forward_steps_are_config_errors(coupled_setup, steps):
     prob, flow0, _ = coupled_setup
     with pytest.raises(ConfigError, match="integer"):
@@ -303,6 +303,14 @@ def test_unrecordable_forward_step_count_is_a_config_error(coupled_setup, method
     prob, flow0, _ = coupled_setup
     with pytest.raises(ConfigError, match=f"cannot record {10**20} steps"):
         integrate_forward(prob, flow0, 10**20, method=method)
+
+
+@pytest.mark.parametrize("stages", [0, True, 2.5])
+def test_stages_per_step_that_are_not_counts_are_config_errors(coupled_setup, stages):
+    # stages_per_step is counted into evaluations; a bool is an Integral
+    prob, flow0, _ = coupled_setup
+    with pytest.raises(ConfigError, match="stages_per_step must be an integer"):
+        integrate_forward(prob, flow0, 8, stepper=s2_step, stages_per_step=stages)
 
 
 def test_numpy_integer_forward_steps_are_accepted(coupled_setup):
@@ -757,23 +765,14 @@ _ADJACENT = SplittingScheme(name="adjacent", a=(0.25, 0.25, 0.0, 0.5), b=(0.0, 0
 @pytest.mark.parametrize("steps", [37, 100])
 def test_adjacent_stages_of_one_kind_are_the_per_stage_loop_bit_for_bit(monkeypatch, fig3a_setup,
                                                                        flow, steps):
-    # a flow that writes v' where it is read next (exp(τK)), never over the v
-    # it reads, and one that returns a new array (the Cayley map); 100 steps
-    # take two chunks
-    from splitlq.splitting import _Engine, _pade_flow, _taylor_flow
-
-    def writing(prob, taus, times, K):
-        act = _taylor_flow(prob, taus, times, K)
-
-        def write(j, v, out):
-            assert not np.shares_memory(v, out)
-            return act(j, v, out)
-        return write
+    # the chained exp(τK) half, which gathers both a-stages' input from one
+    # chain slot, and the stage loop's Cayley map; 100 steps take two chunks
+    from splitlq.splitting import _Chained, _Engine, _pade_flow
 
     prob, flow0 = fig3a_setup
     method = "sp2" if flow == "taylor" else "s2"
     monkeypatch.setitem(_COEFFS, method, _ADJACENT)
-    engine = (_Engine(_ADJACENT.a, _ADJACENT.b, writing) if flow == "taylor"
+    engine = (_Chained(_ADJACENT.a, _ADJACENT.b, None) if flow == "taylor"
               else _Engine(_ADJACENT.a, _ADJACENT.b, _pade_flow))
     traj = integrate_forward(prob, flow0, steps, stepper=engine, stages_per_step=2)
     states, gains = _per_stage(prob, flow0, steps, method)
@@ -979,6 +978,26 @@ def test_flow_of_the_wrong_shape_is_a_dimension_error(fig1_setup, flow0, given):
         integrate_forward(prob, flow0, 8)
 
 
+@pytest.mark.parametrize("bad", ["v", "x"])
+@pytest.mark.parametrize("step", ["autonomous", "near-integrable", "s2", "nonautonomous"])
+def test_one_step_entry_points_refuse_a_mis_shaped_state(request, step, bad):
+    # n = 1 (fig1 constant, fig3a time-dependent): a 3-vector x would broadcast
+    # against the 1 x 1 closed loops, and a v one row short would reach numpy
+    calls = {"autonomous": lambda *args: step_autonomous(get_scheme("sp4"), *args),
+             "near-integrable": lambda *args: step_near_integrable(get_scheme("ni42"), *args),
+             "s2": s2_step,
+             "nonautonomous": lambda *args: step_nonautonomous(get_scheme("sp4"), *args)}
+    setup = "fig3a_setup" if step in ("s2", "nonautonomous") else "fig1_setup"
+    prob, flow0 = request.getfixturevalue(setup)[:2]
+    state = initial_state(prob, flow0)
+    state = replace(state, **{bad: state.v[:-1] if bad == "v" else np.ones(3)})
+    want = (rf"state.v must stack U and {prob.nplayers} V blocks, each 1 x 1, "
+            rf"to \({len(flow0.V) + 1}, 1\); got \({len(flow0.V)}, 1\)" if bad == "v"
+            else r"state.x must have shape \(1,\); got \(3,\)")
+    with pytest.raises(DimensionError, match=want):
+        calls[step](0.1, state, prob)
+
+
 @pytest.mark.parametrize("method", ["sp2", "sp4", "sp6", "s2"])
 def test_each_coefficient_sampled_once_per_stage_node(method):
     logs = {}
@@ -1025,6 +1044,42 @@ def test_non_finite_drift_inside_a_chunk_runs_the_steps_before_it(monkeypatch, m
     with pytest.raises(InputError):
         integrate_forward(prob, flow0, 20, method=method)
     assert got == want and 0.4 < got[-1] < 0.55  # past the chunk start
+
+
+@pytest.mark.parametrize("method, chunk, steps", [("sp4", 18, 40), ("sp6", 12, 30)])
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_non_finite_flow_at_a_chunk_edge_runs_the_steps_before_it(monkeypatch, fig3a_setup,
+                                                                  method, chunk, steps, edge):
+    # fig3a (d = 2): K turns NaN at the b-clock of the second chunk's first or
+    # last b-stage.  The chain runs the actions before it, and the closed
+    # loops and records are the per-stage loop's.  sp4's first b-clock of a
+    # step is the last one of the step before (a_1 = 0), so its "first" fails
+    # at the first chunk's last b-stage, and its "last" at the next chunk's
+    # shared node.
+    import splitlq.splitting as splitting
+
+    prob, flow0 = fig3a_setup
+    scheme = get_scheme(method)
+    nb = np.count_nonzero(scheme.b)
+    _, tb = _clocks(scheme.a, scheme.b, 1.0 / steps, steps)
+    node = tb[nb * chunk if edge == "first" else 2 * nb * chunk - 1]
+    real = GameProblem.flow_matrices
+    monkeypatch.setattr(GameProblem, "flow_matrices", lambda self, ts: np.where(
+        np.equal(ts, node)[:, None, None], np.nan, real(self, ts)))
+    want = []
+    with pytest.raises(InputError):
+        _per_stage(prob, flow0, steps, method, seen=want)
+    got = []
+    loops = splitting.closed_loops
+    monkeypatch.setattr(splitting, "closed_loops",
+                        lambda A, row, Y, t: got.extend(t) or loops(A, row, Y, t))
+    records = _marched(monkeypatch)
+    with pytest.raises(InputError, match="non-finite"):
+        integrate_forward(prob, flow0, steps, method=method)
+    assert got == want
+    done = tb.index(node) // nb  # the steps before the failing b-stage's
+    assert [len(v) for _, _, v, _ in records] == [min(chunk, done - s)
+                                                  for s in range(0, done, chunk)]
 
 
 def test_non_finite_closed_loop_first_forms_no_later_closed_loop(monkeypatch):
@@ -1217,7 +1272,7 @@ def _crafted_engine(step_ends, n, mids=None):
 
     mid = np.vstack([np.eye(n), 0.5 * np.eye(n)])
     return _Engine((0.0, 1.0, 0.0), (0.5, 0.0, 0.5), lambda prob, taus, times, K: (
-        lambda j, v, out: (step_ends if j % 2 else mids or {}).get(j // 2, mid)))
+        lambda j, v: (step_ends if j % 2 else mids or {}).get(j // 2, mid)))
 
 
 def test_singular_closed_loop_raises_after_the_steps_before_it():
