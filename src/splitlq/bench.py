@@ -17,17 +17,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, InputError, SingularityError, check_steps
+from .errors import ConfigError, InputError, MisuseError, SingularityError, check_steps
 from .games import GameFlow, GameProblem, backward_game
-from .magnus import BACKWARD_STEPS, cf4_ladder, integrate
 from .matfun import solve_checked
 from .problem import TimeMatrix
 from .reference import RTOL_FLOOR, adaptive_solve, flatten_pipeline, rk4_solve, unflatten
-from .riccati import linear_flow
 from .splitting import integrate_forward, make_stepper
 
 POSITIVITY_THRESHOLD = -1e-8
-REFERENCE_AGREEMENT = 1e-11
 
 # Method families: splitting cost is counted in stages, the baselines in
 # rhs evaluations.
@@ -203,38 +200,16 @@ backward_pass = backward_game
 
 
 def reference_endpoint(prob, flow0):
-    """Exact forward endpoint x(T) = U(T) U(t0)^-1 x0, self-checked.
+    """Exact forward endpoint x(T) = U(T) U(t0)^-1 x0 = U(t0)^-1 x0.
 
     Under the optimal feedback U' = (A - sum_j S_j P_j) U, so U is the
-    closed-loop fundamental matrix (Radon's lemma).  U(T) comes from CF4 on
-    y' = K(t) y from ``flow0``.  For constant K one step is exact, and the
-    1- and 2-step endpoints must agree to REFERENCE_AGREEMENT.  Otherwise
-    the endpoint is the order-8 extrapolant that ``magnus.cf4_ladder`` (8,
-    16, ... steps) accepts to REFERENCE_AGREEMENT, relative; at its cap, the
-    plain BACKWARD_STEPS-step endpoint, when it agrees with the 1024-step run,
-    which the ladder ran, to REFERENCE_AGREEMENT.  A reference that fails its check
-    raises ConfigError naming the finest step count and the drift.
+    closed-loop fundamental matrix (Radon's lemma).  ``flow0`` is the
+    backward pass's flow at t0, started from [I; QT] at T, so U(T) = I;
+    a flow at another time raises MisuseError.
     """
-    lin = linear_flow(prob)
-    z0 = solve_checked(flow0.U, prob.x0)
-
-    def endpoint(steps):
-        return integrate(lin, prob.t0, prob.T, steps, flow0.stacked())[: prob.n] @ z0
-
-    if prob.is_autonomous:
-        coarse, fine, steps = endpoint(1), endpoint(2), 2
-    else:
-        settled, fine, coarse = cf4_ladder(endpoint, np.asarray, REFERENCE_AGREEMENT)
-        if settled:
-            return fine
-        steps = BACKWARD_STEPS
-    drift = float(np.max(np.abs(fine - coarse)))
-    if drift > REFERENCE_AGREEMENT:
-        raise ConfigError(
-            f"reference self-consistency failure at {steps} CF4 steps: "
-            f"endpoints differ by {drift:.3e}"
-        )
-    return fine
+    if flow0.t != prob.t0:
+        raise MisuseError(f"reference needs the flow at t0 = {prob.t0}, got t = {flow0.t}")
+    return solve_checked(flow0.U, prob.x0)
 
 
 def _terminal_min_gain(traj):

@@ -37,12 +37,13 @@ class ConfigError(ValueError):
 
 def check_steps(steps, what="steps"):
     """``steps`` as an int >= 1 (numpy integers, not bools) whose steps + 1 samples
-    numpy can index (asked of an empty array, so nothing is allocated); else ConfigError."""
+    numpy can index (asked of an empty array, so nothing is allocated); else ConfigError,
+    which names the count by the last word of ``what`` (steps, or stages_per_step)."""
     if not (isinstance(steps, numbers.Integral) and not isinstance(steps, bool) and steps >= 1):
         raise ConfigError(f"{what} must be an integer >= 1, got {steps!r}")
     steps = int(steps)
     try:
         np.empty((steps + 1, 0))
     except ValueError as exc:
-        raise ConfigError(f"cannot record {steps} steps: {exc}") from None
+        raise ConfigError(f"cannot record {steps} {what.split()[-1]}: {exc}") from None
     return steps

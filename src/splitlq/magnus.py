@@ -166,15 +166,14 @@ def _settled(runs, agreement):
 def cf4_ladder(run, judged, agreement):
     """CF4 at 8, 16, ... BACKWARD_STEPS steps, the array ``run(s)`` each,
     judged by ``judged(run(s))``; keeps the last four judged arrays and three
-    runs.  Returns (settled, value, before): value is R2, the order-8
-    extrapolant of the last three runs, when settled below the cap
-    (``_settled``), else the run at BACKWARD_STEPS; before is the last run
-    below the cap."""
+    runs.  Returns (settled, value): value is R2, the order-8 extrapolant of
+    the last three runs, when settled below the cap (``_settled``), else the
+    run at BACKWARD_STEPS."""
     runs, flows, steps = deque(maxlen=4), deque(maxlen=3), 8
     while steps < BACKWARD_STEPS:
         flows.append(run(steps))
         runs.append(np.asarray(judged(flows[-1])))
         if len(runs) == 4 and _settled(runs, agreement):
-            return True, _order8(*flows), flows[-1]
+            return True, _order8(*flows)
         steps *= 2
-    return False, run(BACKWARD_STEPS), flows[-1]
+    return False, run(BACKWARD_STEPS)

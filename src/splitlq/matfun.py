@@ -180,8 +180,10 @@ def expm_chain(E, y, out):
     """Apply exp(E[0]), exp(E[1]), ... of a stack E (L, d, d) to y in turn,
     writing y after every k-th action into ``out`` (k = L // len(out)): one
     cumulative product for d = 1, up to d = 8 one expm_stack call and one
-    product per action, above the Horner loop.  Raises InputError for a
-    non-finite member."""
+    product per action, above the Horner loop.  Raises DimensionError unless
+    len(out) divides L, and InputError for a non-finite member."""
+    if len(out) == 0 or len(E) % len(out):
+        raise DimensionError(f"out holds {len(out)} states; it must divide {len(E)} actions")
     k = len(E) // len(out)
     if E.shape[-1] == 1:  # left to right: the floats of the loop y = exp(E[j]) * y
         chain = np.empty((len(E) + 1,) + y.shape)

@@ -8,7 +8,7 @@ from splitlq import magnus, riccati
 from splitlq.bench import (PollutionConfig, TimeFunction, backward_pass,
                            build_pollution, emit_csv, preset,
                            reference_endpoint, run_sweep, SweepResult)
-from splitlq.errors import ConfigError, InputError, SingularityError
+from splitlq.errors import ConfigError, InputError, MisuseError, SingularityError
 from splitlq.games import solve_game
 from splitlq.matfun import _TAYLOR_THETA, norm1, taylor_apply, taylor_degrees
 from splitlq.problem import GameProblem, TimeMatrix
@@ -84,16 +84,6 @@ def test_reference_endpoint_matches_flat_rk4(name):
     assert np.max(np.abs(reference_endpoint(prob, flow0) - rk4)) < 1e-12
 
 
-def test_reference_endpoint_self_check_rejects_steep_drift():
-    # a drift ramp 400x steeper than fig3a's: no extrapolant settles below the
-    # ladder's cap, where CF4 at 1024 and 2048 steps disagree by about 3e-9
-    prob = build_pollution(PollutionConfig(
-        N=1, a=TimeFunction.tanh_ramp(2.0, 1.0, rate=2000.0, center=0.5),
-        b=1.0, c=(5.5,), d=(1.0 / 5.5,), rho=0.1))
-    with pytest.raises(ConfigError, match="self-consistency"):
-        reference_endpoint(prob, backward_pass(prob))
-
-
 def _ramp(rate, c1):
     # the fig3a/fig3b family with a drift ramp of the given steepness
     return PollutionConfig(N=1, a=TimeFunction.tanh_ramp(2.0, 1.0, rate=rate, center=0.5),
@@ -155,7 +145,7 @@ def test_fig3a_backward_pass_and_reference_take_at_most_120_cf4_steps(monkeypatc
     assert 0 < sum(steps) <= 120
     steps.clear()
     reference_endpoint(prob, flow0)
-    assert 0 < sum(steps) <= 120
+    assert steps == []  # x(T) = U(t0)^-1 x0 takes no CF4 step
 
 
 @pytest.mark.parametrize("c1", [5.5, 50.5])
@@ -219,32 +209,50 @@ def test_time_dependent_game_above_d8_matches_dop853(monkeypatch):
         assert np.max(np.abs(P - P0)) <= 1e-12 * np.max(np.abs(P0))
     steps.clear()
     x = reference_endpoint(prob, flow0)
-    assert 0 < sum(steps) <= 248
+    assert steps == []
     assert np.max(np.abs(x - xT)) <= 1e-11 * max(1.0, np.max(np.abs(xT)))
 
 
-def test_reference_rate_guard_refuses_pre_asymptotic_agreement():
-    # On this ramp the extrapolants from 64/128 and 128/256 steps agree to
-    # 2.3e-12, yet both are 7.2e-10 from the oracle: CF4 is not yet in its
-    # asymptotic range, and only the rate guard tells.
-    cfg = _ramp(rate=2000.0, c1=50.5)
-    prob = build_pollution(cfg)
-    try:
-        x = reference_endpoint(prob, backward_pass(prob))[0]
-    except ConfigError as exc:
-        assert "self-consistency" in str(exc)
-    else:
-        xT = _dop853_oracle(cfg)[1]
-        assert abs(x - xT) <= 1e-11 * max(1.0, abs(xT))
-
-
-def test_reference_accepts_at_the_cap_what_the_guard_refuses():
-    # No extrapolant passes the rate guard below the cap, but the 1024- and
-    # 2048-step endpoints agree, so the plain 2048-step endpoint stands.
-    cfg = _ramp(rate=500.0, c1=5.5)
+@pytest.mark.parametrize("rate, c1", [(2000.0, 5.5), (2000.0, 50.5), (500.0, 5.5)])
+def test_reference_meets_dop853_on_steep_drift_ramps(rate, c1):
+    # Drift ramps 100-400x steeper than fig3a's.  The backward pass's ladder
+    # does not settle below its cap on any of them (at rate 2000 its P(t0) is
+    # 1.3e-10 off), yet x(T) = U(t0)^-1 x0 of that same flow meets the oracle.
+    cfg = _ramp(rate=rate, c1=c1)
     prob = build_pollution(cfg)
     xT = _dop853_oracle(cfg)[1]
     assert abs(reference_endpoint(prob, backward_pass(prob))[0] - xT) <= 1e-11 * max(1.0, abs(xT))
+
+
+def _open_loop_oracle(cfg):
+    # x(T) of an N-player pollution game from DOP853 on the scalar open-loop
+    # Riccati equations p_i' = -q_i + 2 a p_i + p_i sum_j s_j p_j, backward
+    # from p(T) = 0, then on the closed-loop state x' = -(a + sum_j s_j p_j) x;
+    # written out from the model, q_i = d_i e^{-rho t}, s_j = e^{rho t} / c_j.
+    from scipy.integrate import solve_ivp
+
+    a, rho = cfg.a, cfg.rho
+    c = np.array([fn(0.0) for fn in cfg.c])
+    d = np.array([fn(0.0) for fn in cfg.d])
+    tight = dict(method="DOP853", rtol=1e-13, atol=1e-40)
+    back = solve_ivp(lambda t, p: -d * np.exp(-rho * t) + 2.0 * a(t) * p
+                     + p * (np.exp(rho * t) / c @ p),
+                     [cfg.T, 0.0], np.zeros(cfg.N), dense_output=True, **tight)
+    fwd = solve_ivp(lambda t, x: -(a(t) + np.exp(rho * t) / c @ back.sol(t)) * x,
+                    [0.0, cfg.T], [cfg.x0], **tight)
+    return fwd.y[0, -1]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3a"])
+def test_reference_meets_an_open_loop_oracle_at_T_16(name):
+    # 16 times the presets' horizon, where a forward CF4 run from flow0 drifts
+    cfg = replace(preset(name), T=16.0)
+    prob = build_pollution(cfg)
+    flow0 = backward_pass(prob)
+    xT = _open_loop_oracle(cfg)
+    assert abs(reference_endpoint(prob, flow0)[0] - xT) <= 1e-12 * abs(xT)
+    with pytest.raises(MisuseError, match="flow at t0"):
+        reference_endpoint(prob, terminal_game_flow(prob))
 
 
 def test_run_sweep_rows_and_determinism():

@@ -258,6 +258,16 @@ def test_expm_chain_writes_in_place_and_rejects_a_non_finite_member():
             expm_chain(E, y, out)
 
 
+@pytest.mark.parametrize("d", [1, 2, 10])
+@pytest.mark.parametrize("m", [0, 3, 4, 8])
+def test_expm_chain_refuses_an_out_whose_length_does_not_divide_the_stack(d, m):
+    # 7 actions into 4 slots would apply 4 of them, into 3 never write the last
+    rng = np.random.default_rng(6)
+    E, y = _stack(rng, d, np.full(7, 0.1)), rng.standard_normal(d)
+    with pytest.raises(DimensionError, match=f"out holds {m} states"):
+        expm_chain(E, y, np.empty((m, d)))
+
+
 def test_expm_apply_zero_matrix_is_identity():
     Y = np.arange(6.0).reshape(3, 2)
     assert_allclose(expm_apply(np.zeros((3, 3)), Y), Y, rtol=0.0, atol=0.0)

@@ -313,6 +313,12 @@ def test_stages_per_step_that_are_not_counts_are_config_errors(coupled_setup, st
         integrate_forward(prob, flow0, 8, stepper=s2_step, stages_per_step=stages)
 
 
+def test_unrecordable_stages_per_step_names_what_it_refuses(coupled_setup):
+    prob, flow0, _ = coupled_setup
+    with pytest.raises(ConfigError, match=f"^cannot record {10**20} stages_per_step: "):
+        integrate_forward(prob, flow0, 8, stepper=s2_step, stages_per_step=10**20)
+
+
 def test_numpy_integer_forward_steps_are_accepted(coupled_setup):
     prob, flow0, _ = coupled_setup
     a = integrate_forward(prob, flow0, np.int64(8))
