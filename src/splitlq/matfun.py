@@ -1,7 +1,7 @@
 """Dense small-matrix utilities.
 
-Matrix exponential by scaling and squaring with a degree-6 diagonal Pade
-kernel, its action on a block of vectors by a truncated Taylor series, the
+Matrix exponential and its action on a block of vectors by one truncated
+Taylor series (scaled and squared past theta_12 when formed), the
 Cayley / Pade(1,1) map, and structural checks (symmetry defect, smallest
 eigenvalue of a symmetric matrix).  Everything here is a pure function of
 its inputs; matrices are plain ``numpy`` arrays.  Actions exp(E_j) @ Y
@@ -15,13 +15,6 @@ import numpy as np
 
 from .errors import DimensionError, InputError, SingularityError
 
-# Degree-6 diagonal Pade numerator of exp(x):
-#   N(x) = sum_j PADE6_NUM[j] x^j / 665280,  D(x) = N(-x).
-# With the scaling threshold ||X||_1 <= 1/2 the kernel error is far below
-# 1e-13, so accuracy is limited by the squarings only.
-_PADE6_NUM = (665280.0, 332640.0, 75600.0, 10080.0, 840.0, 42.0, 1.0)
-_SCALING_THRESHOLD = 0.5
-
 # theta_m, m = 1..30: the largest 1-norm of M for which the degree-m Taylor
 # polynomial of exp(M) has backward error below the double-precision unit
 # roundoff (Higham, Functions of Matrices, Table A.3; Al-Mohy & Higham,
@@ -30,6 +23,8 @@ _TAYLOR_THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.4e-4, 2.4e-3, 9.07e-3, 2.38e-2,
                  5.0e-2, 8.96e-2, 0.144, 0.214, 0.3, 0.4, 0.514, 0.641, 0.781,
                  0.931, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64,
                  2.86, 3.08, 3.31, 3.54)
+# expm scales M to 1-norm theta_12 = 0.3 before it squares.
+_TAYLOR_TOP = 12
 
 # Up to this d a CF4 chunk spans more than one step and a call costs more
 # than its flops: exp(M) @ Y forms exp(M), one stack per chunk.
@@ -98,32 +93,21 @@ def solve_checked(A, B, where=None):
 def expm(M):
     """Matrix exponential of a square matrix.
 
-    Scales M by 2**-i until the 1-norm is at most 1/2, applies the degree-6
-    diagonal Pade kernel and squares the result i times.  Relative accuracy
-    is ~1e-13 or better for moderate norms.
+    Scales M by 2**-s to 1-norm at most theta_12, evaluates the Taylor
+    polynomial of taylor_degrees by Horner (taylor_apply on I) and squares
+    the result s times.  Relative accuracy is ~1e-13 or better for moderate
+    norms; a 1-norm near the largest float still gives a finite s.
     """
     M = _as_square(M)
-    n = M.shape[0]
-    if n == 1:
-        return np.array([[np.exp(M[0, 0])]])
-    norm = norm1(M)
-    squarings = 0
-    if norm > _SCALING_THRESHOLD:
-        squarings = int(np.ceil(np.log2(norm / _SCALING_THRESHOLD)))
-    X = M / (2.0**squarings)
-
-    # Evaluate numerator/denominator with the even/odd split so only one
-    # linear solve is needed; the denominator N(-X) is provably far from
-    # singular at ||X||_1 <= 1/2, so a plain LU solve suffices.
-    X2 = X @ X
-    X4 = X2 @ X2
-    eye = np.eye(n)
-    c = _PADE6_NUM
-    even = c[0] * eye + c[2] * X2 + (c[4] * eye + c[6] * X2) @ X4
-    odd = X @ (c[1] * eye + c[3] * X2 + c[5] * X4)
-    F = np.linalg.solve(even - odd, even + odd)
-
-    for _ in range(squarings):
+    if M.shape[0] == 1:
+        return np.exp(M)
+    with np.errstate(over="ignore"):  # a finite M whose column sum overflows
+        norm = min(norm1(M), np.finfo(float).max)
+    theta = _TAYLOR_THETA[_TAYLOR_TOP - 1]
+    s = int(np.ceil(np.log2(norm) - np.log2(theta))) if norm > theta else 0
+    X = np.ldexp(M, -s)
+    F = taylor_apply(X, np.eye(len(M)), taylor_degrees(norm1(X)))
+    for _ in range(s):
         F = F @ F
     return F
 

@@ -116,8 +116,8 @@ class GameProblem:
 
     def __post_init__(self):
         n = self.A.dims[0]
-        if self.A.dims != (n, n):
-            raise DimensionError("A must be square")
+        if self.A.dims != (n, n) or n == 0:
+            raise DimensionError(f"A must be square and non-empty, got {self.A.dims}")
         N = len(self.B)
         if not (len(self.R) == len(self.Q) == len(self.QT) == N):
             raise DimensionError("per-player tuples must have equal length")
@@ -132,8 +132,8 @@ class GameProblem:
         samples = np.linspace(self.t0, self.T, 5)
         for i in range(N):
             ri = self.B[i].dims[1]
-            if self.B[i].dims[0] != n:
-                raise DimensionError(f"B[{i}] must have {n} rows")
+            if self.B[i].dims[0] != n or ri == 0:
+                raise DimensionError(f"B[{i}] must be {n} x r, r >= 1, got {self.B[i].dims}")
             if self.R[i].dims != (ri, ri):
                 raise DimensionError(f"R[{i}] must be {ri} x {ri}")
             if self.Q[i].dims != (n, n) or self.QT[i].shape != (n, n):

@@ -135,7 +135,8 @@ def test_overflowing_horizon_is_one_error_line(tmp_path, capsys):
     ("kind = constant\nvalue = 2.0", "1e200", "0.0"),
     ("kind = tanh-ramp\nbase = 2.0\namplitude = 1.0\nrate = 5.0\ncenter = 0.5", "1e308",
      "8.75e+307"),
-], ids=["constant", "tanh-ramp"])
+    ("kind = constant\nvalue = 1e308", "1.0", "0.0"),
+], ids=["constant", "tanh-ramp", "huge-drift"])
 def test_overflowing_flow_is_one_error_line(tmp_path, capsys, drift, horizon, t):
     # a finite exponent whose exponential overflows (squarings of expm, the
     # actions on y, and for the ramp its argument rate (t - center)); U's

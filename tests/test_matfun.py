@@ -69,6 +69,37 @@ def test_expm_block_diagonal():
     assert np.max(np.abs(E[:2, 2:])) == 0.0
 
 
+@pytest.mark.parametrize("d", [2, 11, 128])
+@pytest.mark.parametrize("norm", [1e-3, 0.2, 0.29, 0.31, 1.0, 30.0])
+def test_expm_matches_scipy_on_both_sides_of_theta12(d, norm):
+    # the block sizes the workloads form; at d = 2 and norm 30 nearly all
+    # of the gap is scipy's own error (5.9e-13 of 6.0e-13 in 40-digit
+    # arithmetic)
+    rng = np.random.default_rng(int(1e6 * norm) + d)
+    for _ in range(5):
+        M = rng.standard_normal((d, d))
+        M *= norm / np.linalg.norm(M, 1)
+        assert _relerr(expm(M), scipy_expm(M)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 11, 128])
+def test_expm_up_to_theta12_is_the_unscaled_taylor_polynomial_bit_for_bit(d):
+    # one kernel: no scaling, and the Horner loop of taylor_apply on I
+    rng = np.random.default_rng(110 + d)
+    for M in _stack(rng, d, (1e-3, 0.2, 0.999 * _TAYLOR_THETA[11])):
+        assert norm1(M) <= _TAYLOR_THETA[11]
+        want = taylor_apply(M, np.eye(d), taylor_degrees(norm1(M)))
+        assert expm(M).tobytes() == want.tobytes()
+
+
+def test_expm_of_a_norm_near_the_largest_float():
+    # the scaling exponent stays finite where the 1-norm over a threshold
+    # would overflow, and the squarings underflow to the exact answer
+    assert_allclose(expm(np.diag([-1e308, 0.0])), np.diag([0.0, 1.0]), rtol=0, atol=0)
+    assert_allclose(expm(np.array([[-1e308, 0.0], [1e308, -1e308]])), np.zeros((2, 2)),
+                    rtol=0, atol=0)
+
+
 def test_expm_rejects_bad_input():
     with pytest.raises(DimensionError):
         expm(np.ones((2, 3)))

@@ -63,6 +63,15 @@ def test_time_matrix_shape_checked():
         tm(0.0)
 
 
+@pytest.mark.parametrize("n, r", [(0, 1), (2, 0)], ids=["no-states", "no-inputs"])
+def test_empty_dimension_is_refused(n, r):
+    # a 0 x 0 A, or a player with no inputs (B n x 0, R 0 x 0), is refused
+    # before any weight is checked
+    with pytest.raises(DimensionError, match="non-empty" if n == 0 else "r >= 1"):
+        LQProblem(A=C(np.zeros((n, n))), B=C(np.zeros((n, r))), Q=C(np.zeros((n, n))),
+                  R=C(np.eye(r)), QT=np.zeros((n, n)), x0=np.zeros(n))
+
+
 def test_declared_constant_coefficient_checked_over_horizon():
     # Constant on the TimeMatrix probe points t = 0, 0.5, 1, but not after t = 2.
     def a(t):
