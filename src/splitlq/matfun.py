@@ -1,12 +1,13 @@
 """Dense small-matrix utilities.
 
 Matrix exponential and its action on a block of vectors by one truncated
-Taylor series (scaled and squared past theta_12 when formed), the
-Cayley / Pade(1,1) map, and structural checks (symmetry defect, smallest
-eigenvalue of a symmetric matrix).  Everything here is a pure function of
-its inputs; matrices are plain ``numpy`` arrays.  Actions exp(E_j) @ Y
-run in one chain kernel, ``expm_chain``: a cumulative product for d = 1,
-a formed stack up to d = 8, the Horner loop on the block Y above.
+Taylor series (scaled and squared past theta_12 when formed), save that the
+2 x 2 members of a stack up to theta_12 take a closed form through their
+eigenvalues; the Cayley / Pade(1,1) map; structural checks (symmetry defect,
+smallest eigenvalue of a symmetric matrix).  All are pure functions of plain
+``numpy`` arrays.  Actions exp(E_j) @ Y run in one chain kernel,
+``expm_chain``: a cumulative product for d = 1, a formed stack up to d = 8,
+the Horner loop on the block Y above.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ RCOND_FLOOR = 1e-12
 
 def _as_square(M, name="matrix"):
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise DimensionError(f"{name} must be square and non-empty, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InputError(f"{name} contains non-finite entries")
     return M
@@ -46,7 +47,10 @@ def _as_square(M, name="matrix"):
 def norm1(M):
     """1-norm (largest absolute column sum) of M, or of each matrix of a
     stack M (..., d, d)."""
-    return np.abs(M).sum(axis=-2).max(axis=-1)
+    A = np.abs(M)
+    if A.shape[-1] == 2:  # the same sums, without a reduction over two-long axes
+        return np.maximum(A[..., 0, 0] + A[..., 1, 0], A[..., 0, 1] + A[..., 1, 1])
+    return A.sum(axis=-2).max(axis=-1)
 
 
 def rcond(A):
@@ -75,12 +79,10 @@ def first_singular(A):
 
 
 def solve_checked(A, B, where=None):
-    """Solve A X = B by LU with partial pivoting, guarding the condition.
-
-    Raises SingularityError when 1/cond(A) < RCOND_FLOOR (0 when singular).
-    A may be a stack over a leading axis, solved matrix by matrix; ``where``
-    then lists a label per matrix, and the first failing one is reported.
-    """
+    """Solve A X = B by LU with partial pivoting, guarding the condition:
+    SingularityError when 1/cond(A) < RCOND_FLOOR (0 when singular).  A may
+    be a stack over a leading axis, solved matrix by matrix; ``where`` then
+    lists a label per matrix, and the first failing one is reported."""
     A = np.asarray(A, dtype=float)
     hit = first_singular(A)
     if hit is not None:
@@ -91,13 +93,10 @@ def solve_checked(A, B, where=None):
 
 
 def expm(M):
-    """Matrix exponential of a square matrix.
-
-    Scales M by 2**-s to 1-norm at most theta_12, evaluates the Taylor
-    polynomial of taylor_degrees by Horner (taylor_apply on I) and squares
-    the result s times.  Relative accuracy is ~1e-13 or better for moderate
-    norms; a 1-norm near the largest float still gives a finite s.
-    """
+    """Matrix exponential of a square matrix: M scaled by 2**-s to 1-norm at
+    most theta_12, the Taylor polynomial of taylor_degrees by Horner
+    (taylor_apply on I), squared s times.  Relative accuracy is ~1e-13 or
+    better for moderate norms; a 1-norm near the largest float gives a finite s."""
     M = _as_square(M)
     if M.shape[0] == 1:
         return np.exp(M)
@@ -124,9 +123,8 @@ def taylor_degrees(norms):
 
 
 def taylor_apply(M, Y, degree):
-    """exp(M) @ Y for the ``degree`` that taylor_degrees picks for M: Horner
-    evaluation of the Taylor polynomial, and the formed exponential for
-    degree 0."""
+    """exp(M) @ Y for the ``degree`` that taylor_degrees picks for M: Horner's
+    Taylor polynomial, or the formed exponential for degree 0."""
     if degree == 0:
         return expm(M) @ Y
     acc = Y
@@ -135,27 +133,52 @@ def taylor_apply(M, Y, degree):
     return acc
 
 
+def _expm2(E):
+    """exp(E_j) for a stack E (k, 2, 2) of [[a, b], [c, d]] in closed form
+    (Moler & Van Loan, SIAM Review 2003): e^mu (C I + S (E_j - mu I)), where
+    mu = (a + d) / 2 and q = h^2 + bc, h = (a - d) / 2, is the square of the
+    eigenvalues of E_j - mu I; with r = sqrt|q|, C, S = cosh r, sinh(r) / r
+    for q > 0, else cos r, sin(r) / r (S = 1 at r = 0)."""
+    a, b, c, d = E.reshape(-1, 4).T
+    mu, h = 0.5 * (a + d), 0.5 * (a - d)
+    q = h * h + b * c
+    r = np.sqrt(np.abs(q))
+    C = np.where(q > 0, np.cosh(r), np.cos(r))
+    S = np.divide(np.where(q > 0, np.sinh(r), np.sin(r)), r, out=np.ones_like(r), where=r > 0)
+    F = S[:, None, None] * E  # the off-diagonal entries
+    F[:, 0, 0], F[:, 1, 1] = C + S * h, C - S * h
+    F *= np.exp(mu)[:, None, None]
+    return F
+
+
 def expm_stack(E):
-    """exp(E_j) for each matrix of the stack E (k, d, d): the Taylor
-    polynomial of each member's own taylor_degrees degree (never the stack's
-    largest, so a member's bits do not depend on the stack), ``np.exp`` for
-    d = 1, expm past theta_30.  A non-finite member raises InputError."""
+    """exp(E_j) for each matrix of the stack E (k, d, d), member by member, so a
+    member's bits do not depend on the stack: ``np.exp`` for d = 1, _expm2 for
+    d = 2 up to ||E_j||_1 = theta_12 (above, its e^mu cosh and e^mu sinh terms
+    may cancel), else the Taylor polynomial of the member's taylor_degrees
+    degree, expm past theta_30.  A non-finite member raises InputError."""
     E = np.asarray(E, dtype=float)
     if E.shape[-1] == 1:
         if not np.isfinite(E).all():
             raise InputError("matrix contains non-finite entries")
         return np.exp(E)
-    degrees = np.array(taylor_degrees(norm1(E)), dtype=int)
-    order = np.argsort(-degrees, kind="stable")  # the members still to go: a prefix
+    norms = norm1(E)
+    closed = (norms <= _TAYLOR_THETA[_TAYLOR_TOP - 1]) & (E.shape[-1] == 2)
+    if E.shape[-1] == 2 and closed.all():
+        return _expm2(E)
+    rest = np.flatnonzero(~closed)
+    degrees = np.array(taylor_degrees(norms[rest]), dtype=int)
+    order = rest[np.argsort(-degrees, kind="stable")]  # the members still to go: a prefix
     left = np.cumsum(np.bincount(degrees)[::-1])[::-1].tolist()  # left[k]: degree >= k
     eye = np.eye(E.shape[-1])
-    S, acc = E[order], np.broadcast_to(eye, E.shape).copy()
-    for k in range(len(left) - 1, 0, -1):
-        c = left[k]
+    S, acc = E[order], np.broadcast_to(eye, (len(order),) + eye.shape).copy()
+    for k, c in zip(range(len(left) - 1, 0, -1), left[:0:-1]):
         acc[:c] = eye + (S[:c] @ acc[:c]) / k
     F = np.empty_like(E)
     F[order] = acc
-    for j in np.flatnonzero(degrees == 0):
+    if closed.any():
+        F[closed] = _expm2(E[closed])
+    for j in rest[degrees == 0]:
         F[j] = expm(E[j])
     return F
 
@@ -195,12 +218,9 @@ def expm_apply(M, Y):
 
 
 def pade2(M, h):
-    """Second-order diagonal Pade (Cayley) map (I - h/2 M)^-1 (I + h/2 M).
-
-    Agrees with expm(h M) up to O(h^3) and preserves the symplectic group
-    for Hamiltonian M.  Raises SingularityError when I - (h/2) M is
-    numerically singular, reporting the offending step size.
-    """
+    """Second-order diagonal Pade (Cayley) map (I - h/2 M)^-1 (I + h/2 M):
+    expm(h M) up to O(h^3), symplectic for Hamiltonian M.  Raises
+    SingularityError, with the step size, when I - (h/2) M is singular."""
     M = _as_square(M)
     return pade2_apply(M, h, np.eye(len(M)))  # I + (h/2) M I is exact
 
@@ -209,28 +229,21 @@ def pade2_apply(M, h, Y):
     """Apply the pade2 map to the columns of Y without forming it."""
     M = _as_square(M)
     half = 0.5 * h * M
-    rhs = Y + half @ Y
-    return solve_checked(np.eye(M.shape[0]) - half, rhs, where=h)
+    return solve_checked(np.eye(M.shape[0]) - half, Y + half @ Y, where=h)
 
 
 def symmetry_defect(M):
     """max_ij |M_ij - M_ji|, zero exactly for symmetric input."""
     M = _as_square(M)
-    return float(np.max(np.abs(M - M.T))) if M.size else 0.0
+    return float(np.max(np.abs(M - M.T)))
 
 
 def min_eigenvalue_sym(M, tol=1e-8):
-    """Smallest eigenvalue of a (numerically) symmetric matrix.
-
-    The input is symmetrized as (M + M^T)/2 before the eigen-solve; an
-    asymmetry defect above ``tol * max(1, |M|_max)`` is rejected.
-    """
+    """Smallest eigenvalue of a (numerically) symmetric matrix, symmetrized as
+    (M + M^T)/2; an asymmetry defect above ``tol * max(1, |M|_max)`` is
+    rejected with InputError."""
     M = np.asarray(M, dtype=float)
-    defect = symmetry_defect(M)  # also checks that M is square and finite
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    if defect > tol * scale:
-        raise InputError(
-            f"matrix is asymmetric beyond tolerance (defect {defect:.3e})"
-        )
-    sym = 0.5 * (M + M.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+    defect = symmetry_defect(M)  # also checks that M is square, non-empty and finite
+    if defect > tol * max(1.0, float(np.max(np.abs(M)))):
+        raise InputError(f"matrix is asymmetric beyond tolerance (defect {defect:.3e})")
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])

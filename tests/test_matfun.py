@@ -6,7 +6,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from conftest import canonical_j, random_hamiltonian, taylor_expm
 from splitlq.errors import DimensionError, InputError, SingularityError
-from splitlq.matfun import (_TAYLOR_THETA, expm, expm_apply, expm_chain, expm_stack,
+from splitlq.matfun import (_TAYLOR_THETA, _expm2, expm, expm_apply, expm_chain, expm_stack,
                             first_singular, min_eigenvalue_sym, norm1, pade2, pade2_apply,
                             rcond, solve_checked, symmetry_defect, taylor_apply,
                             taylor_degrees)
@@ -199,6 +199,7 @@ def _stack(rng, d, norms):
     return E * (np.asarray(norms) / norm1(E))[:, None, None]
 
 
+_THETA12 = _TAYLOR_THETA[11]  # 2 x 2 stack members up to it take the closed form
 _STACK_NORMS = (0.3, 1e-6, 2.0, 0.05, 1.01 * _TAYLOR_THETA[-1], 1.0)
 
 
@@ -208,9 +209,13 @@ def test_expm_stack_member_is_the_member_alone_bit_for_bit(d):
     # A kernel that ran every member at the stack's largest degree adds
     # terms below roundoff, which still move the last bits of some members
     # at d = 6 and 8, so a result would depend on where chunk edges fall.
-    norms = (*np.geomspace(1e-8, 3.5, 24), 1.01 * _TAYLOR_THETA[-1])
+    # At d = 2 the members on either side of theta_12 take the closed form
+    # and the Taylor loop.
+    norms = (*np.geomspace(1e-8, 3.5, 24), 0.999 * _THETA12, 1.001 * _THETA12,
+             1.01 * _TAYLOR_THETA[-1])
     E = _stack(np.random.default_rng(80 + d), d, norms)
     assert set(taylor_degrees(norm1(E))) >= {2, 30, 0}
+    assert 0 < (norm1(E) <= _THETA12).sum() < len(E)
     F = expm_stack(E)
     for j in range(len(E)):
         assert F[j].tobytes() == expm_stack(E[j:j + 1])[0].tobytes()
@@ -247,12 +252,75 @@ def test_taylor_apply_is_the_written_out_horner_loop_bit_for_bit(d, cols):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_expm_stack_rejects_a_non_finite_member(d, bad):
     E = _stack(np.random.default_rng(7), d, (0.1, 0.2, 0.3))
     E[1, 0, -1] = bad
     with pytest.raises(InputError):
         expm_stack(E)
+
+
+def _taylor_member(M):
+    # expm_stack's Taylor loop, written out for a stack of one
+    acc = np.eye(len(M))[None]
+    for k in range(taylor_degrees([norm1(M)])[0], 0, -1):
+        acc = np.eye(len(M)) + (M[None] @ acc) / k
+    return acc[0]
+
+
+@pytest.mark.parametrize("M, exact", [
+    ([[0.1, 0.05], [0.02, -0.08]], None),  # q > 0
+    ([[0.01, 0.12], [-0.12, 0.02]], None),  # q < 0: a rotation times e^mu
+    ([[0.0, 0.29], [-0.29, 0.0]], None),  # q < 0 just below theta_12
+    ([[0.0, 0.25], [0.0, 0.0]], [[1.0, 0.25], [0.0, 1.0]]),  # q = 0: nilpotent
+    ([[0.1, 0.1], [-0.1, -0.1]], [[1.1, 0.1], [-0.1, 0.9]]),  # q = 0 from h^2 = -bc
+    ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]),  # nilpotent above theta_12
+], ids=["q>0", "rotation", "rotation-near-theta12", "nilpotent", "square-zero",
+        "nilpotent-above-theta12"])
+def test_expm_stack_2x2_member_takes_its_path_and_matches_scipy(M, exact):
+    # up to theta_12 a 2 x 2 member is the closed form, above it the Taylor loop
+    M = np.array(M)
+    F = expm_stack(M[None])[0]
+    path = _expm2(M[None])[0] if norm1(M) <= _THETA12 else _taylor_member(M)
+    assert F.tobytes() == path.tobytes()
+    assert _relerr(F, scipy_expm(M)) <= 1e-14
+    if exact is not None:
+        assert_allclose(F, exact, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("scale", [0.999, 1.001])
+def test_expm_stack_cancelling_member_on_both_sides_of_theta12(scale):
+    # diag(0, -2 delta): mu = -delta, so e^mu (cosh delta - sinh delta) is
+    # the small entry; every entry is accurate to roundoff on both sides
+    two_delta = scale * _THETA12
+    M = np.diag([0.0, -two_delta])
+    F = expm_stack(M[None])[0]
+    assert _relerr(F, scipy_expm(M)) <= 1e-14
+    assert abs(F[1, 1] / np.exp(-two_delta) - 1.0) <= 1e-14
+    path = _expm2(M[None])[0] if scale < 1 else _taylor_member(M)
+    assert F.tobytes() == path.tobytes()
+
+
+def test_expm_stack_keeps_large_members_off_the_closed_form():
+    # at 2 delta = 40 the closed form's cosh - sinh cancels to e^-40 from
+    # 2.4e8 and keeps no correct digit; expm_stack forms it past theta_30
+    M = np.diag([0.0, -40.0])
+    assert abs(_expm2(M[None])[0, 1, 1] / np.exp(-40.0) - 1.0) > 1e-3
+    assert abs(expm_stack(M[None])[0, 1, 1] / np.exp(-40.0) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_expm_stack_of_no_members_is_empty(d):
+    assert expm_stack(np.zeros((0, d, d))).shape == (0, d, d)
+
+
+@pytest.mark.parametrize("call", [
+    expm, lambda M: expm_apply(M, np.zeros(0)), lambda M: pade2(M, 0.1),
+    min_eigenvalue_sym, symmetry_defect,
+], ids=["expm", "expm_apply", "pade2", "min_eigenvalue_sym", "symmetry_defect"])
+def test_public_matrix_functions_refuse_an_empty_matrix(call):
+    with pytest.raises(DimensionError, match="non-empty"):
+        call(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 6])
