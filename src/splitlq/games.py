@@ -99,8 +99,8 @@ def zs_base_step(game, tmid, h, y, cache=None):
     K0 = [[A, 0, 0], [-Q_1, -A^T, 0], [-Q_2, 0, -A^T]]; it acts on any
     representative of P, so both half-flows apply E, formed once, to y as
     it stands.  When K0 is constant, ``cache`` (a dict kept for one pass)
-    holds E per step length h.  The gains are read once, with one U solve
-    on the stacked blocks of E y; the quadratic step is the
+    holds E per step length h.  The gains are read once, V_stack U^-1 on the
+    blocks of E y (one inverse of U for n > 1); the quadratic step is the
     Taylor-coefficient recurrence through the coupling stack
     C = [[S1, S2], [0, S22], [S11, 0], [S1, S2]] (8 small products), and
     the second half-flow starts from [I; P_1; P_2].  Works for signed h.

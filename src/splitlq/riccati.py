@@ -40,8 +40,8 @@ class GameFlow:
         return cls(U=y[:n], V=tuple(y[k: k + n] for k in range(n, len(y), n)), t=t)
 
     def gains(self):
-        """[P_1, ..., P_N] with P_j = V_j U^-1 (raw, not symmetrized), from
-        one solve with U for all players."""
+        """[P_1, ..., P_N] with P_j = V_j U^-1 (raw, not symmetrized), from one
+        right-division V_stack U^-1 for all players (by inv(U) for N, n > 1)."""
         P, n = _gain_raw(self.U, np.vstack(self.V), self.t), len(self.U)
         return [P[k: k + n] for k in range(0, len(P), n)]
 
@@ -67,13 +67,21 @@ def _check_steps(U, times):
             where=times[k])
 
 
+def _right_divide(W, U):
+    # W U^-1 for a matrix or a stack, by the shapes (README, riccati row): a division
+    # for n = 1, one inverse and a product for W taller than U, else one solve
+    if U.shape[-1] == 1 and np.count_nonzero(U) == U.size:  # a zero U fails in LAPACK below
+        return W / U
+    if W.shape[-2] > U.shape[-1]:
+        with np.errstate(invalid="ignore", over="ignore"):  # as solve: callers check finiteness
+            return W @ np.linalg.inv(U)
+    return np.linalg.solve(U.swapaxes(-1, -2), W.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
 def _gain_raw(U, V, t):
-    if U.shape == (1, 1):
-        if U[0, 0] == 0.0:
-            raise SingularityError(f"U(t) singular at t = {t}", where=t)
-        return V / U[0, 0]
+    # a nonzero 1 x 1 U divides as a scalar: _right_divide's bits, without its array checks
     try:
-        return np.linalg.solve(U.T, V.T).T
+        return V / U[0, 0] if U.shape == (1, 1) and U[0, 0] else _right_divide(V, U)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"U(t) singular at t = {t}", where=t) from exc
 
@@ -86,19 +94,14 @@ def closed_loop(A, S_row, y, t):
 
 
 def right_solve(W, U, times):
-    """W_k U_k^-1 for each member of the stacks W (k, p, n) and U (k, n, n),
-    from one batched U solve (a division for n = 1).  A singular U raises
-    SingularityError naming the first failing time of ``times``, as
-    _gain_raw would there."""
+    """W_k U_k^-1 for each member of the stacks W (k, p, n) and U (k, n, n) by
+    _gain_raw's rule, each member with its bits; a singular U raises
+    SingularityError naming the first failing time of ``times``, as _gain_raw."""
     try:
-        if U.shape[-1] > 1:  # contiguous transposes: the same bits, and LAPACK reads them faster
-            Ut, Wt = (np.ascontiguousarray(M.swapaxes(-1, -2)) for M in (U, W))
-            return np.linalg.solve(Ut, Wt).swapaxes(-1, -2)
-        if U.all():
-            return W / U
+        return _right_divide(W, U)
     except np.linalg.LinAlgError:
         pass
-    # member by member, the same solves: the first singular U raises
+    # member by member, the same rule: the first singular U raises
     return np.array([_gain_raw(U[k], W[k], times[k]) for k in range(len(U))])
 
 

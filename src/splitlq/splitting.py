@@ -650,7 +650,7 @@ def _record(state):  # a state as a one-sample record
 
 def _write_gains(v, t1, out):
     # the symmetrized gains of v (m, d, n) at the clocks t1 into out (m, N, n, n);
-    # returns the largest raw symmetry defect.  Should the one batched solve
+    # returns the largest raw symmetry defect.  Should the one right_solve
     # fail, sample by sample: the first failing sample raises.
     n = v.shape[-1]
     try:
@@ -674,9 +674,9 @@ def record_trajectory(prob, stepper, state, h, steps, evaluations):
     An engine (every built-in method) yields one record per chunk; a
     ``compose()`` or user step map is called once per step, each state a
     one-sample record.  A record's clocks t1, states and symmetrized gains
-    are written into arrays allocated for the steps + 1 samples, its raw
-    gains V_stack U^-1 read in one batched solve; every sample's controls
-    come from one batched call after the last step.
+    are written into arrays allocated for the steps + 1 samples, its raw gains
+    V_stack U^-1 from one right_solve (for N, n > 1 one inverse per U and a
+    product); every sample's controls come from one batched call after the last step.
     """
     records = (itertools.chain([_record(state)], stepper.march(h, state, prob, steps))
                if isinstance(stepper, _Engine) else

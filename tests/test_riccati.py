@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
 
 from conftest import C, random_lq, random_psd, random_spd, tanh_lq
-from splitlq import magnus
+from splitlq import magnus, riccati
 from splitlq.bench import build_pollution, preset
 from splitlq.errors import InputError, MisuseError, SingularityError
 from splitlq.magnus import LinearFlowProblem, cf4_step
@@ -12,7 +12,8 @@ from splitlq.problem import GameProblem, LQProblem, TimeMatrix, s_matrix
 from splitlq.riccati import (GameFlow, RiccatiFlow, backward_autonomous, backward_game,
                              backward_nonautonomous, check_nonsingular,
                              closed_loop, closed_loops, control, gain, gain_defect,
-                             terminal_game_flow)
+                             right_solve, terminal_game_flow)
+from splitlq.splitting import _write_gains
 
 
 def test_zero_length_horizon_limit():
@@ -320,3 +321,110 @@ def test_batched_closed_loops_name_the_first_singular_time(N, n):
         closed_loops(A, row, Y, times)
     assert got.value.where == times[2]
     assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# One right-division rule: W U^-1 by an inverse when W is taller than U
+# ---------------------------------------------------------------------------
+
+def _division_stacks(rows, n, k=4, seed=0):
+    rng = np.random.default_rng(seed + 1000 * rows + n)
+    U = rng.standard_normal((k, n, n)) + 3.0 * np.eye(n)
+    return rng.standard_normal((k, rows, n)), U, np.linspace(0.0, 1.0, k).tolist()
+
+
+@pytest.mark.parametrize("N, n, rows", [(3, 3, 9), (3, 32, 96), (1, 32, 32), (2, 32, 6)],
+                         ids=["taller-n3", "taller-n32", "as-tall", "shorter-factored"])
+def test_right_division_is_one_rule_bit_for_bit(N, n, rows):
+    # the gain map of one flow, a stack and a one-member stack share the bits;
+    # rows = N n are the stacked gains, rows = 6 < n a factored closed loop's W
+    W, U, times = _division_stacks(rows, n)
+    got = right_solve(W, U, times)
+    for j in range(len(U)):
+        alone = right_solve(W[j:j + 1], U[j:j + 1], times[j:j + 1])[0]
+        assert got[j].tobytes() == alone.tobytes()
+        assert got[j].tobytes() == riccati._gain_raw(U[j], W[j], times[j]).tobytes()
+        if rows == N * n:
+            flow = GameFlow.from_stacked(np.vstack([U[j], W[j]]), times[j])
+            assert np.vstack(flow.gains()).tobytes() == got[j].tobytes()
+
+
+def _counted_linalg(monkeypatch):
+    calls = {"inv": 0, "solve": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_recorder_chunk_inverts_and_factored_closed_loops_solve(monkeypatch):
+    # game-n32-sp4's shapes (n = 32, N = 3, 4 steps per chunk): the recorder
+    # divides 96 rows by each U through one batched inverse, and the factored
+    # closed loops, sum r_i = 6 rows at 24 a-stages, through one batched solve
+    n, N = 32, 3
+    W, U, times = _division_stacks(N * n, n)
+    W6, U24, times24 = _division_stacks(6, n, k=24)
+    rng = np.random.default_rng(46)
+    A, B = rng.standard_normal((1, n, n)), rng.standard_normal((1, n, 6))
+    calls = _counted_linalg(monkeypatch)
+    _write_gains(np.concatenate([U, W], axis=1), times, np.empty((len(U), N, n, n)))
+    assert calls == {"inv": 1, "solve": 0}
+    calls.update(inv=0, solve=0)
+    closed_loops(A, None, np.concatenate([U24, W6], axis=1), times24, B=B)
+    assert calls == {"inv": 0, "solve": 1}
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+def test_inverse_path_is_as_accurate_as_a_solve(cond):
+    # X = V U^-1 with cond(U) = cond, p = 96 rows over n = 32: the inverse and
+    # the solve have the same cond(U) u forward bound (Higham, Accuracy and
+    # Stability of Numerical Algorithms, ch. 14)
+    rng = np.random.default_rng(47)
+    n, p = 32, 96
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    U = Q1 @ np.diag(np.logspace(0.0, -np.log10(cond), n)) @ Q2
+    X = rng.standard_normal((p, n))
+    V = X @ U
+    by_inverse = right_solve(V[None], U[None], [0.0])[0]
+    assert by_inverse.tobytes() == (V @ np.linalg.inv(U)).tobytes()
+    error = lambda Y: np.linalg.norm(Y - X) / np.linalg.norm(X)
+    assert error(by_inverse) <= 3.0 * error(np.linalg.solve(U.T, V.T).T)
+    assert error(by_inverse) <= n * cond * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [3, 32])
+def test_taller_stack_names_its_first_singular_time(n):
+    W, U, times = _division_stacks(3 * n, n, k=6)
+    U[[2, 4], :, 0] = 0.0  # U singular at members 2 and 4
+    with pytest.raises(SingularityError) as ref:
+        riccati._gain_raw(U[2], W[2], times[2])
+    with pytest.raises(SingularityError) as got:
+        right_solve(W, U, times)
+    assert got.value.where == times[2]
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("U", [np.ones((3, 3)), np.zeros((3, 3))], ids=["rank-one", "zero"])
+def test_gains_of_many_players_with_a_singular_u_raise_singularity_error(U):
+    flow = GameFlow(U=U, V=(np.eye(3), np.eye(3)), t=0.5)
+    with pytest.raises(SingularityError, match="0.5") as err:
+        flow.gains()
+    assert err.value.where == 0.5
+    assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("member", ["U", "V"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_recorded_chunk_of_many_players_with_non_finite_flow_raises_input_error(member, value):
+    # the recorder's inverse path, as the solve path: an InputError and no warning
+    n, N = 3, 3
+    W, U, times = _division_stacks(N * n, n)
+    (U if member == "U" else W)[2] = value
+    with pytest.raises(InputError, match="non-finite"):
+        _write_gains(np.concatenate([U, W], axis=1), times, np.empty((len(U), N, n, n)))
