@@ -119,14 +119,18 @@ class GameProblem:
         if self.A.dims != (n, n) or n == 0:
             raise DimensionError(f"A must be square and non-empty, got {self.A.dims}")
         N = len(self.B)
-        if not (len(self.R) == len(self.Q) == len(self.QT) == N):
-            raise DimensionError("per-player tuples must have equal length")
+        if not (len(self.R) == len(self.Q) == len(self.QT) == N) or N == 0:
+            raise DimensionError("need at least one player and equal-length per-player tuples")
         # private read-only copies, so the caller's arrays cannot change them
         object.__setattr__(self, "QT", tuple(_read_only(np.array(Z, dtype=float, ndmin=2))
                                              for Z in self.QT))
         object.__setattr__(self, "x0", _read_only(np.array(self.x0, dtype=float, ndmin=1)))
         if self.x0.shape != (n,):
             raise DimensionError("x0 must have length n")
+        if not np.isfinite(self.x0).all():
+            raise InputError("x0 contains non-finite entries")
+        if not np.isfinite([self.t0, self.T, float(self.T) - float(self.t0)]).all():
+            raise InputError(f"horizon [{self.t0}, {self.T}] and its length must be finite")
         if not self.t0 < self.T:
             raise InputError(f"need t0 < T, got [{self.t0}, {self.T}]")
         samples = np.linspace(self.t0, self.T, 5)

@@ -13,9 +13,9 @@ before it.  One product per step reads every stage, and exp(hK) advances v.
 When the players have few inputs (``_factored``: fewer flops) the row is
 read through its factors S_row = B~ F (problem.coupling_factor): L_j =
 [[I, 0], [0, F]] exp(c_j h K) has n + sum r_i rows, not 2n, and the closed
-loop A - B~ ((F V) U^-1) solves for sum r_i rows, not n.  L and exp(hK) are
-formed once per problem and h, and integrating to T returns P(T) = QT to
-roundoff.
+loop A - B~ ((F V) U^-1) solves for sum r_i rows, not n.  Once per problem
+and h, each L_j is one Taylor action on P's rows, L_j^T = exp(c_j h K^T) P^T,
+and exp(hK) one expm; integrating to T returns P(T) = QT to roundoff.
 
 The others sample A and S_row at the closed-loop nodes and K at the b-clocks
 in one call each per chunk.  ``step_nonautonomous``, exp(b_i h K(t2)), has no
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, InputError, MisuseError, SingularityError,
                      check_steps)
 from .magnus import _CHUNK_BYTES, at_nodes, cf4_exponents
-from .matfun import expm, expm_chain, norm1, pade2_apply, taylor_apply
+from .matfun import expm, expm_apply, expm_chain, norm1, pade2_apply, taylor_apply
 from .problem import assemble_flow_matrix
 from .riccati import GameFlow, closed_loops, right_solve
 
@@ -453,25 +453,16 @@ def _factored(r, n, N):
 
 
 def _project(a, b, h, prob):
-    # L, exp(hK) and B~ of _Projected: L from one expm per distinct b-length, which
-    # are dropped before exp(hK) is formed, by one more expm unless h is a b-length
+    # L, exp(hK) and B~ of _Projected: L_j^T = exp(c_j h K^T) P^T, one Taylor action
+    # on the n + rows columns of P^T = [[I, 0], [0, row^T]]
     K, n, r = prob.flow_matrix(prob.t0), prob.n, sum(Bi.dims[1] for Bi in prob.B)
     B, row = (prob.coupling_factor(prob.t0) if _factored(r, n, prob.nplayers)
               else (None, prob.coupling_row(prob.t0)))
-    exps = {bi * h: expm(bi * h * K) for bi in set(b) - {0.0}}
-    L = np.empty((np.count_nonzero(a), n + len(row), len(K)))
-    G = I = np.eye(len(K))  # G = exp(c h K), the product of the b-flows so far
-    j = 0
-    for ai, bi in zip(a, b):
-        if ai != 0.0:
-            L[j, :n] = G[:n]
-            np.matmul(row, G[n:], out=L[j, n:])
-            j += 1
-        if bi != 0.0:
-            G = exps[bi * h] if G is I else exps[bi * h] @ G
-    E = exps.pop(h, None)
-    del exps, G, I
-    return L, expm(h * K) if E is None else E, None if B is None else B[None]
+    PT = np.zeros((len(K), n + len(row)))
+    PT[:n, :n], PT[n:, n:] = np.eye(n), row.T
+    L = np.array([expm_apply(c * h * K.T, PT).T
+                  for ai, c in zip(a, itertools.accumulate((0.0,) + b)) if ai != 0.0])
+    return L, expm(h * K), None if B is None else B[None]
 
 
 def _weights(alphas):

@@ -131,6 +131,23 @@ def test_overflowing_horizon_is_one_error_line(tmp_path, capsys):
     assert err == "error: matrix contains non-finite entries\n"
 
 
+@pytest.mark.parametrize("method", ["sp4", "dopri"])
+@pytest.mark.parametrize("edit, message", [
+    (("x0 = 10.0", "x0 = nan"), "x0 contains non-finite entries"),
+    (("x0 = 10.0", "x0 = inf"), "x0 contains non-finite entries"),
+    (("horizon = 1.0", "horizon = inf"), "horizon [0.0, inf] and its length must be finite"),
+], ids=["x0-nan", "x0-inf", "horizon-inf"])
+def test_non_finite_start_is_one_error_line(tmp_path, capsys, edit, message, method):
+    # refused when the problem is built: no NaN result, no warning first
+    path = tmp_path / "p.ini"
+    path.write_text(CONFIG.replace(*edit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--problem", str(path), "--method", method, "--steps", "8"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("drift, horizon, t", [
     ("kind = constant\nvalue = 2.0", "1e200", "0.0"),
     ("kind = tanh-ramp\nbase = 2.0\namplitude = 1.0\nrate = 5.0\ncenter = 0.5", "1e308",

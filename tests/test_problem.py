@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,6 +72,36 @@ def test_empty_dimension_is_refused(n, r):
     with pytest.raises(DimensionError, match="non-empty" if n == 0 else "r >= 1"):
         LQProblem(A=C(np.zeros((n, n))), B=C(np.zeros((n, r))), Q=C(np.zeros((n, n))),
                   R=C(np.eye(r)), QT=np.zeros((n, n)), x0=np.zeros(n))
+
+
+def test_game_without_players_is_refused():
+    from splitlq.bench import PollutionConfig
+
+    with pytest.raises(DimensionError, match="at least one player"):
+        GameProblem(A=C(np.eye(2)), B=(), R=(), Q=(), QT=(), x0=np.zeros(2))
+    with pytest.raises(DimensionError, match="at least one player"):
+        build_pollution(PollutionConfig(N=0, a=1.0, b=1.0, c=(), d=()))
+
+
+@pytest.mark.parametrize("x0", [np.nan, -np.inf])
+def test_non_finite_initial_state_is_refused(x0):
+    with pytest.raises(InputError, match="x0 contains non-finite entries"):
+        LQProblem(A=C(-np.eye(2)), B=C(np.eye(2)), Q=C(np.eye(2)), R=C(np.eye(2)),
+                  QT=np.eye(2), x0=[1.0, x0])
+
+
+@pytest.mark.parametrize("t0, T", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                   (-1e308, 1e308)])
+def test_non_finite_horizon_is_refused_before_sampling(t0, T):
+    # an infinite end or length is refused before a coefficient is sampled,
+    # so with no warning from the sample times
+    seen = []
+    Q = TimeMatrix.from_function(lambda t: seen.append(t) or np.eye(2), (2, 2))
+    with warnings.catch_warnings(), pytest.raises(InputError, match=r"^horizon \[.*\] and"):
+        warnings.simplefilter("error")
+        LQProblem(A=C(-np.eye(2)), B=C(np.eye(2)), Q=Q, R=C(np.eye(2)), QT=np.eye(2),
+                  x0=[1.0, 1.0], t0=t0, T=T)
+    assert seen == []
 
 
 def test_declared_constant_coefficient_checked_over_horizon():

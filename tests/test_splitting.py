@@ -616,12 +616,12 @@ def _per_stage(prob, flow0, steps, method, seen=None, factored=None):
     """The a/b interleave written out stage by stage from the public calls:
     (states, symmetrized gains) after every step.  ``seen`` collects the
     clock of every closed loop formed.  A general scheme on constant data
-    reads a-stage j's inputs [U; S_row V] as L_j v_k, with L_j =
-    [[I, 0], [0, S_row]] exp(c_j h K) the product of the b-flows before it,
-    and advances v by exp(hK) once per step.  When ``factored`` (by default:
-    when the engine's rule says so) it reads the row through its factors
-    S_row = B~ F: L_j = [[I, 0], [0, F]] exp(c_j h K), and the closed loop
-    A - B~ ((F V) U^-1)."""
+    reads a-stage j's inputs [U; S_row V] as L_j v_k, with L_j = P exp(c_j h K),
+    P = [[I, 0], [0, S_row]] and c_j h the b-length before it, formed as the
+    action L_j^T = exp(c_j h K^T) P^T, and advances v by exp(hK) once per step.
+    When ``factored`` (by default: when the engine's rule says so) it reads
+    the row through its factors S_row = B~ F: P = [[I, 0], [0, F]], and the
+    closed loop A - B~ ((F V) U^-1)."""
     from splitlq.riccati import GameFlow, closed_loop, closed_loops
     from splitlq.matfun import expm, expm_apply, pade2_apply
     from splitlq.splitting import _factored
@@ -637,12 +637,13 @@ def _per_stage(prob, flow0, steps, method, seen=None, factored=None):
         B, row = (prob.coupling_factor(prob.t0) if factored
                   else (None, prob.coupling_row(prob.t0)))
         B = None if B is None else B[None]
-        G, L = np.eye(len(K)), []
+        PT = np.zeros((len(K), n + len(row)))
+        PT[:n, :n], PT[n:, n:] = np.eye(n), row.T
+        c, L = 0.0, []
         for ai, bi in zip(scheme.a, scheme.b):
             if ai != 0.0:
-                L.append(np.vstack([G[:n], row @ G[n:]]))
-            if bi != 0.0:
-                G = expm(bi * h * K) @ G
+                L.append(expm_apply(c * h * K.T, PT).T)
+            c += bi
 
     def sample():
         raw = np.asarray(GameFlow.from_stacked(v, t1).gains())
@@ -931,8 +932,8 @@ def test_stage_loop_engines_read_the_row_with_few_inputs(monkeypatch, varying, m
 def test_many_player_autonomous_game_meets_its_closed_form(monkeypatch):
     # N = 10 players, n = 3 (d = 33), sp4 at 32 steps: x(T) = U(t0)^-1 x0 with
     # U(t0) from scipy's exponential of K, built here from the data; the flow
-    # returns to P(T) = QT; and the engine forms one exponential per distinct
-    # b-length (b1, b2, b3, b4) plus exp(hK)
+    # returns to P(T) = QT; and the engine forms exp(hK) as its one exponential
+    # and each of the 6 a-stage maps by one action
     import scipy.linalg
     import splitlq.splitting as splitting
 
@@ -957,12 +958,53 @@ def test_many_player_autonomous_game_meets_its_closed_form(monkeypatch):
 
     flow0 = backward_game(game)
     calls = []
-    real = splitting.expm
-    monkeypatch.setattr(splitting, "expm", lambda M: calls.append(M) or real(M))
+    for name in ("expm", "expm_apply"):
+        real = getattr(splitting, name)
+        monkeypatch.setattr(splitting, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
     traj = integrate_forward(game, flow0, 32, method="sp4")
-    assert len(calls) == 4 + 1
+    assert sorted(calls) == ["expm"] + ["expm_apply"] * 6
     assert np.linalg.norm(traj.terminal_state - expected) <= 1e-6 * np.linalg.norm(expected)
     assert traj.terminal_gain_defect <= 1e-11
+
+
+def _game_n32():
+    # an autonomous game of game-n32's shape: n = 32, three players with two
+    # inputs each (d = 128)
+    rng = np.random.default_rng(32)
+    n, N = 32, 3
+    B = [C(0.5 * rng.standard_normal((n, 2))) for _ in range(N)]
+    R = [C(random_spd(rng, 2)) for _ in range(N)]
+    Q = [C(random_psd(rng, n) / n) for _ in range(N)]
+    QT = [random_psd(rng, n) / n for _ in range(N)]
+    return GameProblem(A=C(rng.standard_normal((n, n)) / np.sqrt(n)), B=tuple(B), R=tuple(R),
+                       Q=tuple(Q), QT=tuple(QT), x0=rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("h", [1 / 128, 1 / 16, 1 / 4])
+@pytest.mark.parametrize("method", ["sp2", "sp4", "sp6"])
+@pytest.mark.parametrize("setup", ["game-n32", "fig1"])
+def test_projected_maps_meet_scipy_exponentials(setup, method, h):
+    # each L_j = P exp(c_j h K), c_j h the b-length before a-stage j, and exp(hK)
+    # agree with scipy's exponentials; the game reads the row through its factors
+    # (P = [[I, 0], [0, F]]), fig1 (d = 11) through S_row
+    import scipy.linalg
+    from splitlq.splitting import _factored, _project
+
+    prob = _game_n32() if setup == "game-n32" else build_pollution(preset("fig1"))
+    scheme, K, n = get_scheme(method), prob.flow_matrix(prob.t0), prob.n
+    factored = _factored(sum(B.dims[1] for B in prob.B), n, prob.nplayers)
+    assert factored == (setup == "game-n32")
+    row = prob.coupling_factor(prob.t0)[1] if factored else prob.coupling_row(prob.t0)
+    P = scipy.linalg.block_diag(np.eye(n), row)
+    c = np.cumsum((0.0,) + scheme.b)[np.flatnonzero(scheme.a)]
+    L, E, _ = _project(scheme.a, scheme.b, h, prob)
+    assert len(L) == len(c)
+    for Lj, cj in zip(L, c):
+        want = P @ scipy.linalg.expm(cj * h * K)
+        assert np.linalg.norm(Lj - want) <= 1e-13 * np.linalg.norm(want)
+    want = scipy.linalg.expm(h * K)
+    assert np.linalg.norm(E - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_stepper_without_stages_per_step_is_a_config_error(fig1_setup):
