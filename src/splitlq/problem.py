@@ -82,7 +82,7 @@ def _read_only(M):
 
 
 def _check_weight(name, tm, t_samples, positive_definite=False):
-    for t, W in zip(t_samples, _sample(tm, t_samples)):
+    for t, W in zip(t_samples, _sample(tm, t_samples[:1] if tm.constant else t_samples)):
         try:  # one scan: finite, and symmetric to SYMMETRY_TOL * max(1, |W|)
             lam = min_eigenvalue_sym(W, tol=SYMMETRY_TOL)
         except InputError as exc:
@@ -239,8 +239,9 @@ class GameProblem:
                         ((self.nplayers + 1) * self.n,) * 2, self.A, self._row, *self.Q)
 
     @cached_property
-    def _zero_sum(self):
-        # K0 and the coupling stack C of zero_sum_terms
+    def _zero_sum(self):  # K0 and the coupling stack C of zero_sum_terms
+        if not self.zero_sum:
+            raise MisuseError("the zero-sum terms need a game in zero-sum mode (cross_R)")
         n, W12, W21 = self.n, self.cross_R[(1, 2)], self.cross_R[(2, 1)]
         def stack(ts):
             row, zero = _sample(self._row, ts), np.zeros((len(ts), n, n))

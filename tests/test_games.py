@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from splitlq.errors import (ConfigError, DimensionError, InputError, MisuseError
 from splitlq.games import (GameFlow, GameProblem, backward_game,
                            backward_zero_sum, game_block_matrix, solve_game,
                            solve_zero_sum, zero_sum_rhs, zs_base_step)
+from splitlq.magnus import richardson
 from splitlq.matfun import expm
 from splitlq.problem import LQProblem, TimeMatrix
 from splitlq.riccati import backward_autonomous
@@ -242,6 +245,18 @@ def test_zero_sum_rhs_rejects_mismatched_gain_shapes():
 def test_zero_sum_rhs_requires_zero_sum_mode():
     with pytest.raises(MisuseError):
         zero_sum_rhs(scalar_game(), 0.0, np.zeros((1, 1)), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("player", [0, 1])
+def test_zero_sum_rhs_refuses_non_finite_gains(bad, player):
+    # refused before any product: no nan comes back, and no RuntimeWarning
+    # (an error under this suite's filter) is raised on the way
+    game = scalar_game(cross={(1, 2): C([[5.0]]), (2, 1): C([[4.0]])})
+    P = [np.zeros((1, 1)), np.zeros((1, 1))]
+    P[player] = np.array([[bad]])
+    with pytest.raises(InputError, match="finite"):
+        zero_sum_rhs(game, 0.0, *P)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +494,23 @@ def test_zero_sum_base_step_solves_with_u_once(monkeypatch):
     assert y.shape == (3, 1) and np.all(np.isfinite(y))
 
 
+def test_zero_sum_stacked_base_step_solves_with_u_once(monkeypatch):
+    # a stack's gains are one right_solve, one member per flow stepped
+    game = fig1_zero_sum()
+    calls = []
+    real = riccati.right_solve
+
+    def counting(W, U, times):
+        calls.append(list(times))
+        return real(W, U, times)
+
+    monkeypatch.setattr(riccati, "right_solve", counting)
+    y = np.vstack([np.eye(1), *game.QT])
+    ys = zs_base_step(game, [0.75, 0.875], [-0.5, -0.25], np.stack([y, y]))
+    assert calls == [[0.75, 0.875]]
+    assert ys.shape == (2, 3, 1) and np.all(np.isfinite(ys))
+
+
 def _chain_rule_taylor4(S1, S2, S22, S11, tau, y):
     # The degree-4 Taylor polynomial of the zero-sum quadratic flow
     # y' = bil(y, y)/2 by the chain rule, each derivative from the
@@ -527,6 +559,223 @@ def test_zero_sum_base_step_matches_chain_rule_oracle(h):
     want = E @ np.vstack([np.eye(n), *P])
     got = zs_base_step(game, tmid, h, y)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _slicing_taylor(C, P, degree):
+    # The Cauchy-product recurrence as it was first written, slicing, reshaping
+    # and transposing one preallocated array per degree: the bit-for-bit oracle
+    # of _zs_taylor for one member.
+    n = P.shape[1]
+    col = np.empty((degree + 1, 2 * n, n))
+    MC = np.empty((2, degree, 2 * n, n))
+    col[0] = P
+    for k in range(degree):
+        np.matmul(C.reshape(2, 2 * n, 2 * n), col[k], out=MC[:, degree - 1 - k])
+        row = col[:k + 1].reshape(k + 1, 2, n, n).transpose(2, 0, 1, 3).reshape(n, -1)
+        col[k + 1] = (row @ MC[:, degree - 1 - k:].reshape(2, -1, n)).reshape(2 * n, n) / (k + 1)
+    return col
+
+
+@pytest.mark.parametrize("degree", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_sum_taylor_recurrence_is_the_slicing_recurrence(n, degree):
+    rng = np.random.default_rng(100 + 10 * n + degree)
+    m = 3
+    Cs, Ps = rng.standard_normal((m, 4 * n, 2 * n)), rng.standard_normal((m, 2 * n, n))
+    for C_arg, C_of in ((Cs[0], lambda j: Cs[0]), (Cs, lambda j: Cs[j])):
+        low, top = games._zs_taylor(C_arg, Ps, degree)  # c_0 ... c_{degree-1}, c_degree
+        assert low.shape == (degree, m, 2, n, n) and top.shape == (m, 2, n, n)
+        got = [*low, top]
+        for j in range(m):
+            want = _slicing_taylor(C_of(j), Ps[j], degree)
+            low_alone, top_alone = games._zs_taylor(C_of(j), Ps[j], degree)  # no stack axis
+            alone = [*low_alone, top_alone]
+            for k in range(degree + 1):
+                assert got[k][j].tobytes() == alone[k].tobytes() == want[k].tobytes()
+
+
+def _sequential_backward(game, steps):
+    # The ladder run by run, each from single zs_base_step calls with its own
+    # clock and half-flow cache, each run's gains checked before the next.
+    yT, sols = riccati.terminal_game_flow(game).stacked(), []
+    for mult in (1, 2, 4):
+        h, t, y, cache = (game.t0 - game.T) / (steps * mult), game.T, yT, {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps * mult):
+                y = zs_base_step(game, t + 0.5 * h, h, y, cache)
+                t += h
+            sols.append(GameFlow.from_stacked(y, game.t0).gains())
+        for k in range(2):
+            if not np.all(np.isfinite(sols[-1][k])):
+                raise ConfigError(f"{steps * mult} steps gave a non-finite P{k + 1}")
+    runs = np.asarray(sols)
+    d1, d2 = np.max(np.abs(runs[1] - runs[0])), np.max(np.abs(runs[2] - runs[1]))
+    if d2 > d1 and d1 > 1e-14:
+        raise ConfigError("zero-sum extrapolation defects non-monotone")
+    return tuple(richardson(richardson(runs[0], runs[1], 2),
+                            richardson(runs[1], runs[2], 2), 4))
+
+
+def _outcome(call):
+    # the result's bytes, or the error's type and the words that name its run
+    try:
+        return b"".join(P.tobytes() for P in call())
+    except ConfigError as exc:
+        return type(exc), re.findall(r"(\d+) steps gave a non-finite (P\d)|(non-monotone)",
+                                     str(exc))
+    except SingularityError as exc:
+        return type(exc), exc.where
+
+
+def zs_time_dependent():
+    # zs_toy with A(t) and R_1(t) varying, so every step forms its own E
+    game = zs_toy()
+    return GameProblem(
+        A=TimeMatrix.from_function(lambda t: np.array([[-1.0 + 0.5 * np.sin(3.0 * t)]]), (1, 1)),
+        B=game.B, R=(TimeMatrix.from_function(lambda t: np.array([[2.0 + t]]), (1, 1)),
+                     game.R[1]),
+        Q=game.Q, QT=game.QT, x0=game.x0, cross_R=game.cross_R)
+
+
+def zs_chain_rule_game():
+    # the n = 2 game of test_zero_sum_base_step_matches_chain_rule_oracle; its
+    # solution escapes on [0, 1], so every ladder ends in a ConfigError
+    rng = np.random.default_rng(68)
+    n = 2
+    return GameProblem(
+        A=C(0.4 * rng.standard_normal((n, n))),
+        B=tuple(C(rng.standard_normal((n, 2))) for _ in range(2)),
+        R=tuple(C(random_spd(rng, 2, shift=2.0)) for _ in range(2)),
+        Q=tuple(C(random_psd(rng, n)) for _ in range(2)),
+        QT=tuple(random_psd(rng, n) for _ in range(2)), x0=np.ones(n),
+        cross_R={(1, 2): C(random_spd(rng, 2, shift=3.0)),
+                 (2, 1): C(random_spd(rng, 2, shift=4.0))},
+    )
+
+
+def zs_matrix_game():
+    # an n = 2 game whose ladders succeed (the data of
+    # test_zero_sum_matrix_game_matches_adaptive_oracle)
+    rng = np.random.default_rng(67)
+    n = 2
+    A = rng.standard_normal((n, n)) * 0.4
+    B = [0.5 * rng.standard_normal((n, 1)) for _ in range(2)]
+    R = [random_spd(rng, 1, shift=2.0) for _ in range(2)]
+    W = [random_spd(rng, 1, shift=4.0) for _ in range(2)]
+    Q = [0.5 * random_psd(rng, n) for _ in range(2)]
+    QT = [0.2 * random_psd(rng, n) for _ in range(2)]
+    return GameProblem(A=C(A), B=tuple(C(b) for b in B), R=tuple(C(r) for r in R),
+                       Q=tuple(C(q) for q in Q), QT=tuple(QT), x0=rng.standard_normal(n),
+                       cross_R={(1, 2): C(W[0]), (2, 1): C(W[1])})
+
+
+@pytest.mark.parametrize("steps", [1, 3, 8])
+@pytest.mark.parametrize("make", [zs_toy, zs_time_dependent, zs_chain_rule_game,
+                                  zs_matrix_game],
+                         ids=["zs_toy", "time-dependent", "n2-escaping", "n2"])
+def test_zero_sum_lockstep_is_the_sequential_ladder(make, steps):
+    # the three runs stepped as one stack give the bits, and the errors, of
+    # the runs one after the other
+    want = _outcome(lambda: _sequential_backward(make(), steps))
+    assert _outcome(lambda: backward_zero_sum(make(), steps)) == want
+    if make is zs_chain_rule_game:
+        assert want[0] is ConfigError
+    else:
+        assert isinstance(want, bytes)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 8])
+def test_zero_sum_backward_makes_4s_base_steps(monkeypatch, steps):
+    calls = []
+    real = games.zs_base_step
+    monkeypatch.setattr(games, "zs_base_step",
+                        lambda g, t, h, y, c=None: calls.append(len(y)) or real(g, t, h, y, c))
+    backward_zero_sum(zs_toy(), steps)
+    # all three runs for s ticks, the h/2 and h/4 runs for s, the h/4 run for 2s
+    assert calls == [3] * steps + [2] * steps + [1] * (2 * steps)
+
+
+def _spiked_game(*spikes):
+    # A = diag(a, -1) near each spike (t, a), diag(1, -1) elsewhere: a
+    # half-step of length 937.5 / a with its midpoint there makes U singular,
+    # as in test_zero_sum_singular_half_step_names_the_time
+    def A(t):
+        return np.diag([next((a for ts, a in spikes if abs(t - ts) < 0.01), 1.0), -1.0])
+
+    return GameProblem(
+        A=TimeMatrix.from_function(A, (2, 2)), B=(C([[1.0], [0.0]]), C([[0.0], [1.0]])),
+        R=(C([[1.0]]), C([[1.0]])), Q=(C(np.eye(2)), C(np.eye(2))),
+        QT=(np.zeros((2, 2)), np.zeros((2, 2))), x0=np.ones(2),
+        cross_R={(1, 2): C([[10.0]]), (2, 1): C([[10.0]])},
+    )
+
+
+def test_zero_sum_singular_u_of_the_finest_run_names_its_time():
+    # With s = 2 the runs' midpoints are 0.75, 0.25 (h), 0.875, ..., 0.125
+    # (h/2) and 0.9375, 0.8125, 0.6875, ... (h/4): only the h/4 run meets the
+    # spike at 0.6875, on its third step, while the other two are in the stack.
+    game = _spiked_game((0.6875, 1.5e4))
+    with pytest.raises(SingularityError, match="t = 0.6875") as info:
+        backward_zero_sum(game, 2)
+    assert info.value.where == 0.6875
+    with pytest.raises(SingularityError, match="t = 0.6875"):
+        _sequential_backward(game, 2)
+
+
+def test_zero_sum_later_run_error_waits_for_the_earlier_runs():
+    # With s = 2 the h/4 run meets a spike at 0.9375 on its first step and the
+    # h run one at 0.25 on its second: the h run's error is raised, as when
+    # the runs go one after the other, although the stack meets the other first.
+    game = _spiked_game((0.9375, 1.5e4), (0.25, 3750.0))
+    with pytest.raises(SingularityError, match="t = 0.25") as info:
+        backward_zero_sum(game, 2)
+    assert info.value.where == 0.25
+    assert _outcome(lambda: _sequential_backward(game, 2)) == (SingularityError, 0.25)
+    assert _outcome(lambda: _sequential_backward(_spiked_game((0.9375, 1.5e4)), 2)) == (
+        SingularityError, 0.9375)
+
+
+def test_zero_sum_stacked_base_step_is_each_member_alone():
+    # members with their own midpoints and steps, on constant and on
+    # time-dependent data; each member has the bits of its own single step
+    for game in (zs_toy(), zs_time_dependent(), zs_matrix_game()):
+        n = game.n
+        rng = np.random.default_rng(69)
+        ys = np.stack([np.vstack([np.eye(n), *game.QT]) + 0.05 * rng.standard_normal((3 * n, n))
+                       for _ in range(3)])
+        tm, hs = [0.9, 0.45, 0.3], [-0.2, -0.1, 0.1]
+        got = zs_base_step(game, tm, hs, ys, {})
+        for j in range(3):
+            assert got[j].tobytes() == zs_base_step(game, tm[j], hs[j], ys[j], {}).tobytes()
+
+
+def test_zero_sum_stacked_singular_member_names_its_time():
+    game = _spiked_game((0.6875, 1.5e4))
+    y = np.vstack([np.eye(2), *game.QT])
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(-h/2 A^T) overflows
+        with pytest.raises(SingularityError, match="t = 0.6875") as info:
+            zs_base_step(game, [0.9375, 0.6875], [-0.125, -0.125], np.stack([y, y]))
+    assert info.value.where == 0.6875
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (3, 2), (3,), (2, 2, 3, 1), (2, 3, 2)])
+def test_zero_sum_base_step_refuses_wrong_shapes(shape):
+    with pytest.raises(DimensionError, match="3 x 1"):
+        zs_base_step(zs_toy(), 0.5, 0.1, np.ones(shape))
+
+
+@pytest.mark.parametrize("tmid, h", [(0.5, 0.1), ([0.5], [0.1]), ([0.5, 0.6], [0.1]),
+                                     ([0.5, 0.6, 0.7], [0.1, 0.1, 0.1])])
+def test_zero_sum_stacked_base_step_needs_a_step_per_member(tmid, h):
+    # a stack of two flows takes two midpoints and two steps, not a scalar or
+    # a sequence of another length broadcast over it
+    with pytest.raises(DimensionError, match="a tmid and h each"):
+        zs_base_step(zs_toy(), tmid, h, np.ones((2, 3, 1)))
+
+
+def test_zero_sum_base_step_requires_zero_sum_mode():
+    with pytest.raises(MisuseError, match="zero-sum mode"):
+        zs_base_step(scalar_game(), 0.5, 0.1, np.ones((3, 1)))
 
 
 def test_zero_sum_half_flow_formed_once_per_step_length(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import C, canonical_j, random_lq, random_psd, random_spd
-from splitlq.errors import DimensionError, InputError, SingularityError
+from splitlq import problem
+from splitlq.errors import DimensionError, InputError, MisuseError, SingularityError
 from splitlq.problem import (SYMMETRY_TOL, GameProblem, LQProblem, TimeMatrix,
                              closed_loop_matrix, hamiltonian_matrix, s_matrix)
 from splitlq.bench import build_pollution, preset
@@ -136,6 +137,51 @@ def test_declared_constant_coefficient_evaluated_on_horizon_only():
     assert_allclose(traj.states,
                     integrate_forward(want, backward_game(want), 8, method="sp4").states,
                     rtol=0.0, atol=0.0)
+
+
+def _count_weight_checks(monkeypatch, build):
+    calls = []
+    real = problem.min_eigenvalue_sym
+    monkeypatch.setattr(problem, "min_eigenvalue_sym",
+                        lambda M, **kw: calls.append(M.shape) or real(M, **kw))
+    build()
+    return len(calls)
+
+
+def test_constant_weights_checked_at_one_sample(monkeypatch):
+    # A constant Q_i or R_i is one frozen array, so it is checked once, not at
+    # each of the five horizon samples; each QT_i is checked once as before.
+    # fig1: 10 players, constant Q_i and R_i, 10 + 10 + 10 checks (110 before).
+    assert _count_weight_checks(monkeypatch, lambda: build_pollution(preset("fig1"))) == 30
+    rng = np.random.default_rng(31)
+
+    def three_players(Q0):
+        return GameProblem(A=C(rng.standard_normal((4, 4))),
+                           B=tuple(C(rng.standard_normal((4, 2))) for _ in range(3)),
+                           R=tuple(C(random_spd(rng, 2)) for _ in range(3)),
+                           Q=(Q0,) + tuple(C(random_psd(rng, 4)) for _ in range(2)),
+                           QT=tuple(random_psd(rng, 4) for _ in range(3)), x0=np.ones(4))
+
+    assert _count_weight_checks(monkeypatch, lambda: three_players(C(np.eye(4)))) == 9
+    # a time-dependent weight is still checked at all five samples
+    varying = TimeMatrix.from_function(lambda t: (1.0 + t) * np.eye(4), (4, 4))
+    assert _count_weight_checks(monkeypatch, lambda: three_players(varying)) == 13
+
+
+def test_constant_weight_errors_name_the_first_sample():
+    with pytest.raises(InputError, match=r"^Q\[0\]\(0\.0\) is not PSD"):
+        LQProblem(A=C([[-1.0]]), B=C([[1.0]]), Q=C([[-1.0]]), R=C([[1.0]]),
+                  QT=[[0.0]], x0=[1.0])
+    with pytest.raises(InputError, match=r"^R\[0\]\(0\.0\) is not positive definite"):
+        LQProblem(A=C([[-1.0]]), B=C([[1.0]]), Q=C([[1.0]]), R=C([[0.0]]),
+                  QT=[[0.0]], x0=[1.0])
+
+
+def test_zero_sum_terms_need_zero_sum_mode():
+    prob = LQProblem(A=C([[-1.0]]), B=C([[1.0]]), Q=C([[1.0]]), R=C([[1.0]]),
+                     QT=[[0.0]], x0=[1.0])
+    with pytest.raises(MisuseError, match="zero-sum mode"):
+        prob.zero_sum_terms(0.0)
 
 
 def test_lq_problem_validation():
