@@ -7,10 +7,12 @@ eigenvalues; the Cayley / Pade(1,1) map; structural checks (symmetry defect,
 smallest eigenvalue of a symmetric matrix).  All are pure functions of plain
 ``numpy`` arrays.  Actions exp(E_j) @ Y run in one chain kernel,
 ``expm_chain``: a cumulative product for d = 1, a formed stack up to d = 8,
-the Horner loop on the block Y above.
+the Taylor polynomial above: stored powers summed once on a vector, Horner on a block.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,6 +28,11 @@ _TAYLOR_THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.4e-4, 2.4e-3, 9.07e-3, 2.38e-2,
                  2.86, 3.08, 3.31, 3.54)
 # expm scales M to 1-norm theta_12 = 0.3 before it squares.
 _TAYLOR_TOP = 12
+# (e, w) by degree m: a vector's action sums w_k = 2^(e k) / k! times (2^-e M)^k y,
+# e the least with theta_m <= 2^e (0 up to m = 17), so no power outgrows y.
+_POWERS = [(e, np.array([2 ** (e * k) / math.factorial(k) for k in range(m + 1)])) for m, e
+           in enumerate(max(0, math.ceil(math.log2(t))) for t in (1.0,) + _TAYLOR_THETA)]
+_EXP_MAX = math.log(np.finfo(float).max)  # exp(x) overflows above it
 
 # Up to this d a CF4 chunk spans more than one step and a call costs more
 # than its flops: exp(M) @ Y forms exp(M), one stack per chunk.
@@ -36,11 +43,12 @@ RCOND_FLOOR = 1e-12
 
 
 def _as_square(M, name="matrix"):
-    M = np.asarray(M, dtype=float)
+    M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)  # no ComplexWarning
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise DimensionError(f"{name} must be square and non-empty, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InputError(f"{name} contains non-finite entries")
+    if np.iscomplexobj(M) or not np.all(np.isfinite(M)):
+        what = "complex" if np.iscomplexobj(M) else "non-finite"
+        raise InputError(f"{name} contains {what} entries")
     return M
 
 
@@ -99,7 +107,7 @@ def expm(M):
     better for moderate norms; a 1-norm near the largest float gives a finite s."""
     M = _as_square(M)
     if M.shape[0] == 1:
-        return np.exp(M)
+        return expm_stack(M[None])[0]
     with np.errstate(over="ignore"):  # a finite M whose column sum overflows
         norm = min(norm1(M), np.finfo(float).max)
     theta = _TAYLOR_THETA[_TAYLOR_TOP - 1]
@@ -123,10 +131,16 @@ def taylor_degrees(norms):
 
 
 def taylor_apply(M, Y, degree):
-    """exp(M) @ Y for the ``degree`` that taylor_degrees picks for M: Horner's
-    Taylor polynomial, or the formed exponential for degree 0."""
+    """exp(M) @ Y for the ``degree`` that taylor_degrees picks for M: on a vector
+    its stored powers summed once, on a block Horner's rule; formed for degree 0."""
     if degree == 0:
         return expm(M) @ Y
+    if Y.ndim == 1:
+        (e, w), powers = _POWERS[degree], np.empty((degree + 1, len(Y)))
+        powers[0], M = Y, np.ldexp(M, -e) if e else M
+        for k in range(degree):
+            M.dot(powers[k], out=powers[k + 1])
+        return w @ powers
     acc = Y
     for k in range(degree, 0, -1):
         acc = Y + M.dot(acc) / k  # the bits of M @ acc, at less call overhead
@@ -155,12 +169,12 @@ def expm_stack(E):
     """exp(E_j) for each matrix of the stack E (k, d, d), member by member, so a
     member's bits do not depend on the stack: ``np.exp`` for d = 1, _expm2 for
     d = 2 up to ||E_j||_1 = theta_12 (above, its e^mu cosh and e^mu sinh terms
-    may cancel), else the Taylor polynomial of the member's taylor_degrees
-    degree, expm past theta_30.  A non-finite member raises InputError."""
+    may cancel), else the member's taylor_degrees Taylor polynomial, expm past
+    theta_30.  InputError for a non-finite member (d = 1: NaN, or exp overflowing)."""
     E = np.asarray(E, dtype=float)
     if E.shape[-1] == 1:
-        if not np.isfinite(E).all():
-            raise InputError("matrix contains non-finite entries")
+        if not (E <= _EXP_MAX).all():  # NaN, or an exponential past the largest float
+            raise InputError(f"matrix is non-finite or its exp overflows (> {_EXP_MAX:.6g})")
         return np.exp(E)
     norms = norm1(E)
     closed = (norms <= _TAYLOR_THETA[_TAYLOR_TOP - 1]) & (E.shape[-1] == 2)
@@ -187,14 +201,18 @@ def expm_chain(E, y, out):
     """Apply exp(E[0]), exp(E[1]), ... of a stack E (L, d, d) to y in turn,
     writing y after every k-th action into ``out`` (k = L // len(out)): one
     cumulative product for d = 1, up to d = 8 one expm_stack call and one
-    product per action, above the Horner loop.  Raises DimensionError unless
-    len(out) divides L, and InputError for a non-finite member."""
+    product per action, above taylor_apply.  Raises DimensionError unless
+    len(out) divides L, and InputError for a non-finite member or an overflow."""
     if len(out) == 0 or len(E) % len(out):
         raise DimensionError(f"out holds {len(out)} states; it must divide {len(E)} actions")
     k = len(E) // len(out)
     if E.shape[-1] == 1:  # left to right: the floats of the loop y = exp(E[j]) * y
-        chain = np.empty((len(E) + 1,) + y.shape)
-        chain[0], chain[1:] = y, expm_stack(E).reshape((-1,) + (1,) * y.ndim)
+        hi, top = E.max(), max(map(abs, y.ravel().tolist()), default=0.0)
+        room = _EXP_MAX - math.log(top) if top else math.inf  # |y_j| <= top e^(E_0+...+E_j)
+        if not hi <= _EXP_MAX or (len(E) * hi > room and E.cumsum().max() > room):
+            raise InputError(f"matrix is non-finite or its exp overflows (> {_EXP_MAX:.6g})")
+        chain = np.empty((len(E) + 1,) + y.shape)  # hi did expm_stack's check
+        chain[0], chain[1:] = y, np.exp(E).reshape((-1,) + (1,) * y.ndim)
         return np.copyto(out, np.cumprod(chain, axis=0, out=chain)[k::k]) or out
     formed = E.shape[-1] <= _FORM_DIM
     F = expm_stack(E) if formed else taylor_degrees(norm1(E))  # exp(E_j), or its degree
@@ -208,19 +226,19 @@ def expm_chain(E, y, out):
 
 
 def expm_apply(M, Y):
-    """exp(M) @ Y: up to d = 8 a chain of one, exp(M) formed; above, the
-    Horner loop on Y of the smallest degree m with ||M||_1 <= theta_m, and
-    past theta_30 the formed exponential (work logarithmic in ||M||)."""
+    """exp(M) @ Y: up to d = 8 a chain of one, exp(M) formed; above, taylor_apply
+    on Y at the smallest degree m with ||M||_1 <= theta_m, and past theta_30
+    the formed exponential (work logarithmic in ||M||)."""
     M, Y = _as_square(M), np.asarray(Y, dtype=float)
-    if len(M) > _FORM_DIM:  # the Horner result is the answer: no buffer to copy it into
+    if len(M) > _FORM_DIM:  # the Taylor result is the answer: no buffer to copy it into
         return taylor_apply(M, Y, taylor_degrees(norm1(M)))
     return expm_chain(M[None], Y, np.empty((1,) + Y.shape))[0]
 
 
 def pade2(M, h):
     """Second-order diagonal Pade (Cayley) map (I - h/2 M)^-1 (I + h/2 M):
-    expm(h M) up to O(h^3), symplectic for Hamiltonian M.  Raises
-    SingularityError, with the step size, when I - (h/2) M is singular."""
+    expm(h M) up to O(h^3), symplectic for Hamiltonian M.  Raises InputError
+    for a non-finite h, SingularityError, with h, when I - (h/2) M is singular."""
     M = _as_square(M)
     return pade2_apply(M, h, np.eye(len(M)))  # I + (h/2) M I is exact
 
@@ -228,6 +246,8 @@ def pade2(M, h):
 def pade2_apply(M, h, Y):
     """Apply the pade2 map to the columns of Y without forming it."""
     M = _as_square(M)
+    if not np.isfinite(h):
+        raise InputError(f"step h = {h} is not finite")
     half = 0.5 * h * M
     return solve_checked(np.eye(M.shape[0]) - half, Y + half @ Y, where=h)
 
@@ -242,8 +262,8 @@ def min_eigenvalue_sym(M, tol=1e-8):
     """Smallest eigenvalue of a (numerically) symmetric matrix, symmetrized as
     (M + M^T)/2; an asymmetry defect above ``tol * max(1, |M|_max)`` is
     rejected with InputError."""
+    defect = symmetry_defect(M)  # also checks that M is real, square, non-empty and finite
     M = np.asarray(M, dtype=float)
-    defect = symmetry_defect(M)  # also checks that M is square, non-empty and finite
     if defect > tol * max(1.0, float(np.max(np.abs(M)))):
         raise InputError(f"matrix is asymmetric beyond tolerance (defect {defect:.3e})")
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])

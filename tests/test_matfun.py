@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -141,6 +143,46 @@ def test_pade2_singular_step_reports_h():
     assert err.value.where == 2.0
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+def test_pade2_refuses_a_non_finite_step(h):
+    # before any product: nan gave a singular-matrix error, inf a RuntimeWarning
+    with pytest.raises(InputError, match="not finite"):
+        pade2(np.eye(2), h)
+    with pytest.raises(InputError, match="not finite"):
+        pade2_apply(np.eye(2), h, np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("call", [
+    expm, lambda M: expm_apply(M, np.ones(1)), lambda M: pade2(M, 0.1),
+    symmetry_defect, min_eigenvalue_sym,
+], ids=["expm", "expm_apply", "pade2", "symmetry_defect", "min_eigenvalue_sym"])
+def test_public_matrix_functions_refuse_complex_input(call):
+    # casting would warn and drop the imaginary part
+    with pytest.raises(InputError, match="complex"):
+        call(np.array([[1j]]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expm([[800.0]]),
+    lambda: expm_stack(np.array([[[800.0]]])),
+    lambda: expm_chain(np.full((3, 1, 1), 700.0), np.array([1.0]), np.empty((3, 1))),
+    lambda: expm_chain(np.full((2, 1, 1), 360.0), np.ones((1, 2)), np.empty((1, 1, 2))),
+], ids=["expm", "expm_stack", "expm_chain", "expm_chain-block"])
+def test_scalar_exponential_that_overflows_is_an_input_error(call):
+    # each exponent of the chains is in range; their running products are not
+    with pytest.raises(InputError, match="overflows"):
+        call()
+
+
+def test_scalar_exponentials_in_range_still_run():
+    assert expm([[709.0]])[0, 0] == np.exp(709.0)
+    assert expm_stack(np.array([[[-800.0]]]))[0, 0, 0] == 0.0  # underflow is no error
+    out = np.empty((3, 1))
+    assert not expm_chain(np.full((3, 1, 1), 700.0), np.zeros(1), out).any()
+    expm_chain(np.array([[[700.0]], [[-700.0]], [[700.0]]]), np.ones(1), out)
+    assert out[-1, 0] == np.exp(700.0) * np.exp(-700.0) * np.exp(700.0)
+
+
 def test_symmetry_defect():
     assert symmetry_defect(np.eye(3)) == 0.0
     assert symmetry_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
@@ -236,19 +278,75 @@ def test_expm_stack_agrees_with_expm_apply_and_the_horner_loop(d):
         assert _relerr(FM, scipy_expm(M)) <= (1e-14 if m else 1e-13)
 
 
+def _stored_powers(M, y, m):
+    # the degree-m polynomial on a vector: the powers of 2^-e M applied to y,
+    # e the least with theta_m <= 2^e, summed once with weights 2^(e k) / k!
+    e = max(0, math.ceil(math.log2(_TAYLOR_THETA[m - 1])))
+    powers = [y]
+    for _ in range(m):
+        powers.append(np.ldexp(M, -e) @ powers[-1])
+    return np.array([2 ** (e * k) / math.factorial(k) for k in range(m + 1)]) @ np.array(powers)
+
+
+def _horner(M, Y, m):
+    acc = Y
+    for k in range(m, 0, -1):
+        acc = Y + (M @ acc) / k
+    return acc
+
+
 @pytest.mark.parametrize("cols", [None, 3])
 @pytest.mark.parametrize("d", [9, 32, 128])
 def test_taylor_apply_is_the_written_out_horner_loop_bit_for_bit(d, cols):
-    # the loop acc = Y + (M @ acc) / k, on a vector and on a block, at
-    # Taylor degrees 3 to 30, as the actions above d = 8 run it
+    # at Taylor degrees 3 to 30, as the actions above d = 8 run them: on a
+    # block the loop acc = Y + (M @ acc) / k, on a vector its stored powers
     rng = np.random.default_rng(100 + d)
     Y = rng.standard_normal(d if cols is None else (d, cols))
     for M in _stack(rng, d, (1e-6, 0.3, 2.0, 0.999 * _TAYLOR_THETA[-1])):
         m = taylor_degrees(norm1(M))
-        acc = Y
-        for k in range(m, 0, -1):
-            acc = Y + (M @ acc) / k
-        assert taylor_apply(M, Y, m).tobytes() == acc.tobytes()
+        want = _horner(M, Y, m) if cols else _stored_powers(M, Y, m)
+        assert taylor_apply(M, Y, m).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [9, 32, 128])
+def test_taylor_apply_on_a_vector_meets_scipy(d):
+    # every degree from 3 to 30 at the top of its range, the scaled powers
+    # past theta_17 among them
+    rng = np.random.default_rng(110 + d)
+    norms = (1e-6, *(0.999 * t for t in _TAYLOR_THETA[3:]))
+    assert taylor_degrees(norms) == list(range(3, 31))
+    for M in _stack(rng, d, norms):
+        y = rng.standard_normal(d)
+        ref = scipy_expm(M) @ y
+        got = taylor_apply(M, y, taylor_degrees(norm1(M)))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("d", [9, 32, 128])
+def test_taylor_apply_on_a_huge_vector_does_not_overflow(d):
+    # ||M||_1 = 3.5 needs degree 30, whose unscaled powers M^k y reach 3.5^30
+    # times y = 1e300; the powers of M / 4 stay below |y|
+    M, y = np.full((d, d), 3.5 / d), np.full(d, 1e300)
+    got = taylor_apply(M, y, 30)
+    assert np.isfinite(got).all()
+    assert _relerr(got, _horner(M, y, 30)) <= 1e-14
+
+
+class _CountedDot(np.ndarray):
+    calls = 0
+
+    def dot(self, *args, **kwargs):
+        _CountedDot.calls += 1
+        return super().dot(*args, **kwargs)
+
+
+@pytest.mark.parametrize("m", [1, 8, 17, 18, 30])
+def test_taylor_apply_on_a_vector_takes_one_product_per_degree(m):
+    M = _stack(np.random.default_rng(120), 32, [0.99 * _TAYLOR_THETA[m - 1]])[0]
+    _CountedDot.calls = 0
+    got = taylor_apply(M.view(_CountedDot), np.ones(32), m)
+    assert _CountedDot.calls == m
+    assert got.tobytes() == taylor_apply(M, np.ones(32), m).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
